@@ -122,6 +122,32 @@ def subsets(a: Auto, cap: int) -> list:
     return order
 
 
+def top_down_subsets(a: Auto, cap: int) -> list:
+    """The reachable state subsets of the top-down subset construction: from
+    the final set, each symbol's rules into a subset project to one subset
+    per argument position.  Stops once more than cap are found."""
+    into: dict = {}
+    for (sym, args), ts in sorted(a.rules.items()):
+        for q in ts:
+            into.setdefault(q, []).append((sym, args))
+    order = [frozenset(a.final)]
+    seen = set(order)
+    m = 0
+    while m < len(order) and len(order) <= cap:
+        by_symbol: dict = {}
+        for q in sorted(order[m]):
+            for sym, args in into.get(q, ()):
+                by_symbol.setdefault(sym, []).append(args)
+        for sym, arg_lists in sorted(by_symbol.items()):
+            for j in range(a.alphabet[sym]):
+                s = frozenset(args[j] for args in arg_lists)
+                if s not in seen:
+                    seen.add(s)
+                    order.append(s)
+        m += 1
+    return order
+
+
 # === generators ===================================================================
 
 def random_nbta(rng: random.Random, alphabet: Alphabet, n: int, p: float = 0.3) -> Auto:
@@ -165,17 +191,24 @@ def random_small_bta(rng: random.Random, alphabet: Alphabet, n: int) -> Auto:
 
 
 def stratified(rng: random.Random, make, size_of, bands, tries: int = 5000) -> list:
-    """One draw per (lo, hi) band, redrawn until size_of(draw) lies in the band."""
+    """One draw per (lo, hi) band, redrawn until size_of(draw) lies in the band.
+    A size may be a tuple; then lo and hi are tuples and bound it elementwise."""
     out = []
     for lo, hi in bands:
         for _ in range(tries):
             a = make(rng)
-            if lo <= size_of(a) <= hi:
+            if _within(lo, size_of(a), hi):
                 out.append(a)
                 break
         else:
             raise RuntimeError(f"no draw in size band {lo}..{hi} after {tries} tries")
     return out
+
+
+def _within(lo, size, hi) -> bool:
+    if isinstance(size, int):
+        return lo <= size <= hi
+    return all(l <= s <= h for l, s, h in zip(lo, size, hi))
 
 
 def split_state(rng: random.Random, a: Auto) -> Auto:

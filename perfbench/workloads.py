@@ -16,6 +16,7 @@ from corpus import (
     AB, ABG, BOOL, MONO, TERN, Auto, chain, drop_one_rule, format_tree,
     puncture_random_leaf, random_dtta_reversed, random_nbta, random_small_bta,
     random_term, rename, resample_off_spine, split_state, stratified, subsets,
+    top_down_subsets,
 )
 from jobs import Job
 
@@ -122,20 +123,37 @@ def _path_closed_jobs(name: str, closed: bool, h: int) -> list:
     ]
 
 
+def _both_sizes(a: Auto) -> tuple[int, int]:
+    return _size(a), len(top_down_subsets(a, 64))
+
+
+def _exact(lo: int, hi: int, top_down: tuple[int, int] | None = None) -> list:
+    """One band per subset-construction size from lo to hi, each a single size;
+    with top_down, the top-down subset count is bounded too."""
+    if top_down is None:
+        return [(b, b) for b in range(lo, hi + 1)]
+    return [((b, top_down[0]), (b, top_down[1])) for b in range(lo, hi + 1)]
+
+
 def path_closed(rng: random.Random, fixtures: dict) -> tuple[dict, list]:
     """Path-closed draws (reversed deterministic top-down automata over BOOL
     at n=4 and ABG at n=5) and draws made not path-closed by construction,
-    through the path-closedness verbs and two equivalence checks each."""
+    through the path-closedness verbs and two equivalence checks each.
+
+    The tail of this workload is a handful of the largest draws, so every
+    size is drawn exactly, twice: each seed has the same size profile.  The
+    not-path-closed draws are bounded in their top-down subset count as well,
+    which drives the cost of the path-closedness check on them."""
     draws = []
     for alphabet, n, bands, pc in [
-        (BOOL, 4, _bands(4, 13, 2) * 5, True),
-        (ABG, 5, _bands(4, 15, 2) * 5, True),
-        (BOOL, 3, _bands(7, 14, 2) * 3, False),
-        (ABG, 4, _bands(8, 15, 2) * 3, False),
+        (BOOL, 4, _exact(4, 13) * 2, True),
+        (ABG, 5, _exact(4, 15) * 2, True),
+        (BOOL, 3, _exact(8, 13, (7, 9)) * 2, False),
+        (ABG, 4, _exact(9, 14, (6, 9)) * 2, False),
     ]:
         make = (lambda r, al=alphabet, n=n: random_dtta_reversed(r, al, n)) if pc \
             else _not_path_closed(alphabet, n)
-        draws += [(a, pc) for a in stratified(rng, make, _size, bands)]
+        draws += [(a, pc) for a in stratified(rng, make, _size if pc else _both_sizes, bands)]
     texts, jobs = {}, []
     for i, (a, closed) in enumerate(draws):
         name = f"pc{i}"
