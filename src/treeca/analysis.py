@@ -1,4 +1,4 @@
-"""Context preimages, path-closedness, and double-reversal diagnostics.
+"""Context preimages, double-reversal diagnostics, and congruence classes.
 
 The pre of a context is computed by folding its spine from the root to the
 pivot, which is exact once unreachable states are removed: every sibling
@@ -7,13 +7,17 @@ position of a surviving rule is then realizable by an actual tree.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from typing import Iterable
 
 from .automata import Bta, post_tree, reachable_states, trim_unreachable, wpre
 from .errors import NotPathClosedError, TreecaError
-from .minimize import equivalent, isomorphic, min_codbta, minimize_bta
+from .minimize import (
+    _path_closed_constructions,
+    _refine,
+    isomorphic,
+    minimize_dbta,
+)
 from .trees import (
     DEFAULT_ENUM_BUDGET,
     Tree,
@@ -26,6 +30,7 @@ from .transforms import (
     codeterminize,
     determinize,
     subset_construction,
+    subset_name,
 )
 
 Spine = tuple[tuple[str, int], ...]
@@ -92,24 +97,12 @@ def root_to_pivot_equiv(
     return bool(wpre(a, x, seed)) == bool(wpre(a, y, seed))
 
 
-def is_path_closed(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
-    """True iff the language of a is closed under recombining accepted paths.
-
-    Co-determinization always accepts a superset of the language, with
-    equality exactly for path-closed languages, so the check compares the
-    trimmed automaton against its co-determinization.
-    """
-    a1 = trim_unreachable(a)
-    return equivalent(a1, codeterminize(a1, budget=budget), budget=budget)
-
-
 def check_gen_det_u(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     """True iff determinizing a directly yields the minimal deterministic
     automaton, i.e. distinct reachable state subsets are never language
     equivalent."""
-    return isomorphic(
-        determinize(a, budget=budget), minimize_bta(a, budget=budget)
-    )
+    det = determinize(a, budget=budget)
+    return isomorphic(det, minimize_dbta(det))
 
 
 def gen_det_u_witness(
@@ -117,62 +110,32 @@ def gen_det_u_witness(
 ) -> tuple[str, str, frozenset[str], frozenset[str]] | None:
     """None when determinization is already minimal; otherwise a witness
     (q, m, s1, s2): two distinct reachable subsets s1 and s2 that merge into
-    the same minimal state m, with q a state in their symmetric difference."""
+    the same minimal state m, with q a state in their symmetric difference.
+
+    m is the least merged minimal state by name, and s1 and s2 are the two
+    least determinized states by name in its block.
+    """
     det, members = subset_construction(a, budget=budget)
-    mini = minimize_bta(a, budget=budget)
-
-    def target(d: Bta, sym: str, args: tuple[str, ...]) -> str:
-        return next(iter(d.delta[(sym, args)]))
-
-    pairs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    for sym in a.alphabet.nullary:
-        p = (target(det, sym, ()), target(mini, sym, ()))
-        if p not in seen:
-            seen.add(p)
-            pairs.append(p)
-    m = 0
-    while m < len(pairs):
-        for sym in a.alphabet.symbols:
-            k = a.alphabet.arity(sym)
-            if k == 0:
-                continue
-            for combo in itertools.product(range(m + 1), repeat=k):
-                if max(combo) != m:
-                    continue
-                picked = [pairs[i] for i in combo]
-                p = (
-                    target(det, sym, tuple(x[0] for x in picked)),
-                    target(mini, sym, tuple(x[1] for x in picked)),
-                )
-                if p not in seen:
-                    seen.add(p)
-                    pairs.append(p)
-        m += 1
-    by_minimal: dict[str, set[str]] = {}
-    for subset_state, minimal_state in pairs:
-        by_minimal.setdefault(minimal_state, set()).add(subset_state)
-    merged = sorted(m for m, subs in by_minimal.items() if len(subs) > 1)
+    merged = [block for block in _refine(det).blocks if len(block) > 1]
     if not merged:
         return None
-    m_state = merged[0]
-    s1_name, s2_name = sorted(by_minimal[m_state])[:2]
+    block = min(merged, key=subset_name)
+    s1_name, s2_name = sorted(block)[:2]
     s1, s2 = members[s1_name], members[s2_name]
-    return (min(s1 ^ s2), m_state, s1, s2)
+    return (min(s1 ^ s2), subset_name(block), s1, s2)
 
 
 def check_gen_det_d(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     """True iff co-determinizing the trimmed automaton directly yields the
     minimal co-deterministic automaton.  Only defined for path-closed
     languages; anything else is rejected."""
-    a1 = trim_unreachable(a)
-    if not is_path_closed(a1, budget=budget):
+    found = _path_closed_constructions(a, budget)
+    if found is None:
         raise NotPathClosedError(
             "the downward determinization check requires a path-closed language"
         )
-    return isomorphic(
-        codeterminize(a1, budget=budget), min_codbta(a1, budget=budget)
-    )
+    c, da, _ = found
+    return isomorphic(c, codeterminize(da, budget=budget))
 
 
 def bta_congruence_up(

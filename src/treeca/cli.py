@@ -19,7 +19,6 @@ from .analysis import (
     check_gen_det_d,
     check_gen_det_u,
     gen_det_u_witness,
-    is_path_closed,
     root_to_pivot_equiv,
 )
 from .automata import Bta, Tta, accepts, post_tree, trim_unreachable, wpre
@@ -28,7 +27,7 @@ from .fileformat import parse_automaton, serialize_automaton
 from .minimize import (
     brzozowski,
     canonical_form,
-    equivalent,
+    is_path_closed,
     isomorphic,
     min_codbta,
     minimize_bta,
@@ -56,7 +55,13 @@ from .trees import (
 
 
 def _load(path: str) -> Bta | Tta:
-    return parse_automaton(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TreecaError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    return parse_automaton(text)
 
 
 def _load_bta(path: str) -> Bta:
@@ -145,13 +150,12 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
         print("not equivalent")
         print("alphabets differ")
         return 1
-    if equivalent(a, b, budget=args.budget):
+    witness = separating_tree(a, b, budget=args.budget)
+    if witness is None:
         print("equivalent")
         return 0
     print("not equivalent")
-    witness = separating_tree(a, b, budget=args.budget)
-    if witness is not None:
-        print(f"separating tree: {format_term(witness)}")
+    print(f"separating tree: {format_term(witness)}")
     return 1
 
 

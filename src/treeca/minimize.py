@@ -3,9 +3,12 @@
 Deterministic automata are minimized by Moore-style partition refinement: two
 states stay merged only while they lead to equivalent targets in every rule
 position, with every combination of concrete states at the other positions.
-On top of that sit language equivalence, a canonical renaming for isomorphism
-checks, and the co-deterministic and double-reversal minimizers, both of which
-only apply to path-closed languages.
+Language equivalence is one breadth-first product walk of the two
+determinizations, which also finds a separating tree of minimal height.
+Path-closedness is the same walk between the determinizations of an automaton
+and of its co-determinization; the co-deterministic and double-reversal
+minimizers reuse those constructions.  A canonical renaming serves the
+isomorphism checks.
 """
 
 from __future__ import annotations
@@ -29,12 +32,9 @@ from .transforms import (
     codeterminize,
     complete,
     determinize,
-    reverse_bta,
-    reverse_tta,
     subset_name,
-    tta_determinize,
 )
-from .trees import Tree
+from .trees import Tree, fresh_tuples
 
 
 @dataclass(frozen=True)
@@ -121,30 +121,54 @@ def minimize_bta(
     return trim_empty(m) if strip_dead else m
 
 
+def _path_closed_constructions(a: Bta, budget: int) -> tuple[Bta, Bta, Bta] | None:
+    """(c, da, dc) when the language of a is path-closed, otherwise None.
+
+    c co-determinizes the trimmed automaton a1, and da and dc determinize a1
+    and c.  Co-determinization always accepts a superset of the language,
+    with equality exactly for path-closed languages, so the product walk of
+    da and dc decides.
+    """
+    a1 = trim_unreachable(a)
+    c = codeterminize(a1, budget=budget)
+    da = determinize(a1, budget=budget)
+    dc = determinize(c, budget=budget)
+    if _product_walk(da, dc) is not None:
+        return None
+    return c, da, dc
+
+
+def is_path_closed(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
+    """True iff the language of a is closed under recombining accepted paths."""
+    return _path_closed_constructions(a, budget) is not None
+
+
 def min_codbta(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
     """The minimal co-deterministic automaton, defined for path-closed
     languages only: co-determinize the minimal deterministic automaton."""
-    from .analysis import is_path_closed
-
-    if not is_path_closed(a, budget=budget):
+    found = _path_closed_constructions(a, budget)
+    if found is None:
         raise NotPathClosedError(
             "co-deterministic minimization requires a path-closed language"
         )
-    return codeterminize(determinize(a, budget=budget), budget=budget)
+    return codeterminize(found[1], budget=budget)
 
 
 def brzozowski(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
     """Minimize by double reversal: reverse, determinize top-down, reverse,
     determinize.  Sound exactly for path-closed languages, so anything else
-    is rejected."""
-    from .analysis import is_path_closed
+    is rejected.
 
-    if not is_path_closed(a, budget=budget):
+    Top-down determinization of the reversed trimmed automaton, read
+    bottom-up again, is its co-determinization, so the result is the
+    determinized co-determinization the path-closedness check builds.
+    """
+    found = _path_closed_constructions(a, budget)
+    if found is None:
         raise NotPathClosedError(
             "double-reversal minimization requires a path-closed language"
         )
-    t = tta_determinize(reverse_bta(trim_unreachable(a)), budget=budget)
-    return determinize(reverse_tta(t), budget=budget)
+    return found[2]
 
 
 def canonical_form(d: Bta) -> Bta:
@@ -174,12 +198,7 @@ def canonical_form(d: Bta) -> Bta:
     m = 0
     while m < len(order):
         for sym in d.alphabet.symbols:
-            k = d.alphabet.arity(sym)
-            if k == 0:
-                continue
-            for combo in itertools.product(range(m + 1), repeat=k):
-                if max(combo) != m:
-                    continue
+            for combo in fresh_tuples(m, m + 1, d.alphabet.arity(sym)):
                 targets = d.delta.get((sym, tuple(order[i] for i in combo)))
                 if targets:
                     intern(next(iter(targets)))
@@ -324,19 +343,41 @@ def isomorphic(a: Bta, b: Bta) -> bool:
     return _backtracking_iso(a, b)
 
 
-def equivalent(a: Bta, b: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
-    """True iff a and b accept the same language.
+def _product_walk(da: Bta, db: Bta) -> Tree | None:
+    """A tree of minimal height on which the complete deterministic automata
+    da and db disagree, or None: a breadth-first walk over the pairs of
+    states that trees reach in both, one height at a time."""
 
-    Automata over different alphabets are never considered equivalent.  Both
-    sides are minimized into their unique minimal complete form and compared
-    up to isomorphism.
-    """
-    if a.alphabet != b.alphabet:
-        return False
-    return isomorphic(
-        complete(minimize_bta(a, budget=budget)),
-        complete(minimize_bta(b, budget=budget)),
-    )
+    def target(d: Bta, sym: str, args: tuple[str, ...]) -> str:
+        return next(iter(d.delta[(sym, args)]))
+
+    explored: list[tuple[str, str, Tree]] = []
+    seen: set[tuple[str, str]] = set()
+    fresh: list[tuple[str, str, Tree]] = []
+    for sym in da.alphabet.nullary:
+        pa, pb = target(da, sym, ()), target(db, sym, ())
+        if (pa, pb) not in seen:
+            seen.add((pa, pb))
+            fresh.append((pa, pb, Tree(sym)))
+    while fresh:
+        for pa, pb, wit in fresh:
+            if (pa in da.final) != (pb in db.final):
+                return wit
+        lo = len(explored)
+        explored.extend(fresh)
+        nxt: list[tuple[str, str, Tree]] = []
+        for sym in da.alphabet.symbols:
+            for combo in fresh_tuples(lo, len(explored), da.alphabet.arity(sym)):
+                entries = [explored[i] for i in combo]
+                pa = target(da, sym, tuple(e[0] for e in entries))
+                pb = target(db, sym, tuple(e[1] for e in entries))
+                if (pa, pb) not in seen:
+                    seen.add((pa, pb))
+                    nxt.append(
+                        (pa, pb, Tree(sym, tuple(e[2] for e in entries)))
+                    )
+        fresh = nxt
+    return None
 
 
 def separating_tree(
@@ -349,42 +390,14 @@ def separating_tree(
     """
     if a.alphabet != b.alphabet:
         raise TreecaError("separating_tree requires automata over the same alphabet")
-    da = determinize(a, budget=budget)
-    db = determinize(b, budget=budget)
+    return _product_walk(determinize(a, budget=budget), determinize(b, budget=budget))
 
-    def target(d: Bta, sym: str, args: tuple[str, ...]) -> str:
-        return next(iter(d.delta[(sym, args)]))
 
-    explored: list[tuple[str, str, Tree, int]] = []
-    seen: set[tuple[str, str]] = set()
-    fresh: list[tuple[str, str, Tree]] = []
-    for sym in a.alphabet.nullary:
-        pa, pb = target(da, sym, ()), target(db, sym, ())
-        if (pa, pb) not in seen:
-            seen.add((pa, pb))
-            fresh.append((pa, pb, Tree(sym)))
-    rnd = 1
-    while fresh:
-        for pa, pb, wit in fresh:
-            if (pa in da.final) != (pb in db.final):
-                return wit
-        explored.extend((pa, pb, wit, rnd) for pa, pb, wit in fresh)
-        nxt: list[tuple[str, str, Tree]] = []
-        for sym in a.alphabet.symbols:
-            k = a.alphabet.arity(sym)
-            if k == 0:
-                continue
-            for combo in itertools.product(range(len(explored)), repeat=k):
-                if max(explored[i][3] for i in combo) != rnd:
-                    continue
-                entries = [explored[i] for i in combo]
-                pa = target(da, sym, tuple(e[0] for e in entries))
-                pb = target(db, sym, tuple(e[1] for e in entries))
-                if (pa, pb) not in seen:
-                    seen.add((pa, pb))
-                    nxt.append(
-                        (pa, pb, Tree(sym, tuple(e[2] for e in entries)))
-                    )
-        rnd += 1
-        fresh = nxt
-    return None
+def equivalent(a: Bta, b: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
+    """True iff a and b accept the same language.
+
+    Automata over different alphabets are never considered equivalent.
+    Otherwise the product walk of separating_tree decides: the languages are
+    equal iff it finds no separating tree.
+    """
+    return a.alphabet == b.alphabet and separating_tree(a, b, budget=budget) is None

@@ -19,6 +19,7 @@ from .automata import (
     trim_unreachable,
 )
 from .errors import BudgetError, NotDeterministicError
+from .trees import fresh_tuples
 
 DEFAULT_STATE_BUDGET = 2**16
 
@@ -66,12 +67,7 @@ def subset_construction(
     m = 0
     while m < len(pool.order):
         for sym in a.alphabet.symbols:
-            k = a.alphabet.arity(sym)
-            if k == 0:
-                continue
-            for combo in itertools.product(range(m + 1), repeat=k):
-                if max(combo) != m:
-                    continue
+            for combo in fresh_tuples(m, m + 1, a.alphabet.arity(sym)):
                 args = tuple(pool.order[i] for i in combo)
                 acc: set[str] = set()
                 for members in itertools.product(*(sorted(s) for s in args)):

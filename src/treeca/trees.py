@@ -274,39 +274,55 @@ def format_path(p: Path) -> str:
     return "".join(str(tok) for tok in p)
 
 
+def fresh_tuples(lo: int, hi: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The k-tuples over range(hi) with at least one entry >= lo, in
+    lexicographic order.
+
+    Breadth-first constructions number their items in discovery order; when
+    items lo..hi-1 are the new ones, these are exactly the argument tuples
+    not combined before.
+    """
+    if k == 0:
+        return
+    for first in range(hi):
+        if first >= lo:
+            for rest in itertools.product(range(hi), repeat=k - 1):
+                yield (first, *rest)
+        else:
+            for rest in fresh_tuples(lo, hi, k - 1):
+                yield (first, *rest)
+
+
 def _enumerate_raw(entries: Mapping[str, int], max_height: int, budget: int) -> tuple[Tree, ...]:
     """All trees over the given arity map with height <= max_height, in canonical order."""
     if max_height < 1:
-        raise ValueError("max_height must be at least 1")
+        raise BudgetError("max_height must be at least 1")
     if budget < 1:
-        raise ValueError("budget must be positive")
+        raise BudgetError("budget must be positive")
     names = sorted(entries)
     out: list[Tree] = []
+    lo = 0  # out[lo:] holds the trees of the greatest height so far
     for h in range(1, max_height + 1):
         if h == 1:
             level = [Tree(n) for n in names if entries[n] == 0]
         else:
             level = []
-            upto = out  # already everything of height <= h - 1, canonically ordered
             for n in names:
-                k = entries[n]
-                if k == 0:
-                    continue
-                for combo in itertools.product(upto, repeat=k):
-                    if max(c.height for c in combo) == h - 1:
-                        level.append(Tree(n, combo))
-                        if len(out) + len(level) > budget:
-                            raise BudgetError(
-                                f"tree enumeration exceeded the budget of {budget} items"
-                            )
+                for combo in fresh_tuples(lo, len(out), entries[n]):
+                    level.append(Tree(n, [out[i] for i in combo]))
+                    if len(out) + len(level) > budget:
+                        raise BudgetError(
+                            f"tree enumeration exceeded the budget of {budget} items"
+                        )
         if len(out) + len(level) > budget:
             raise BudgetError(f"tree enumeration exceeded the budget of {budget} items")
+        lo = len(out)
         out.extend(level)
     return tuple(out)
 
 
 _tree_cache: dict[tuple[RankedAlphabet, int], tuple[Tree, ...]] = {}
-_context_cache: dict[tuple[RankedAlphabet, int], tuple[Tree, ...]] = {}
+_context_cache: dict[tuple[RankedAlphabet, int], tuple[int, tuple[Tree, ...]]] = {}
 
 
 def enumerate_trees(
@@ -330,7 +346,8 @@ def enumerate_contexts(
 
     Enumerates trees over the alphabet extended with the hole and keeps the
     one-hole ones, so the order is inherited from enumerate_trees.  The budget
-    applies to the raw enumeration.
+    applies to the raw enumeration, whose size is cached with the contexts so
+    that a cache hit is held to the same budget.
     """
     key = (alphabet, max_height)
     cached = _context_cache.get(key)
@@ -338,9 +355,12 @@ def enumerate_contexts(
         entries = alphabet.entries
         entries[HOLE] = 0
         raw = _enumerate_raw(entries, max_height, budget)
-        cached = tuple(t for t in raw if len(_hole_addresses(t)) == 1)
+        cached = (len(raw), tuple(t for t in raw if len(_hole_addresses(t)) == 1))
         _context_cache[key] = cached
-    return cached
+    raw_size, contexts = cached
+    if raw_size > budget:
+        raise BudgetError(f"tree enumeration exceeded the budget of {budget} items")
+    return contexts
 
 
 def format_term(t: Tree) -> str:

@@ -9,6 +9,8 @@ text that parses back to the same machine the library produces.
 import subprocess
 import sys
 
+import pytest
+
 from helpers import FIXTURES, load_fixture, split_state_bta
 
 from treeca import (
@@ -168,6 +170,21 @@ def test_equiv_yes_case_and_alphabet_mismatch(capsys):
     code, out, _ = run(capsys, "equiv", fx("and1.bta"), fx("abc.bta"))
     assert code == 1
     assert out == "not equivalent\nalphabets differ\n"
+
+
+def test_equiv_and_check_brz_u_witness_determinize_each_input_once(
+    capsys, tmp_path, subset_pools
+):
+    grown = tmp_path / "codet.bta"
+    grown.write_text(serialize_automaton(codeterminize(load_fixture("bool2.bta"))))
+    split = tmp_path / "split.bta"
+    split.write_text(serialize_automaton(split_state_bta()))
+    for argv in (["equiv", fx("bool2.bta"), str(grown)],
+                 ["check-brz-u", str(split), "--witness"]):
+        subset_pools.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 1
+        assert len(subset_pools) == 2, argv[0]
 
 
 def test_isomorphic_verdict_lines(capsys, tmp_path):
@@ -350,6 +367,27 @@ def test_parse_errors_and_missing_files_exit_with_2(capsys, tmp_path):
     code, _, err = run(capsys, "minimize", str(tmp_path / "missing.bta"))
     assert code == 2
     assert err.startswith("error:")
+
+
+def assert_one_error_line(code: int, out: str, err: str) -> None:
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["enumerate", "classes-up", "language-upto"])
+def test_height_zero_exits_with_2(capsys, verb):
+    assert_one_error_line(*run(capsys, verb, fx("bool2.bta"), "--height", "0"))
+
+
+def test_non_utf8_file_exits_with_2_naming_the_path(capsys, tmp_path):
+    garbled = tmp_path / "garbled.bta"
+    garbled.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "member", str(garbled), "-t", "a")
+    assert_one_error_line(code, out, err)
+    assert str(garbled) in err
 
 
 def test_bta_verbs_reject_tta_files(capsys):

@@ -16,6 +16,7 @@ from treeca import (
     accepts,
     brzozowski,
     canonical_form,
+    check_gen_det_d,
     codeterminize,
     complete,
     determinize,
@@ -30,13 +31,17 @@ from treeca import (
     minimize_dbta,
     parse_term,
     post_tree,
+    reverse_bta,
+    reverse_tta,
     separating_tree,
     serialize_automaton,
     trim_unreachable,
+    tta_determinize,
 )
 
 from helpers import (
     AB,
+    ABG,
     BOOL,
     accept_all_bta,
     random_bta,
@@ -207,6 +212,21 @@ def test_brzozowski_is_a_fixpoint_on_minimal_acceptors(and1, abc):
     for a in (and1, abc):
         m = minimize_bta(a)
         assert isomorphic(brzozowski(m), m)
+
+
+def test_brzozowski_is_the_literal_double_reversal(and1, abc):
+    rng = random.Random(2021)
+    draws = [random_path_closed_bta(rng, rng.choice([AB, ABG])) for _ in range(50)]
+    for a in [and1, abc] + draws:
+        t = tta_determinize(reverse_bta(trim_unreachable(a)))
+        assert brzozowski(a) == determinize(reverse_tta(t))
+
+
+def test_path_closed_constructions_are_built_once(subset_pools, and1):
+    for build, constructions in [(brzozowski, 3), (min_codbta, 4), (check_gen_det_d, 4)]:
+        subset_pools.clear()
+        build(and1)
+        assert len(subset_pools) == constructions, build.__name__
 
 
 # === canonical_form ===============================================================

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +34,7 @@ from treeca import (
     subtree,
     substitute,
 )
+from treeca.trees import fresh_tuples
 
 from helpers import AB, BOOL
 
@@ -205,6 +208,23 @@ def test_enumerate_contexts_holds_one_hole_each():
 def test_enumeration_budget_is_enforced():
     with pytest.raises(BudgetError):
         enumerate_trees(BOOL, 4, budget=100)
+
+
+def test_context_budget_is_enforced_on_cold_and_warm_caches():
+    alphabet = RankedAlphabet({"a": 0, "u": 1, "w": 2})  # cached by no other test
+    with pytest.raises(BudgetError):
+        enumerate_contexts(alphabet, 3, budget=5)
+    assert len(enumerate_contexts(alphabet, 3)) > 5
+    with pytest.raises(BudgetError):
+        enumerate_contexts(alphabet, 3, budget=5)
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), hi=st.integers(1, 6), k=st.integers(1, 3))
+def test_fresh_tuples_are_the_filtered_product_in_order(data, hi, k):
+    lo = data.draw(st.integers(0, hi - 1))
+    filtered = [c for c in itertools.product(range(hi), repeat=k) if max(c) >= lo]
+    assert list(fresh_tuples(lo, hi, k)) == filtered
 
 
 # === Term syntax ==================================================================
