@@ -1,8 +1,8 @@
 """Context preimages, double-reversal diagnostics, and congruence classes.
 
-The pre of a context is computed by folding its spine from the root to the
-pivot, which is exact once unreachable states are removed: every sibling
-position of a surviving rule is then realizable by an actual tree.
+pre and wpre are one fold down a context's spine (automata._spine_fold); pre
+drops its sibling check, which is exact once unreachable states are removed:
+every sibling position of a surviving rule is then realizable by an actual tree.
 """
 
 from __future__ import annotations
@@ -10,8 +10,18 @@ from __future__ import annotations
 import warnings
 from typing import Iterable
 
-from .automata import Bta, post_tree, reachable_states, trim_unreachable, wpre
-from .errors import NotPathClosedError, TreecaError
+from .automata import (
+    Bta,
+    _check_states,
+    _leaves,
+    _run,
+    _spine_fold,
+    reachable_states,
+    trim_unreachable,
+    wpre,
+)
+from .errors import NotPathClosedError
+from .oracle import _group
 from .minimize import (
     _path_closed_constructions,
     _refine,
@@ -47,16 +57,6 @@ def spine_of(x: Tree) -> Spine:
     return tuple(out)
 
 
-def _checked_seed(a: Bta, s: Iterable[str] | None) -> frozenset[str]:
-    if s is None:
-        return a.final
-    s = frozenset(s)
-    bad = s - a.states
-    if bad:
-        raise TreecaError(f"unknown states {sorted(bad)}")
-    return s
-
-
 def pre_context(a: Bta, x: Tree, s: Iterable[str] | None = None) -> frozenset[str]:
     """States q such that plugging any tree of q into x can reach s at the root.
 
@@ -66,7 +66,7 @@ def pre_context(a: Bta, x: Tree, s: Iterable[str] | None = None) -> frozenset[st
     x is folded downward, collecting at each step the argument states at the
     spine position of every rule whose target set meets the running set.
     """
-    seed = _checked_seed(a, s)
+    seed = a.final if s is None else _check_states(a, s)
     if reachable_states(a) != a.states:
         warnings.warn(
             "pre_context removes unreachable states before computing",
@@ -74,16 +74,7 @@ def pre_context(a: Bta, x: Tree, s: Iterable[str] | None = None) -> frozenset[st
         )
         a = trim_unreachable(a)
         seed &= a.states
-    if not wpre(a, x, seed):
-        return frozenset()
-    r = seed
-    for sym, i in spine_of(x):
-        r = frozenset(
-            args[i - 1]
-            for (s2, args), targets in a.delta.items()
-            if s2 == sym and targets & r
-        )
-    return r
+    return _spine_fold(a, x, seed)[1]
 
 
 def root_to_pivot_equiv(
@@ -91,7 +82,7 @@ def root_to_pivot_equiv(
 ) -> bool:
     """True iff x and y have equal spines and their weak preimages of s are
     both empty or both nonempty."""
-    seed = _checked_seed(a, s)
+    seed = a.final if s is None else _check_states(a, s)
     if spine_of(x) != spine_of(y):
         return False
     return bool(wpre(a, x, seed)) == bool(wpre(a, y, seed))
@@ -142,11 +133,9 @@ def bta_congruence_up(
     a: Bta, max_height: int, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> dict[frozenset[str], tuple[Tree, ...]]:
     """Group every tree up to max_height by the set of states it evaluates to."""
-    groups: dict[frozenset[str], list[Tree]] = {}
-    initial = a.initial_states
-    for t in enumerate_trees(a.alphabet, max_height, budget):
-        groups.setdefault(post_tree(a, t, initial), []).append(t)
-    return {key: tuple(ts) for key, ts in groups.items()}
+    leaves, memo = _leaves(a), {}
+    trees = enumerate_trees(a.alphabet, max_height, budget)
+    return _group(trees, lambda t: _run(a, t, leaves, memo))
 
 
 def bta_congruence_down(
@@ -154,11 +143,9 @@ def bta_congruence_down(
 ) -> dict[frozenset[str], tuple[Tree, ...]]:
     """Group every context up to max_height by its pre of the final states.
 
-    Unreachable states are removed up front, once, since pre_context is only
-    exact on trimmed automata.
+    Unreachable states are removed up front, once, since the spine fold is
+    only exact for pre on trimmed automata.
     """
     a1 = trim_unreachable(a)
-    groups: dict[frozenset[str], list[Tree]] = {}
-    for x in enumerate_contexts(a.alphabet, max_height, budget):
-        groups.setdefault(pre_context(a1, x), []).append(x)
-    return {key: tuple(xs) for key, xs in groups.items()}
+    contexts = enumerate_contexts(a.alphabet, max_height, budget)
+    return _group(contexts, lambda x: _spine_fold(a1, x, a1.final)[1])

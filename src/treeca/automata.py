@@ -3,6 +3,7 @@
 A Bta stores its transition map as a total function defaulting to the empty
 set: only keys with nonempty target sets are kept.  A Tta maps each state to
 the set of productions it can expand to.  Both are treated as immutable.
+Every run is one iterative bottom-up evaluator (_run); wpre folds the spine.
 """
 
 from __future__ import annotations
@@ -159,31 +160,74 @@ def _check_states(a: Bta, s: Iterable[str]) -> frozenset[str]:
     return s
 
 
+def _leaves(a: Bta, s: frozenset[str] | None = None) -> dict[str, frozenset[str]]:
+    """A run's leaf table: each nullary symbol's targets, inside s if given."""
+    keep = a.states if s is None else s
+    return {sym: a.delta.get((sym, ()), EMPTY) & keep for sym in a.alphabet.nullary}
+
+
+def _run(
+    a: Bta, t: Tree, leaves: Mapping[str, frozenset[str]], memo: dict | None = None
+) -> frozenset[str]:
+    """The states a bottom-up run of a reaches at the root of t.
+
+    Leaves take their states from the table (a seeded run adds the hole).  Nodes
+    are listed breadth-first, each node's children together after it; the list
+    is overwritten with state sets from the back.  Memo hits are listed as sets.
+    """
+    known = None if memo is None else memo.get(t)
+    if known is not None:
+        return known
+    delta = a.delta
+    nodes: list = [t]
+    if memo is None:
+        for u in nodes:
+            nodes += u.children
+    else:
+        for i, u in enumerate(nodes):
+            known = memo.get(u)
+            if known is None:
+                nodes += u.children
+            else:
+                nodes[i] = known
+    end = len(nodes)  # nodes[end:] hold state sets already used by a parent
+    for i in range(end - 1, -1, -1):
+        u = nodes[i]
+        if u.__class__ is frozenset:
+            continue
+        label, k = u.label, len(u.children)
+        if k:
+            end -= k
+            acc: set[str] = set()
+            for combo in itertools.product(*nodes[end : end + k]):
+                acc |= delta.get((label, combo), EMPTY)
+            out = frozenset(acc)
+            # A rule that fires proves the arity; check it only when none does.
+            ranked = bool(acc) or (label in a.alphabet and a.alphabet.arity(label) == k)
+        else:
+            out = leaves.get(label)
+            ranked = out is not None
+        if not ranked:
+            what = "context" if HOLE in leaves else "tree"
+            raise NotWellRankedError(f"{what} is not well ranked at symbol {label!r}")
+        if memo is not None:
+            memo[u] = out
+        nodes[i] = out
+    return nodes[0]
+
+
 def post_tree(a: Bta, t: Tree, s: Iterable[str]) -> frozenset[str]:
     """States reachable at the root of t when every run leaf stays inside s.
 
     The recursion is post(f[t1..tn], S) = delta(f[post(t1,S) x ... x post(tn,S)])
     with post(a[], S) = delta(a[]) intersect S.
     """
-    s = _check_states(a, s)
-
-    def go(u: Tree) -> frozenset[str]:
-        if u.label not in a.alphabet or a.alphabet.arity(u.label) != len(u.children):
-            raise NotWellRankedError(f"tree is not well ranked at symbol {u.label!r}")
-        if not u.children:
-            return a.delta.get((u.label, ()), EMPTY) & s
-        kid_sets = [go(c) for c in u.children]
-        acc: set[str] = set()
-        for combo in itertools.product(*kid_sets):
-            acc |= a.delta.get((u.label, combo), EMPTY)
-        return frozenset(acc)
-
-    return go(t)
+    return _run(a, t, _leaves(a, _check_states(a, s)))
 
 
 def accepts(a: Bta, t: Tree) -> bool:
     """True iff some run of a on t ends in a final state."""
-    return bool(post_tree(a, t, a.initial_states) & a.final)
+    return bool(_run(a, t, _leaves(a)) & a.final)
 
 
 def seeded_post(a: Bta, x: Tree, q: str) -> frozenset[str]:
@@ -194,27 +238,39 @@ def seeded_post(a: Bta, x: Tree, q: str) -> frozenset[str]:
     """
     _check_states(a, [q])
     pivot(x)  # validates there is exactly one hole
+    return _run(a, x, {**_leaves(a), HOLE: frozenset({q})})
 
-    def go(u: Tree) -> frozenset[str]:
-        if u.label == HOLE:
-            return frozenset({q})
-        if u.label not in a.alphabet or a.alphabet.arity(u.label) != len(u.children):
-            raise NotWellRankedError(f"context is not well ranked at symbol {u.label!r}")
-        if not u.children:
-            return a.delta.get((u.label, ()), EMPTY)
-        kid_sets = [go(c) for c in u.children]
-        acc: set[str] = set()
-        for combo in itertools.product(*kid_sets):
-            acc |= a.delta.get((u.label, combo), EMPTY)
-        return frozenset(acc)
 
-    return go(x)
+def _spine_fold(a: Bta, x: Tree, s: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
+    """Fold the root-to-pivot spine of context x downward from the root set s.
+
+    Each step (f, i) keeps argument i of every f-rule whose targets meet the
+    running set.  Requiring the other arguments to lie in the states of the
+    actual siblings gives wpre(a, x, s), the first result.  Dropping that
+    check gives pre, exact on a trimmed a, the second (empty if the first is).
+    """
+    leaves = _leaves(a)
+    weak = strong = s
+    node = x
+    for i in pivot(x):
+        kids = node.children
+        if node.label not in a.alphabet or a.alphabet.arity(node.label) != len(kids):
+            raise NotWellRankedError(f"context is not well ranked at symbol {node.label!r}")
+        sibs = [a.states if j == i else _run(a, c, leaves) for j, c in enumerate(kids, 1)]
+        rules = [(args, targets) for (f, args), targets in a.delta.items() if f == node.label]
+        weak = frozenset(
+            args[i - 1]
+            for args, targets in rules
+            if targets & weak and all(map(frozenset.__contains__, sibs, args))
+        )
+        strong = frozenset(args[i - 1] for args, targets in rules if targets & strong)
+        node = kids[i - 1]
+    return weak, strong if weak else EMPTY
 
 
 def wpre(a: Bta, x: Tree, s: Iterable[str]) -> frozenset[str]:
     """States q whose seeded run on x can reach a root state inside s."""
-    s = _check_states(a, s)
-    return frozenset(q for q in a.states if seeded_post(a, x, q) & s)
+    return _spine_fold(a, x, _check_states(a, s))[0]
 
 
 def reachable_states(a: Bta) -> frozenset[str]:
@@ -292,9 +348,3 @@ def is_codeterministic(a: Bta) -> bool:
                 return False
     return True
 
-
-def tta_accepts(t: Tta, tree: Tree) -> bool:
-    """Top-down acceptance, evaluated on the reversed bottom-up automaton."""
-    from .transforms import reverse_tta
-
-    return accepts(reverse_tta(t), tree)

@@ -19,6 +19,7 @@ from .analysis import (
     check_gen_det_d,
     check_gen_det_u,
     gen_det_u_witness,
+    pre_context,
     root_to_pivot_equiv,
 )
 from .automata import Bta, Tta, accepts, post_tree, trim_unreachable, wpre
@@ -176,13 +177,10 @@ def _cmd_member(args: argparse.Namespace) -> int:
 def _cmd_post(args: argparse.Namespace) -> int:
     a = _load_bta(args.automaton)
     t = parse_term(args.term, a.alphabet)
-    seed = a.initial_states if args.states is None else args.states
-    return _print_states(post_tree(a, t, seed))
+    return _print_states(post_tree(a, t, args.states or a.initial_states))
 
 
 def _cmd_pre(args: argparse.Namespace) -> int:
-    from .analysis import pre_context
-
     a = _load_bta(args.automaton)
     x = parse_context(args.context, a.alphabet)
     return _print_states(pre_context(a, x, args.states))
@@ -191,8 +189,7 @@ def _cmd_pre(args: argparse.Namespace) -> int:
 def _cmd_wpre(args: argparse.Namespace) -> int:
     a = _load_bta(args.automaton)
     x = parse_context(args.context, a.alphabet)
-    seed = a.final if args.states is None else frozenset(args.states)
-    return _print_states(wpre(a, x, seed))
+    return _print_states(wpre(a, x, args.states or a.final))
 
 
 def _cmd_rtp_equiv(args: argparse.Namespace) -> int:
@@ -254,15 +251,10 @@ def _print_keyed_classes(groups: dict[frozenset[str], tuple]) -> int:
     return 0
 
 
-def _cmd_classes_up(args: argparse.Namespace) -> int:
+def _cmd_classes(args: argparse.Namespace) -> int:
+    congruence = bta_congruence_up if args.command == "classes-up" else bta_congruence_down
     return _print_keyed_classes(
-        bta_congruence_up(_load_bta(args.automaton), args.height, budget=args.budget)
-    )
-
-
-def _cmd_classes_down(args: argparse.Namespace) -> int:
-    return _print_keyed_classes(
-        bta_congruence_down(_load_bta(args.automaton), args.height, budget=args.budget)
+        congruence(_load_bta(args.automaton), args.height, budget=args.budget)
     )
 
 
@@ -272,25 +264,12 @@ def _cmd_language_upto(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_oracle_classes_up(args: argparse.Namespace) -> int:
-    classes = nerode_classes_up(
-        _load_bta(args.automaton),
-        args.height,
-        args.context_height,
-        budget=args.budget,
-    )
-    for members in classes:
-        print(" ".join(format_term(t) for t in members))
-    return 0
-
-
-def _cmd_oracle_classes_down(args: argparse.Namespace) -> int:
-    classes = nerode_classes_down(
-        _load_bta(args.automaton),
-        args.height,
-        args.tree_height,
-        budget=args.budget,
-    )
+def _cmd_oracle_classes(args: argparse.Namespace) -> int:
+    a = _load_bta(args.automaton)
+    if args.command == "oracle-classes-up":
+        classes = nerode_classes_up(a, args.height, args.context_height, budget=args.budget)
+    else:
+        classes = nerode_classes_down(a, args.height, args.tree_height, budget=args.budget)
     for members in classes:
         print(" ".join(format_term(t) for t in members))
     return 0
@@ -393,21 +372,21 @@ def _build_parser() -> argparse.ArgumentParser:
     add("check-brz-d", _cmd_check_brz_d,
         "check that co-determinization is already minimal (path-closed only)",
         budget=DEFAULT_STATE_BUDGET)
-    p = add("classes-up", _cmd_classes_up, "group bounded trees by their state set",
+    p = add("classes-up", _cmd_classes, "group bounded trees by their state set",
             budget=DEFAULT_ENUM_BUDGET)
     p.add_argument("--height", type=int, required=True, help="maximum tree height")
-    p = add("classes-down", _cmd_classes_down, "group bounded contexts by their pre",
+    p = add("classes-down", _cmd_classes, "group bounded contexts by their pre",
             budget=DEFAULT_ENUM_BUDGET)
     p.add_argument("--height", type=int, required=True, help="maximum context height")
     p = add("language-upto", _cmd_language_upto, "list accepted trees up to a height",
             budget=DEFAULT_ENUM_BUDGET)
     p.add_argument("--height", type=int, required=True, help="maximum tree height")
-    p = add("oracle-classes-up", _cmd_oracle_classes_up,
+    p = add("oracle-classes-up", _cmd_oracle_classes,
             "group bounded trees by observable behavior", budget=DEFAULT_ENUM_BUDGET)
     p.add_argument("--height", type=int, required=True, help="maximum tree height")
     p.add_argument("--context-height", type=int, required=True,
                    help="maximum height of probing contexts")
-    p = add("oracle-classes-down", _cmd_oracle_classes_down,
+    p = add("oracle-classes-down", _cmd_oracle_classes,
             "group bounded contexts by observable behavior", budget=DEFAULT_ENUM_BUDGET)
     p.add_argument("--height", type=int, required=True, help="maximum context height")
     p.add_argument("--tree-height", type=int, required=True,

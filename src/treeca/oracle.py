@@ -2,61 +2,45 @@
 
 Everything here is defined directly from acceptance of enumerated trees and
 contexts, independent of the constructions in the rest of the package, so it
-doubles as an oracle for testing them.
+doubles as an oracle for testing them.  Acceptance is the package's one
+bottom-up run with a memo per sweep, since enumerated trees share subtrees.
 """
 
 from __future__ import annotations
 
-import itertools
+from typing import Callable, Hashable, Iterable
 
-from .automata import EMPTY, Bta, accepts
+from .automata import Bta, _leaves, _run, accepts
 from .trees import (
     DEFAULT_ENUM_BUDGET,
     Tree,
     enumerate_contexts,
     enumerate_trees,
+    pivot,
     plug,
+    substitute,
 )
 
 
-class _Evaluator:
-    """Memoized bottom-up state evaluation for one automaton.
+def _group(items: Iterable[Tree], key: Callable[[Tree], Hashable]) -> dict:
+    """items grouped by key; groups and their members keep the order of items."""
+    groups: dict[Hashable, list[Tree]] = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return {k: tuple(members) for k, members in groups.items()}
 
-    Enumerated trees share subtree objects, so the memo turns the quadratic
-    tree-times-context sweeps below into cheap lookups.
-    """
 
-    def __init__(self, a: Bta):
-        self.a = a
-        self.memo: dict[Tree, frozenset[str]] = {}
-
-    def states(self, t: Tree) -> frozenset[str]:
-        got = self.memo.get(t)
-        if got is not None:
-            return got
-        if not t.children:
-            out = self.a.delta.get((t.label, ()), EMPTY)
-        else:
-            kid_sets = [self.states(c) for c in t.children]
-            acc: set[str] = set()
-            for combo in itertools.product(*kid_sets):
-                acc |= self.a.delta.get((t.label, combo), EMPTY)
-            out = frozenset(acc)
-        self.memo[t] = out
-        return out
-
-    def accepts(self, t: Tree) -> bool:
-        return bool(self.states(t) & self.a.final)
+def _acceptor(a: Bta) -> Callable[[Tree], bool]:
+    """Acceptance by a, with one memo shared by every tree it is asked about."""
+    leaves, memo = _leaves(a), {}
+    return lambda t: bool(_run(a, t, leaves, memo) & a.final)
 
 
 def language_upto(
     a: Bta, max_height: int, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> frozenset[Tree]:
     """All accepted trees of height up to max_height."""
-    ev = _Evaluator(a)
-    return frozenset(
-        t for t in enumerate_trees(a.alphabet, max_height, budget) if ev.accepts(t)
-    )
+    return frozenset(filter(_acceptor(a), enumerate_trees(a.alphabet, max_height, budget)))
 
 
 def nerode_classes_up(
@@ -74,14 +58,10 @@ def nerode_classes_up(
     """
     trees = enumerate_trees(a.alphabet, tree_height, budget)
     contexts = enumerate_contexts(a.alphabet, context_height, budget)
-    ev = _Evaluator(a)
-    groups: dict[tuple[bool, ...], list[Tree]] = {}
-    for t in trees:
-        bits = tuple(ev.accepts(plug(x, t)) for x in contexts)
-        groups.setdefault(bits, []).append(t)
-    classes = [tuple(ts) for ts in groups.values()]
-    classes.sort(key=lambda c: c[0])
-    return tuple(classes)
+    accepted = _acceptor(a)
+    pivots = [(x, pivot(x)) for x in contexts]
+    classes = _group(trees, lambda t: tuple(accepted(substitute(x, at, t)) for x, at in pivots))
+    return tuple(sorted(classes.values(), key=lambda c: c[0]))
 
 
 def nerode_classes_down(
@@ -98,14 +78,14 @@ def nerode_classes_down(
     """
     contexts = enumerate_contexts(a.alphabet, context_height, budget)
     trees = enumerate_trees(a.alphabet, tree_height, budget)
-    ev = _Evaluator(a)
-    groups: dict[tuple[bool, ...], list[Tree]] = {}
-    for x in contexts:
-        bits = tuple(ev.accepts(plug(x, t)) for t in trees)
-        groups.setdefault(bits, []).append(x)
-    classes = [tuple(xs) for xs in groups.values()]
-    classes.sort(key=lambda c: c[0])
-    return tuple(classes)
+    accepted = _acceptor(a)
+
+    def bits(x: Tree) -> tuple[bool, ...]:
+        at = pivot(x)
+        return tuple(accepted(substitute(x, at, t)) for t in trees)
+
+    classes = _group(contexts, bits)
+    return tuple(sorted(classes.values(), key=lambda c: c[0]))
 
 
 def quotient_member_up(a: Bta, x: Tree, t: Tree) -> bool:

@@ -14,12 +14,13 @@ from .automata import (
     EMPTY,
     Bta,
     Tta,
+    accepts,
     is_deterministic,
     trim_empty,
     trim_unreachable,
 )
 from .errors import BudgetError, NotDeterministicError
-from .trees import fresh_tuples
+from .trees import Tree, fresh_tuples
 
 DEFAULT_STATE_BUDGET = 2**16
 
@@ -161,6 +162,11 @@ def reverse_tta(t: Tta) -> Bta:
     return Bta(t.alphabet, t.states, delta, t.initial)
 
 
+def tta_accepts(t: Tta, tree: Tree) -> bool:
+    """Top-down acceptance, evaluated on the reversed bottom-up automaton."""
+    return accepts(reverse_tta(t), tree)
+
+
 def _fresh_name(base: str, taken: frozenset[str]) -> str:
     if base not in taken:
         return base
@@ -179,16 +185,11 @@ def complete(a: Bta, *, sink: str = "__dead") -> Bta:
     if not is_deterministic(a):
         raise NotDeterministicError("complete requires a deterministic automaton")
     states = sorted(a.states)
-    missing = False
-    for sym in a.alphabet.symbols:
-        k = a.alphabet.arity(sym)
-        for args in itertools.product(states, repeat=k):
-            if (sym, args) not in a.delta:
-                missing = True
-                break
-        if missing:
-            break
-    if not missing:
+    if all(
+        (sym, args) in a.delta
+        for sym in a.alphabet.symbols
+        for args in itertools.product(states, repeat=a.alphabet.arity(sym))
+    ):
         return a
     name = _fresh_name(sink, a.states)
     extended = sorted(a.states | {name})
@@ -199,16 +200,6 @@ def complete(a: Bta, *, sink: str = "__dead") -> Bta:
             if (sym, args) not in delta:
                 delta[(sym, args)] = {name}
     return Bta(a.alphabet, extended, delta, a.final)
-
-
-def _tta_drop_empty(t: Tta) -> Tta:
-    """Remove states whose downward language is empty."""
-    return reverse_bta(trim_unreachable(reverse_tta(t)))
-
-
-def _tta_drop_unreachable(t: Tta) -> Tta:
-    """Remove states whose upward language is empty."""
-    return reverse_bta(trim_empty(reverse_tta(t)))
 
 
 def tta_determinize(t: Tta, *, budget: int = DEFAULT_STATE_BUDGET) -> Tta:
@@ -225,7 +216,7 @@ def tta_determinize_direct(t: Tta, *, budget: int = DEFAULT_STATE_BUDGET) -> Tta
     and states whose upward language is empty are removed afterwards, matching
     the cleanup done by the reversal route.
     """
-    t0 = _tta_drop_empty(t)
+    t0 = reverse_bta(trim_unreachable(reverse_tta(t)))
     by_sym: dict[tuple[str, str], set[tuple[str, ...]]] = {}
     for q, prods in t0.delta.items():
         for sym, args in prods:
@@ -260,4 +251,4 @@ def tta_determinize_direct(t: Tta, *, budget: int = DEFAULT_STATE_BUDGET) -> Tta
             (sym, tuple(names[j] for j in combo))
         )
     built = Tta(t0.alphabet, names, delta, {names[0]})
-    return _tta_drop_unreachable(built)
+    return reverse_bta(trim_empty(reverse_tta(built)))

@@ -29,6 +29,11 @@ DEFAULT_ENUM_BUDGET = 10**6
 Address = tuple[int, ...]
 
 _IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
+_TOKEN_RE = re.compile(
+    rf"(?P<hole>{re.escape(HOLE)})|(?P<punct>[(),])|(?P<ident>{_IDENT_RE.pattern})"
+    r"|(?P<space>\s+)|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 class RankedAlphabet:
@@ -113,30 +118,35 @@ class Tree:
             return True
         if not isinstance(other, Tree):
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.label == other.label
-            and self.children == other.children
-        )
+        if self._hash != other._hash:  # settles almost every unequal pair at once
+            return False
+        pairs = [(self, other)]
+        for u, v in pairs:
+            if u is not v:
+                if u._hash != v._hash or u.label != v.label or len(u.children) != len(v.children):
+                    return False
+                pairs += zip(u.children, v.children)
+        return True
 
     def __hash__(self) -> int:
         return self._hash
 
     def __lt__(self, other: "Tree") -> bool:
-        # Canonical order: height, then root symbol name, then children.
+        # Canonical order: height, then root symbol name, then children,
+        # decided by the first differing child pair.
         if not isinstance(other, Tree):
             return NotImplemented
-        if self == other:
-            return False
-        if self.height != other.height:
-            return self.height < other.height
-        if self.label != other.label:
-            return self.label < other.label
-        if len(self.children) != len(other.children):
-            return len(self.children) < len(other.children)
-        for a, b in zip(self.children, other.children):
-            if a != b:
-                return a < b
+        u, v = self, other
+        while u is not v:
+            ku, kv = (u.height, u.label, len(u.children)), (v.height, v.label, len(v.children))
+            if ku != kv:
+                return ku < kv
+            for a, b in zip(u.children, v.children):
+                if a is not b and (a._hash != b._hash or a != b):
+                    u, v = a, b
+                    break
+            else:
+                return False
         return False
 
     def __repr__(self) -> str:
@@ -164,12 +174,10 @@ def is_well_ranked(t: Tree, alphabet: RankedAlphabet, allow_hole: bool = False) 
     With allow_hole the reserved hole counts as an extra nullary symbol, which
     is how contexts are checked.
     """
-    for _, node in iter_nodes(t):
-        if node.label == HOLE:
-            if not allow_hole or node.children:
-                return False
-        elif node.label not in alphabet or alphabet.arity(node.label) != len(node.children):
-            return False
+    try:
+        check_well_ranked(t, alphabet, allow_hole)
+    except NotWellRankedError:
+        return False
     return True
 
 
@@ -208,14 +216,15 @@ def subtree(t: Tree, addr: Address) -> Tree:
 
 def substitute(t: Tree, addr: Address, s: Tree) -> Tree:
     """Replace the subtree of t at addr with s."""
-    if not addr:
-        return s
-    i = addr[0]
-    if not 1 <= i <= len(t.children):
-        raise AddressError(f"address {format_address(addr)} leaves the tree")
-    kids = list(t.children)
-    kids[i - 1] = substitute(kids[i - 1], addr[1:], s)
-    return Tree(t.label, kids)
+    spine = []
+    for i in addr:
+        if not 1 <= i <= len(t.children):
+            raise AddressError(f"address {format_address(addr)} leaves the tree")
+        spine.append((t, i))
+        t = t.children[i - 1]
+    for node, i in reversed(spine):
+        s = Tree(node.label, node.children[: i - 1] + (s,) + node.children[i:])
+    return s
 
 
 def puncture(t: Tree, addr: Address) -> Tree:
@@ -261,12 +270,14 @@ Path = tuple  # alternating symbol, child index, symbol, ..., ending on a symbol
 
 def path_language(t: Tree) -> frozenset[Path]:
     """All root-to-leaf paths of t as alternating (symbol, index, ...) tuples."""
-    if not t.children:
-        return frozenset({(t.label,)})
     out = set()
-    for i, child in enumerate(t.children, start=1):
-        for p in path_language(child):
-            out.add((t.label, i) + p)
+    todo: list[tuple[Path, Tree]] = [((), t)]
+    while todo:
+        prefix, node = todo.pop()
+        if not node.children:
+            out.add(prefix + (node.label,))
+        for i, child in enumerate(node.children, start=1):
+            todo.append((prefix + (node.label, i), child))
     return frozenset(out)
 
 
@@ -365,62 +376,69 @@ def enumerate_contexts(
 
 def format_term(t: Tree) -> str:
     """Render a tree in the term syntax; nullary symbols omit parentheses."""
-    if not t.children:
-        return t.label
-    return t.label + "(" + ",".join(format_term(c) for c in t.children) + ")"
+    parts: list[str] = []
+    todo: list[Tree | str] = [t]  # trees and punctuation still to write, next one last
+    while todo:
+        u = todo.pop()
+        if u.__class__ is str:
+            parts.append(u)
+        elif not u.children:
+            parts.append(u.label)
+        else:
+            parts.append(u.label + "(")
+            todo.append(")")
+            for c in reversed(u.children):
+                todo.extend((c, ","))
+            todo.pop()  # no comma before the first child
+    return "".join(parts)
 
 
 def _tokenize_term(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) triples; the kind of punctuation is itself."""
     tokens: list[tuple[str, str, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith(HOLE, i):
-            tokens.append(("hole", HOLE, i))
-            i += len(HOLE)
-            continue
-        if ch in "(),":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r}", line=1, column=i + 1)
-        tokens.append(("ident", m.group(), i))
-        i = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", line=1, column=m.start() + 1)
+        if kind != "space":
+            tokens.append((value if kind == "punct" else kind, value, m.start()))
     return tokens
 
 
-def _parse_term_tokens(tokens: list[tuple[str, str, int]], pos: int, text: str) -> tuple[Tree, int]:
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of term", line=1, column=len(text) + 1)
-    kind, value, at = tokens[pos]
-    if kind == "hole":
-        return Tree(HOLE), pos + 1
-    if kind != "ident":
-        raise ParseError(f"expected a symbol, got {value!r}", line=1, column=at + 1)
-    pos += 1
-    if pos < len(tokens) and tokens[pos][0] == "(":
+def _parse_term(text: str) -> tuple[Tree, int]:
+    """The term that text spells out, and the number of holes in it."""
+    tokens = _tokenize_term(text) + [("end", "", len(text))]
+    pos = holes = 0
+    open_terms: list[tuple[str, list[Tree]]] = []  # each '(' still open: symbol, children
+    while True:
+        kind, value, at = tokens[pos]
         pos += 1
-        children: list[Tree] = []
-        if pos < len(tokens) and tokens[pos][0] == ")":
-            return Tree(value, ()), pos + 1
-        while True:
-            child, pos = _parse_term_tokens(tokens, pos, text)
-            children.append(child)
-            if pos >= len(tokens):
-                raise ParseError("unclosed '('", line=1, column=len(text) + 1)
-            kind2, value2, at2 = tokens[pos]
-            if kind2 == ",":
-                pos += 1
+        if kind not in ("ident", "hole"):
+            msg = "unexpected end of term" if kind == "end" else f"expected a symbol, got {value!r}"
+            raise ParseError(msg, line=1, column=at + 1)
+        holes += kind == "hole"
+        if kind == "ident" and tokens[pos][0] == "(":
+            pos += 1
+            if tokens[pos][0] != ")":
+                open_terms.append((value, []))
                 continue
-            if kind2 == ")":
-                return Tree(value, children), pos + 1
-            raise ParseError(f"expected ',' or ')', got {value2!r}", line=1, column=at2 + 1)
-    return Tree(value), pos
+            pos += 1
+        done = Tree(value)  # a hole token's value is the hole symbol
+        while open_terms:  # hand the finished term to its parent, closing it on ')'
+            open_terms[-1][1].append(done)
+            kind, value, at = tokens[pos]
+            pos += 1
+            if kind == ",":
+                break
+            if kind != ")":
+                msg = "unclosed '('" if kind == "end" else f"expected ',' or ')', got {value!r}"
+                raise ParseError(msg, line=1, column=at + 1)
+            label, children = open_terms.pop()
+            done = Tree(label, children)
+        else:
+            if tokens[pos][0] != "end":
+                raise ParseError("trailing input after term", line=1, column=tokens[pos][2] + 1)
+            return done, holes
 
 
 def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
@@ -429,11 +447,8 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     Holes are rejected; use parse_context for contexts.  When an alphabet is
     given the result is checked to be well ranked.
     """
-    tokens = _tokenize_term(text)
-    t, pos = _parse_term_tokens(tokens, 0, text)
-    if pos != len(tokens):
-        raise ParseError("trailing input after term", line=1, column=tokens[pos][2] + 1)
-    if _hole_addresses(t):
+    t, holes = _parse_term(text)
+    if holes:
         raise ParseError("holes are not allowed in a plain term", line=1, column=1)
     if alphabet is not None:
         check_well_ranked(t, alphabet)
@@ -442,13 +457,9 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
 
 def parse_context(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     """Parse a context: the term syntax plus exactly one ``<>`` leaf."""
-    tokens = _tokenize_term(text)
-    t, pos = _parse_term_tokens(tokens, 0, text)
-    if pos != len(tokens):
-        raise ParseError("trailing input after term", line=1, column=tokens[pos][2] + 1)
-    holes = _hole_addresses(t)
-    if len(holes) != 1:
-        raise ParseError(f"a context needs exactly one hole, found {len(holes)}", line=1, column=1)
+    t, holes = _parse_term(text)
+    if holes != 1:
+        raise ParseError(f"a context needs exactly one hole, found {holes}", line=1, column=1)
     if alphabet is not None:
         check_well_ranked(t, alphabet, allow_hole=True)
     return t

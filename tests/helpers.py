@@ -17,7 +17,9 @@ from treeca import (
     RankedAlphabet,
     Tree,
     Tta,
+    iter_nodes,
     parse_automaton,
+    puncture,
     reverse_tta,
     trim_empty,
     trim_unreachable,
@@ -93,6 +95,22 @@ def random_codbta(rng: random.Random, alphabet: RankedAlphabet = AB, max_states:
 
 def random_monadic_bta(rng: random.Random, max_states: int = 4) -> Bta:
     return random_bta(rng, MONO, max_states)
+
+
+def random_tree(rng: random.Random, alphabet: RankedAlphabet, max_height: int) -> Tree:
+    """A random well-ranked tree of height <= max_height."""
+    if max_height <= 1:
+        return Tree(rng.choice(alphabet.nullary))
+    sym = rng.choice(alphabet.symbols)
+    kids = [random_tree(rng, alphabet, max_height - 1) for _ in range(alphabet.arity(sym))]
+    return Tree(sym, kids)
+
+
+def random_context(rng: random.Random, alphabet: RankedAlphabet, max_height: int) -> Tree:
+    """A random tree of height <= max_height with one random node punctured."""
+    t = random_tree(rng, alphabet, max_height)
+    addr, _ = rng.choice(list(iter_nodes(t)))
+    return puncture(t, addr)
 
 
 def nonempty(a: Bta) -> bool:

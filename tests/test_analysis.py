@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 
 import pytest
 
@@ -31,6 +32,7 @@ from treeca import (
     path_language,
     pre_context,
     root_to_pivot_equiv,
+    seeded_post,
     spine_of,
     trim_unreachable,
     wpre,
@@ -38,10 +40,13 @@ from treeca import (
 
 from helpers import (
     AB,
+    ABG,
     BOOL,
+    MONO,
     accept_all_bta,
     path_language_upto,
     random_bta,
+    random_context,
     random_codbta,
     random_monadic_bta,
     random_path_closed_bta,
@@ -102,6 +107,38 @@ def test_wpre_is_contained_in_pre(bool2, abc, and1):
     for a in cases:
         for x in enumerate_contexts(a.alphabet, 2):
             assert wpre(a, x, a.final) <= pre_context(a, x)
+
+
+def _pre_by_definition(a: Bta, x, s: frozenset[str]) -> frozenset[str]:
+    """pre written out from the seeded runs: trim, give up when no seeded
+    run reaches s, else fold the spine keeping every rule whose targets meet
+    the running set."""
+    a = trim_unreachable(a)
+    s &= a.states
+    if not any(seeded_post(a, x, q) & s for q in a.states):
+        return frozenset()
+    r = s
+    for sym, i in spine_of(x):
+        r = frozenset(
+            args[i - 1] for (f, args), targets in a.delta.items() if f == sym and targets & r
+        )
+    return r
+
+
+def test_wpre_and_pre_match_their_seeded_definitions():
+    """The shared spine fold against the definitions: wpre keeps the states
+    whose seeded run meets s, and pre is unchanged from its seeded form."""
+    rng = random.Random(705)
+    for alphabet in (AB, ABG, BOOL, MONO):
+        for _ in range(60):
+            a = random_bta(rng, alphabet)
+            x = random_context(rng, alphabet, rng.randint(1, 5))
+            s = frozenset(q for q in a.states if rng.random() < 0.5)
+            assert wpre(a, x, s) == {q for q in a.states if seeded_post(a, x, q) & s}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = pre_context(a, x, s)
+            assert got == _pre_by_definition(a, x, s)
 
 
 def test_pre_warns_and_trims_on_unreachable_states(star):

@@ -10,14 +10,25 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import FIXTURES, load_fixture, split_state_bta
+from helpers import (
+    BOOL,
+    FIXTURES,
+    load_fixture,
+    random_context,
+    random_tree,
+    split_state_bta,
+)
 
 from treeca import (
     Bta,
+    RankedAlphabet,
+    TreecaError,
     Tta,
     codeterminize,
     determinize,
+    format_term,
     parse_automaton,
     serialize_automaton,
 )
@@ -388,6 +399,90 @@ def test_non_utf8_file_exits_with_2_naming_the_path(capsys, tmp_path):
     code, out, err = run(capsys, "member", str(garbled), "-t", "a")
     assert_one_error_line(code, out, err)
     assert str(garbled) in err
+
+
+FIXTURE_TEXTS = sorted(p.read_text() for p in FIXTURES.iterdir())
+
+STATES = st.lists(st.sampled_from(["q0", "q1", "q_a", "q_f", "p0", "nope"]), min_size=1,
+                  max_size=3)
+RAW_TERMS = st.text(alphabet="abcTF and or f g <> (),", max_size=30) | st.text(max_size=12)
+
+
+def _spliced(parts: tuple[str, int, int, str]) -> bytes:
+    text, i, j, insert = parts
+    return (text[:i] + insert + text[j:]).encode("utf-8", "surrogatepass")
+
+
+# Fixtures come up twice as often as each kind of garbage, so that many
+# draws get past the file parser.
+AUTOMATON_BYTES = st.one_of(
+    st.sampled_from(FIXTURE_TEXTS).map(str.encode),
+    st.sampled_from(FIXTURE_TEXTS).map(str.encode),
+    st.tuples(st.sampled_from(FIXTURE_TEXTS), st.integers(0, 300), st.integers(0, 300),
+              st.text(max_size=8)).map(_spliced),
+    st.binary(max_size=120),
+)
+
+
+def _fuzz_term(draw, alphabet: RankedAlphabet, hole: bool) -> str:
+    """Raw text, or more often a random tree or context over the file's alphabet."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(RAW_TERMS)
+    rng = draw(st.randoms(use_true_random=False))
+    make = random_context if hole else random_tree
+    return format_term(make(rng, alphabet, rng.randint(1, 4)))
+
+
+def _fuzz_options(draw, verb: str, alphabet: RankedAlphabet) -> list[str]:
+    """Options for one cheap verb; values go after '=' so none reads as a flag.
+    Heights and budgets are mostly valid, sometimes zero or negative."""
+    height = f"--height={draw(st.integers(1, 3) | st.integers(-1, 3))}"
+    budget = f"--budget={draw(st.integers(5, 40) | st.integers(-1, 40))}"
+    if verb in ("member", "post"):
+        opts = [f"--term={_fuzz_term(draw, alphabet, False)}"]
+    elif verb in ("pre", "wpre"):
+        opts = [f"--context={_fuzz_term(draw, alphabet, True)}"]
+    elif verb == "rtp-equiv":
+        count = draw(st.integers(1, 3))
+        opts = [f"--context={_fuzz_term(draw, alphabet, True)}" for _ in range(count)]
+    elif verb in ("enumerate", "language-upto", "classes-up", "classes-down"):
+        opts = [height, budget]
+    elif verb in ("oracle-classes-up", "oracle-classes-down"):
+        second = "--context-height" if verb.endswith("up") else "--tree-height"
+        opts = [height, f"{second}={draw(st.integers(1, 2) | st.integers(-1, 2))}", budget]
+    else:
+        opts = [budget]
+    if verb in ("post", "pre", "wpre", "rtp-equiv") and draw(st.booleans()):
+        opts += ["--states", *draw(STATES)]
+    return opts
+
+
+@pytest.mark.filterwarnings("ignore:pre_context removes unreachable states")
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_calls_keep_the_exit_contract(capsys, tmp_path, data):
+    """Random files, terms and small heights or budgets on cheap verbs: a
+    verdict exits 0 or 1, anything else exits 2 with one error line, and
+    nothing escapes as a traceback."""
+    raw = data.draw(AUTOMATON_BYTES)
+    path = tmp_path / "fuzz.bta"
+    path.write_bytes(raw)
+    try:
+        alphabet = parse_automaton(raw.decode("utf-8")).alphabet
+    except (TreecaError, UnicodeDecodeError):
+        alphabet = BOOL
+    verb = data.draw(st.sampled_from([
+        "member", "post", "pre", "wpre", "rtp-equiv", "enumerate", "language-upto",
+        "classes-up", "classes-down", "oracle-classes-up", "oracle-classes-down",
+        "determinize", "minimize", "is-path-closed", "check-brz-u", "codeterminize",
+    ]))
+    code, out, err = run(capsys, verb, str(path), *_fuzz_options(data.draw, verb, alphabet))
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert_one_error_line(code, out, err)
+    else:
+        assert err == ""
 
 
 def test_bta_verbs_reject_tta_files(capsys):
