@@ -36,21 +36,23 @@ class Bta:
         self.final = frozenset(final)
         if not self.final <= self.states:
             raise TreecaError(f"final states {sorted(self.final - self.states)} are not declared")
+        states = self.states
+        arities = alphabet.entries
         norm: dict[BtaKey, frozenset[str]] = {}
         for (sym, args), targets in delta.items():
             args = tuple(args)
             targets = frozenset(targets)
             if not targets:
                 continue
-            if sym not in alphabet:
-                raise TreecaError(f"transition uses unknown symbol {sym!r}")
-            if alphabet.arity(sym) != len(args):
+            if arities.get(sym) != len(args):
+                if sym not in arities:
+                    raise TreecaError(f"transition uses unknown symbol {sym!r}")
                 raise TreecaError(
                     f"transition {sym}({','.join(args)}) has arity {len(args)}, "
-                    f"expected {alphabet.arity(sym)}"
+                    f"expected {arities[sym]}"
                 )
-            bad = (set(args) | targets) - self.states
-            if bad:
+            if not (targets <= states and states.issuperset(args)):
+                bad = (set(args) | targets) - states
                 raise TreecaError(f"transition mentions undeclared states {sorted(bad)}")
             norm[(sym, args)] = targets
         self.delta = norm
@@ -108,20 +110,22 @@ class Tta:
         self.initial = frozenset(initial)
         if not self.initial <= self.states:
             raise TreecaError(f"initial states {sorted(self.initial - self.states)} are not declared")
+        states = self.states
+        arities = alphabet.entries
         norm: dict[str, frozenset[tuple[str, tuple[str, ...]]]] = {}
         for q, prods in delta.items():
-            if q not in self.states:
+            if q not in states:
                 raise TreecaError(f"production for undeclared state {q!r}")
             fixed = frozenset((sym, tuple(args)) for sym, args in prods)
             if not fixed:
                 continue
             for sym, args in fixed:
-                if sym not in alphabet:
-                    raise TreecaError(f"production uses unknown symbol {sym!r}")
-                if alphabet.arity(sym) != len(args):
-                    raise TreecaError(f"production {sym} has arity {len(args)}, expected {alphabet.arity(sym)}")
-                bad = set(args) - self.states
-                if bad:
+                if arities.get(sym) != len(args):
+                    if sym not in arities:
+                        raise TreecaError(f"production uses unknown symbol {sym!r}")
+                    raise TreecaError(f"production {sym} has arity {len(args)}, expected {arities[sym]}")
+                if not states.issuperset(args):
+                    bad = set(args) - states
                     raise TreecaError(f"production mentions undeclared states {sorted(bad)}")
             norm[q] = fixed
         self.delta = norm
@@ -274,15 +278,33 @@ def wpre(a: Bta, x: Tree, s: Iterable[str]) -> frozenset[str]:
 
 
 def reachable_states(a: Bta) -> frozenset[str]:
-    """States with a nonempty downward language (some tree evaluates to them)."""
+    """States with a nonempty downward language (some tree evaluates to them).
+
+    A worklist: each rule waits on its argument positions and fires once,
+    when the state at the last of them becomes reachable.
+    """
+    by_arg: dict[str, list[int]] = {q: [] for q in a.states}
+    waiting: list[int] = []  # per non-nullary rule, its positions not yet reached
+    fires: list[frozenset[str]] = []
+    todo: list[str] = []
+    for (_, args), targets in a.delta.items():
+        if not args:
+            todo += targets
+            continue
+        for q in args:
+            by_arg[q].append(len(fires))
+        waiting.append(len(args))
+        fires.append(targets)
     reach: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for (sym, args), targets in a.delta.items():
-            if all(q in reach for q in args) and not targets <= reach:
-                reach |= targets
-                changed = True
+    while todo:
+        q = todo.pop()
+        if q in reach:
+            continue
+        reach.add(q)
+        for r in by_arg[q]:
+            waiting[r] -= 1
+            if not waiting[r]:
+                todo += fires[r]
     return frozenset(reach)
 
 
@@ -313,7 +335,7 @@ def _restrict(a: Bta, keep: frozenset[str]) -> Bta:
     delta = {
         key: targets & keep
         for key, targets in a.delta.items()
-        if all(q in keep for q in key[1]) and targets & keep
+        if keep.issuperset(key[1]) and targets & keep
     }
     return Bta(a.alphabet, keep, delta, a.final & keep)
 

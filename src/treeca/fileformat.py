@@ -25,13 +25,18 @@ from .trees import RankedAlphabet
 _ALPHA_ENTRY_RE = re.compile(r"([A-Za-z0-9_]+)/(\d+)$")
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
+_FLAT_BODY_RE = re.compile(r"(?:[^{}]|\{[^{}]*\})*")
+_FLAT_ARG_RE = re.compile(r"((?:[^{},]|\{[^{}]*\})*),")
 
 
 def _split_args(body: str, lineno: int, col0: int) -> list[str]:
-    """Split a parenthesized argument body on brace-depth-zero commas."""
+    """Split a parenthesized argument body on brace-depth-zero commas.
+
+    A body whose braces are balanced and unnested is split by one regex; any
+    other body goes to the scanner, which also reports unbalanced braces.
+    """
+    if body and _FLAT_BODY_RE.fullmatch(body):
+        return [a.strip() for a in _FLAT_ARG_RE.findall(body + ",")]
     args: list[str] = []
     depth = 0
     cur = ""
@@ -72,22 +77,23 @@ def _parse_pattern(text: str, lineno: int, col0: int) -> tuple[str, tuple[str, .
 class _Decls:
     def __init__(self) -> None:
         self.alphabet: RankedAlphabet | None = None
-        self.states: list[str] | None = None
+        self.arities: dict[str, int] = {}
+        self.states: set[str] | None = None
         self.marked: list[str] | None = None  # final (bta) or initial (tta)
 
 
 def _check_symbol(sym: str, args: tuple[str, ...], d: _Decls, lineno: int, col: int) -> None:
-    assert d.alphabet is not None and d.states is not None
-    if sym not in d.alphabet:
-        raise ParseError(f"unknown symbol {sym!r}", lineno, col)
-    want = d.alphabet.arity(sym)
+    assert d.states is not None
+    want = d.arities.get(sym)
     if want != len(args):
+        if want is None:
+            raise ParseError(f"unknown symbol {sym!r}", lineno, col)
         raise ParseError(
             f"symbol {sym!r} has arity {want}, got {len(args)} arguments", lineno, col
         )
-    for q in args:
-        if q not in d.states:
-            raise ParseError(f"undeclared state {q!r}", lineno, col)
+    if not d.states.issuperset(args):
+        q = next(q for q in args if q not in d.states)
+        raise ParseError(f"undeclared state {q!r}", lineno, col)
 
 
 def parse_automaton(text: str) -> Bta | Tta:
@@ -98,8 +104,8 @@ def parse_automaton(text: str) -> Bta | Tta:
     tta_delta: dict[str, set[tuple[str, tuple[str, ...]]]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).rstrip()
-        if not line.strip():
+        line = raw.partition("#")[0].rstrip()
+        if not line:
             continue
         words = line.split()
         head = words[0]
@@ -126,6 +132,7 @@ def parse_automaton(text: str) -> Bta | Tta:
                 entries[name] = arity
             try:
                 d.alphabet = RankedAlphabet(entries)
+                d.arities = entries
             except ValueError as e:
                 raise ParseError(str(e), lineno, 1) from None
             continue
@@ -133,7 +140,7 @@ def parse_automaton(text: str) -> Bta | Tta:
         if head == "states":
             if d.states is not None:
                 raise ParseError("duplicate states line", lineno, 1)
-            d.states = words[1:]
+            d.states = set(words[1:])
             continue
 
         if head in ("final", "initial"):
@@ -161,16 +168,18 @@ def parse_automaton(text: str) -> Bta | Tta:
         if not lhs or not rhs:
             raise ParseError("malformed transition, expected 'lhs -> rhs'", lineno, 1)
         if kind == "bta":
-            sym, args = _parse_pattern(lhs, lineno, raw.find(lhs) + 1)
-            _check_symbol(sym, args, d, lineno, raw.find(lhs) + 1)
+            col = raw.find(lhs) + 1
+            sym, args = _parse_pattern(lhs, lineno, col)
+            _check_symbol(sym, args, d, lineno, col)
             if rhs not in d.states:
                 raise ParseError(f"undeclared state {rhs!r}", lineno, raw.rfind(rhs) + 1)
             bta_delta.setdefault((sym, args), set()).add(rhs)
         else:
             if lhs not in d.states:
                 raise ParseError(f"undeclared state {lhs!r}", lineno, raw.find(lhs) + 1)
-            sym, args = _parse_pattern(rhs, lineno, raw.rfind(rhs) + 1)
-            _check_symbol(sym, args, d, lineno, raw.rfind(rhs) + 1)
+            col = raw.rfind(rhs) + 1
+            sym, args = _parse_pattern(rhs, lineno, col)
+            _check_symbol(sym, args, d, lineno, col)
             tta_delta.setdefault(lhs, set()).add((sym, args))
 
     if kind is None:

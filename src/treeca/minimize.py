@@ -1,8 +1,9 @@
 """Minimization and comparison of tree automata.
 
-Deterministic automata are minimized by Moore-style partition refinement: two
-states stay merged only while they lead to equivalent targets in every rule
-position, with every combination of concrete states at the other positions.
+Deterministic automata are minimized by Moore-style partition refinement over
+indexed transitions: each state's row lists, once, the targets of the rules
+with the state at each argument position, and two states stay merged only
+while their rows map to the same blocks.
 Language equivalence is one breadth-first product walk of the two
 determinizations, which also finds a separating tree of minimal height.
 Path-closedness is the same walk between the determinizations of an automaton
@@ -13,7 +14,6 @@ isomorphism checks.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,33 +54,54 @@ class Partition:
 
 def _refine(c: Bta) -> Partition:
     """Coarsest congruence of a complete deterministic automaton that
-    separates final from non-final states."""
+    separates final from non-final states.
+
+    States are numbered in sorted order and each gets a row, built once: its
+    own number, then for every symbol, argument position i and combination of
+    the other arguments in lexicographic order, the target of that rule.  A
+    Moore round maps every row through the current block numbers and numbers
+    the distinct results in state order; the rounds stop when the block
+    count stops growing.  The rows hold k ints per rule of arity k.
+    """
     states = sorted(c.states)
-    block = {q: 1 if q in c.final else 0 for q in states}
-    nblocks = len(set(block.values()))
-    arities = [
-        (sym, c.alphabet.arity(sym))
+    n = len(states)
+    index = {q: i for i, q in enumerate(states)}
+    # tables[sym][j] is the target index of the rule whose argument indices
+    # spell j in base n, most significant first.
+    tables = {
+        sym: [0] * n ** c.alphabet.arity(sym)
         for sym in c.alphabet.symbols
         if c.alphabet.arity(sym) > 0
-    ]
+    }
+    for (sym, args), targets in c.delta.items():
+        if args:
+            j = 0
+            for q in args:
+                j = j * n + index[q]
+            tables[sym][j] = index[next(iter(targets))]
+    # With q at position i, each prefix of arguments before i selects one
+    # contiguous slice of the table: the targets over every suffix after i.
+    rows = [[q] for q in range(n)]
+    for sym, table in tables.items():
+        k = c.alphabet.arity(sym)
+        for i in range(k):
+            step = n ** (k - 1 - i)
+            for q, row in enumerate(rows):
+                for base in range(q * step, len(table), n * step):
+                    row += table[base : base + step]
+    block = [1 if q in c.final else 0 for q in states]
+    nblocks = len(set(block))
     while True:
-        sigs: dict[str, tuple[int, ...]] = {}
-        for q in states:
-            sig = [block[q]]
-            for sym, k in arities:
-                for i in range(k):
-                    for others in itertools.product(states, repeat=k - 1):
-                        args = others[:i] + (q,) + others[i:]
-                        target = next(iter(c.delta[(sym, args)]))
-                        sig.append(block[target])
-            sigs[q] = tuple(sig)
         fresh: dict[tuple[int, ...], int] = {}
-        block = {q: fresh.setdefault(sigs[q], len(fresh)) for q in states}
+        block = [
+            fresh.setdefault(tuple(map(block.__getitem__, row)), len(fresh))
+            for row in rows
+        ]
         if len(fresh) == nblocks:
             break
         nblocks = len(fresh)
     members: dict[int, set[str]] = {}
-    for q, b in block.items():
+    for q, b in zip(states, block):
         members.setdefault(b, set()).add(q)
     blocks = sorted((frozenset(m) for m in members.values()), key=sorted)
     return Partition(tuple(blocks))
@@ -100,16 +121,12 @@ def minimize_dbta(d: Bta) -> Bta:
         return c
     part = _refine(c)
     name_of = {q: subset_name(block) for block in part.blocks for q in block}
-    delta: dict[tuple[str, tuple[str, ...]], set[str]] = {}
-    for (sym, args), targets in c.delta.items():
-        key = (sym, tuple(name_of[q] for q in args))
-        delta.setdefault(key, set()).add(name_of[next(iter(targets))])
-    return Bta(
-        c.alphabet,
-        {subset_name(block) for block in part.blocks},
-        delta,
-        {name_of[q] for q in c.final},
-    )
+    # Rules whose arguments merge blockwise have targets in one block.
+    delta = {
+        (sym, tuple(map(name_of.__getitem__, args))): {name_of[next(iter(targets))]}
+        for (sym, args), targets in c.delta.items()
+    }
+    return Bta(c.alphabet, name_of.values(), delta, {name_of[q] for q in c.final})
 
 
 def minimize_bta(

@@ -9,6 +9,8 @@ raise BudgetError when the cap is hit.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import and_, getitem
 
 from .automata import (
     EMPTY,
@@ -59,26 +61,65 @@ def subset_construction(
     Subsets are discovered from the nullary images upward; the empty subset is
     a state whenever some tree has no run.  The result is deterministic and
     total over its states, and accepts exactly the language of a.
+
+    The rules are indexed once.  The rules of each non-nullary symbol are
+    numbered, and for each argument position and state the index holds the
+    bitmask of the rules with that state at that position.  When a subset is
+    processed, its mask per (symbol, position) is the OR over its members.
+    The rules that fire on an argument tuple of subsets are then the AND of
+    k masks, and the union of their targets is interned once per (symbol,
+    mask).
     """
     pool = _SubsetPool(budget)
     raw_delta: dict[tuple[str, tuple[int, ...]], int] = {}
     for sym in a.alphabet.nullary:
         image = frozenset(a.delta.get((sym, ()), EMPTY))
         raw_delta[(sym, ())] = pool.intern(image)
+    by_sym: dict[str, list[tuple[tuple[str, ...], frozenset[str]]]] = {}
+    for (sym, args), targets in a.delta.items():
+        if args:
+            by_sym.setdefault(sym, []).append((args, targets))
+    # Per non-nullary symbol: (symbol, masks by position and state, rule
+    # targets by rule id, subset masks by position and subset, target memo).
+    index = []
+    for sym in a.alphabet.symbols:
+        k = a.alphabet.arity(sym)
+        if k == 0:
+            continue
+        at: list[dict[str, int]] = [{} for _ in range(k)]
+        rules = by_sym.get(sym, [])
+        for r, (args, _) in enumerate(rules):
+            for i, q in enumerate(args):
+                at[i][q] = at[i].get(q, 0) | 1 << r
+        index.append((sym, at, [t for _, t in rules], [[] for _ in range(k)], {}))
     m = 0
     while m < len(pool.order):
-        for sym in a.alphabet.symbols:
-            for combo in fresh_tuples(m, m + 1, a.alphabet.arity(sym)):
-                args = tuple(pool.order[i] for i in combo)
-                acc: set[str] = set()
-                for members in itertools.product(*(sorted(s) for s in args)):
-                    acc |= a.delta.get((sym, members), EMPTY)
-                raw_delta[(sym, combo)] = pool.intern(frozenset(acc))
+        members = pool.order[m]
+        for sym, at, targets, cols, memo in index:
+            for by_state, col in zip(at, cols):
+                mask = 0
+                for q in members:
+                    mask |= by_state.get(q, 0)
+                col.append(mask)
+            for combo in fresh_tuples(m, m + 1, len(cols)):
+                fired = reduce(and_, map(getitem, cols, combo))
+                target = memo.get(fired)
+                if target is None:
+                    acc: set[str] = set()
+                    bits = fired
+                    while bits:
+                        low = bits & -bits
+                        acc |= targets[low.bit_length() - 1]
+                        bits ^= low
+                    target = memo[fired] = pool.intern(frozenset(acc))
+                raw_delta[(sym, combo)] = target
         m += 1
     names = [subset_name(s) for s in pool.order]
-    delta: dict[tuple[str, tuple[str, ...]], set[str]] = {}
-    for (sym, combo), target in raw_delta.items():
-        delta[(sym, tuple(names[i] for i in combo))] = {names[target]}
+    singletons = [frozenset((name,)) for name in names]
+    delta = {
+        (sym, tuple(map(names.__getitem__, combo))): singletons[target]
+        for (sym, combo), target in raw_delta.items()
+    }
     final = {names[i] for i, s in enumerate(pool.order) if s & a.final}
     det = Bta(a.alphabet, names, delta, final)
     return det, {names[i]: s for i, s in enumerate(pool.order)}

@@ -153,14 +153,34 @@ class Tree:
         return format_term(self)
 
 
+def _preorder(t: Tree) -> Iterator[tuple[Tree, tuple]]:
+    """Yield each node of t in preorder with a link to its address.
+
+    The root's link is (); a child's is (its 1-based index, its parent's
+    link).  Links share their tails, so each step of the walk costs O(1);
+    _address spells a link out.
+    """
+    stack: list[tuple[Tree, tuple]] = [(t, ())]
+    while stack:
+        node, link = stack.pop()
+        yield node, link
+        kids = node.children
+        for i in range(len(kids), 0, -1):
+            stack.append((kids[i - 1], (i, link)))
+
+
+def _address(link: tuple) -> Address:
+    steps: list[int] = []
+    while link:
+        i, link = link
+        steps.append(i)
+    return tuple(reversed(steps))
+
+
 def iter_nodes(t: Tree) -> Iterator[tuple[Address, Tree]]:
     """Yield (address, subtree) pairs in preorder; addresses are 1-based."""
-    stack: list[tuple[Address, Tree]] = [((), t)]
-    while stack:
-        addr, node = stack.pop()
-        yield addr, node
-        for i in range(len(node.children), 0, -1):
-            stack.append((addr + (i,), node.children[i - 1]))
+    for node, link in _preorder(t):
+        yield _address(link), node
 
 
 def format_address(addr: Address) -> str:
@@ -183,23 +203,22 @@ def is_well_ranked(t: Tree, alphabet: RankedAlphabet, allow_hole: bool = False) 
 
 def check_well_ranked(t: Tree, alphabet: RankedAlphabet, allow_hole: bool = False) -> None:
     """Raise NotWellRankedError with the offending node when the check fails."""
-    for addr, node in iter_nodes(t):
+    arities = alphabet.entries
+    if allow_hole:
+        arities[HOLE] = 0
+    for node, link in _preorder(t):
+        want = arities.get(node.label)
+        if want == len(node.children):
+            continue
+        where = format_address(_address(link))
         if node.label == HOLE:
-            if allow_hole and not node.children:
-                continue
-            raise NotWellRankedError(
-                f"hole at {format_address(addr)} is not allowed here"
-            )
-        if node.label not in alphabet:
-            raise NotWellRankedError(
-                f"unknown symbol {node.label!r} at {format_address(addr)}"
-            )
-        want = alphabet.arity(node.label)
-        if want != len(node.children):
-            raise NotWellRankedError(
-                f"symbol {node.label!r} at {format_address(addr)} has "
-                f"{len(node.children)} children, expected {want}"
-            )
+            raise NotWellRankedError(f"hole at {where} is not allowed here")
+        if want is None:
+            raise NotWellRankedError(f"unknown symbol {node.label!r} at {where}")
+        raise NotWellRankedError(
+            f"symbol {node.label!r} at {where} has "
+            f"{len(node.children)} children, expected {want}"
+        )
 
 
 def subtree(t: Tree, addr: Address) -> Tree:
@@ -232,24 +251,28 @@ def puncture(t: Tree, addr: Address) -> Tree:
     return substitute(t, addr, Tree(HOLE))
 
 
-def _hole_addresses(t: Tree) -> list[Address]:
-    return [addr for addr, node in iter_nodes(t) if node.label == HOLE]
+def _holes(t: Tree) -> tuple[int, Tree | None, Address]:
+    """How many hole nodes t has, and one of them with its address (None
+    and () when there is none)."""
+    count, hole, link = 0, None, ()
+    for node, at in _preorder(t):
+        if node.label == HOLE:
+            count, hole, link = count + 1, node, at
+    return count, hole, _address(link)
 
 
 def is_context(t: Tree) -> bool:
     """True iff t contains exactly one hole node (with no children)."""
-    holes = _hole_addresses(t)
-    return len(holes) == 1 and not subtree(t, holes[0]).children
+    count, hole, _ = _holes(t)
+    return count == 1 and not hole.children
 
 
 def pivot(x: Tree) -> Address:
     """The address of the unique hole of a context."""
-    holes = _hole_addresses(x)
-    if len(holes) != 1:
-        raise MalformedContextError(
-            f"expected exactly one hole, found {len(holes)}"
-        )
-    return holes[0]
+    count, _, addr = _holes(x)
+    if count != 1:
+        raise MalformedContextError(f"expected exactly one hole, found {count}")
+    return addr
 
 
 def hole_height(x: Tree) -> int:
@@ -291,17 +314,16 @@ def fresh_tuples(lo: int, hi: int, k: int) -> Iterator[tuple[int, ...]]:
 
     Breadth-first constructions number their items in discovery order; when
     items lo..hi-1 are the new ones, these are exactly the argument tuples
-    not combined before.
+    not combined before.  The tuples with an old first entry are that entry
+    before each fresh (k-1)-tuple; the rest are a product.
     """
     if k == 0:
-        return
-    for first in range(hi):
-        if first >= lo:
-            for rest in itertools.product(range(hi), repeat=k - 1):
-                yield (first, *rest)
-        else:
-            for rest in fresh_tuples(lo, hi, k - 1):
-                yield (first, *rest)
+        return iter(())
+    new_first = itertools.product(range(lo, hi), *[range(hi)] * (k - 1))
+    if k == 1:
+        return new_first
+    old_first = (map((first,).__add__, fresh_tuples(lo, hi, k - 1)) for first in range(lo))
+    return itertools.chain(itertools.chain.from_iterable(old_first), new_first)
 
 
 def _enumerate_raw(entries: Mapping[str, int], max_height: int, budget: int) -> tuple[Tree, ...]:
@@ -366,7 +388,7 @@ def enumerate_contexts(
         entries = alphabet.entries
         entries[HOLE] = 0
         raw = _enumerate_raw(entries, max_height, budget)
-        cached = (len(raw), tuple(t for t in raw if len(_hole_addresses(t)) == 1))
+        cached = (len(raw), tuple(t for t in raw if _holes(t)[0] == 1))
         _context_cache[key] = cached
     raw_size, contexts = cached
     if raw_size > budget:

@@ -14,6 +14,9 @@ from pathlib import Path
 
 from treeca import (
     Bta,
+    BudgetError,
+    ParseError,
+    Partition,
     RankedAlphabet,
     Tree,
     Tta,
@@ -21,6 +24,7 @@ from treeca import (
     parse_automaton,
     puncture,
     reverse_tta,
+    subset_name,
     trim_empty,
     trim_unreachable,
 )
@@ -31,6 +35,7 @@ BOOL = RankedAlphabet({"F": 0, "T": 0, "and": 2, "or": 2})
 AB = RankedAlphabet({"a": 0, "b": 0, "f": 2})
 ABG = RankedAlphabet({"a": 0, "b": 0, "f": 2, "g": 1})
 MONO = RankedAlphabet({"a": 0, "b": 0, "g": 1, "h": 1})
+TERN = RankedAlphabet({"a": 0, "b": 0, "g": 1, "h": 3})
 
 
 def load_fixture(name: str) -> Bta | Tta:
@@ -95,6 +100,22 @@ def random_codbta(rng: random.Random, alphabet: RankedAlphabet = AB, max_states:
 
 def random_monadic_bta(rng: random.Random, max_states: int = 4) -> Bta:
     return random_bta(rng, MONO, max_states)
+
+
+def seeded_draws(count: int) -> list[Bta]:
+    """count seeded automata, cycling over AB, ABG, BOOL, MONO and the
+    arity-3 TERN: dense random BTAs, alternating with reversed random DTTAs,
+    which are sparse and often have unreachable states."""
+    draws = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        alphabet = (AB, ABG, BOOL, MONO, TERN)[seed % 5]
+        max_states = 3 if alphabet is TERN else 4
+        if seed % 2:
+            draws.append(reverse_tta(random_dtta(rng, alphabet, max_states + 1)))
+        else:
+            draws.append(random_bta(rng, alphabet, max_states))
+    return draws
 
 
 def random_tree(rng: random.Random, alphabet: RankedAlphabet, max_height: int) -> Tree:
@@ -219,3 +240,116 @@ def path_language_upto(a: Bta, max_height: int) -> frozenset[tuple]:
     for q in a.final:
         out |= paths[max_height][q]
     return frozenset(out)
+
+
+# === Literal definitions of the indexed constructions ==============================
+
+def reachable_by_fixpoint(a: Bta) -> frozenset[str]:
+    """Reachable states as the least fixpoint: rescan every rule until no
+    rule whose arguments are all reachable adds a target."""
+    reach: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for (sym, args), targets in a.delta.items():
+            if all(q in reach for q in args) and not targets <= reach:
+                reach |= targets
+                changed = True
+    return frozenset(reach)
+
+
+def subset_construction_by_product(
+    a: Bta, budget: int
+) -> tuple[Bta, dict[str, frozenset[str]]]:
+    """The subset construction as defined: the image of an argument tuple of
+    subsets is the union of delta over every tuple of their members.  Subsets
+    are numbered in discovery order (nullary images, then each new subset's
+    tuples with the older ones in lexicographic order) and the budget caps
+    how many may be numbered."""
+    order: list[frozenset[str]] = []
+    index: dict[frozenset[str], int] = {}
+
+    def intern(members: frozenset[str]) -> int:
+        if members not in index:
+            if len(order) >= budget:
+                raise BudgetError(f"subset construction exceeded the budget of {budget} states")
+            index[members] = len(order)
+            order.append(members)
+        return index[members]
+
+    raw: dict[tuple[str, tuple[int, ...]], int] = {}
+    for sym in a.alphabet.nullary:
+        raw[(sym, ())] = intern(frozenset(a.delta.get((sym, ()), ())))
+    m = 0
+    while m < len(order):
+        for sym in a.alphabet.symbols:
+            k = a.alphabet.arity(sym)
+            for combo in itertools.product(range(m + 1), repeat=k):
+                if not k or max(combo) != m:
+                    continue
+                acc: set[str] = set()
+                for members in itertools.product(*(sorted(order[i]) for i in combo)):
+                    acc |= a.delta.get((sym, members), set())
+                raw[(sym, combo)] = intern(frozenset(acc))
+        m += 1
+    names = [subset_name(s) for s in order]
+    delta = {
+        (sym, tuple(names[i] for i in combo)): {names[target]}
+        for (sym, combo), target in raw.items()
+    }
+    final = {names[i] for i, s in enumerate(order) if s & a.final}
+    return Bta(a.alphabet, names, delta, final), dict(zip(names, order))
+
+
+def refine_by_products(c: Bta) -> Partition:
+    """Moore refinement of a complete deterministic automaton as defined: a
+    state's signature is its block and, for every symbol, position and
+    combination of states at the other positions, the block of the target."""
+    states = sorted(c.states)
+    block = {q: int(q in c.final) for q in states}
+    nblocks = len(set(block.values()))
+    while True:
+        sigs = {}
+        for q in states:
+            sig = [block[q]]
+            for sym in c.alphabet.symbols:
+                k = c.alphabet.arity(sym)
+                for i in range(k):
+                    for others in itertools.product(states, repeat=k - 1):
+                        args = others[:i] + (q,) + others[i:]
+                        sig.append(block[next(iter(c.delta[(sym, args)]))])
+            sigs[q] = tuple(sig)
+        fresh: dict[tuple, int] = {}
+        block = {q: fresh.setdefault(sigs[q], len(fresh)) for q in states}
+        if len(fresh) == nblocks:
+            break
+        nblocks = len(fresh)
+    members: dict[int, set[str]] = {}
+    for q, b in block.items():
+        members.setdefault(b, set()).add(q)
+    return Partition(tuple(sorted((frozenset(m) for m in members.values()), key=sorted)))
+
+
+def split_args_by_scanner(body: str, lineno: int, col0: int) -> list[str]:
+    """Split an argument body on brace-depth-zero commas, one character at a
+    time, reporting unbalanced braces where the scan finds them."""
+    args: list[str] = []
+    depth = 0
+    cur = ""
+    for i, ch in enumerate(body):
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced '}' in state name", lineno, col0 + i + 1)
+        if ch == "," and depth == 0:
+            args.append(cur)
+            cur = ""
+        else:
+            cur += ch
+    if depth != 0:
+        raise ParseError("unbalanced '{' in state name", lineno, col0 + len(body))
+    if cur or args:
+        args.append(cur)
+    return [a.strip() for a in args]

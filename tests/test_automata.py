@@ -33,7 +33,7 @@ from treeca import (
     wpre,
 )
 
-from helpers import AB, BOOL, load_fixture, random_bta
+from helpers import AB, BOOL, load_fixture, random_bta, reachable_by_fixpoint, seeded_draws
 
 
 # === Construction =================================================================
@@ -166,6 +166,11 @@ def test_reachable_and_useful_states(star):
     trimmed = trim_unreachable(star)
     assert trimmed.states == {"q0", "q1"}
     assert all(sym != "star" for (sym, _), _ in trimmed.delta.items())
+
+
+def test_reachable_states_is_the_rescan_fixpoint():
+    for a in seeded_draws(250):
+        assert reachable_states(a) == reachable_by_fixpoint(a)
 
 
 def test_trim_empty_keeps_unreachable_but_useful_states(star):

@@ -9,13 +9,17 @@ import pytest
 
 from treeca import (
     HOLE,
+    NotWellRankedError,
     Tree,
     accepts,
+    check_well_ranked,
     format_term,
+    is_context,
     parse_automaton,
     parse_context,
     parse_term,
     path_language,
+    pivot,
     plug,
     puncture,
 )
@@ -129,6 +133,19 @@ def test_plug_and_puncture_undo_each_other():
     x = chain(Tree(HOLE))
     assert plug(x, Tree("a")) == c
     assert puncture(c, (1,) * DEPTH) == x
+
+
+def test_walks_address_only_what_they_report():
+    """The bottom of the chain is reported at its full address; a walk that
+    built every node's address would be quadratic in the depth."""
+    alphabet = parse_automaton(PARITY).alphabet
+    deep = "1." * DEPTH + "1"
+    with pytest.raises(NotWellRankedError, match=f"^unknown symbol 'z' at {deep}$"):
+        check_well_ranked(chain(Tree("g", [Tree("z")])), alphabet)
+    x = chain(Tree(HOLE))
+    assert pivot(x) == (1,) * DEPTH
+    assert is_context(x)
+    assert not is_context(Tree("f", [x, x]))
 
 
 def test_path_language_of_a_chain_is_its_one_path():

@@ -3,7 +3,10 @@ canonical serialization."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeca import (
     Bta,
@@ -17,7 +20,10 @@ from treeca import (
     serialize_automaton,
 )
 
-from helpers import FIXTURES
+from treeca import fileformat
+from treeca.fileformat import _split_args
+
+from helpers import FIXTURES, split_args_by_scanner
 
 
 # === Round trips ==================================================================
@@ -149,3 +155,36 @@ def test_error_messages_render_line_and_column():
         assert e.column is not None
     else:
         pytest.fail("expected a ParseError")
+
+
+# === Argument splitting against the scanner =======================================
+
+STATES = ["q0", "a", "{q0}", "{a}", "{q0,a}", "{{q0}}", "{{q0},{a}}"]
+DECLS = f"alphabet a/0 f/1 g/2 h/3\nstates {' '.join(STATES)}\n"
+# Brace-flat, nested, unbalanced and empty arguments over a few tokens, and
+# lists of declared or empty arguments, which often parse.
+BODIES = st.one_of(
+    st.lists(st.sampled_from(["{", "}", ",", "q0", "a", " "]), max_size=14).map("".join),
+    st.lists(st.sampled_from(STATES + [" q0 ", ""]), min_size=1, max_size=4).map(",".join),
+)
+
+
+def outcome(fn, *args):
+    """fn's result, or the message, line and column of its ParseError."""
+    try:
+        return fn(*args)
+    except ParseError as e:
+        return ("ParseError", str(e), e.line, e.column)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(body=BODIES, sym=st.sampled_from(["f", "g", "h"]), col0=st.integers(1, 9))
+def test_split_args_and_parse_match_the_scanner(body, sym, col0):
+    assert outcome(_split_args, body, 5, col0) == outcome(split_args_by_scanner, body, 5, col0)
+    for text in (
+        f"bta\n{DECLS}final q0\n {sym}( {body}) -> q0\n",
+        f"tta\n{DECLS}initial q0\nq0 -> {sym}({body} )\n",
+    ):
+        got = outcome(parse_automaton, text)
+        with mock.patch.object(fileformat, "_split_args", split_args_by_scanner):
+            assert got == outcome(parse_automaton, text)

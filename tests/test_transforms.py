@@ -8,6 +8,7 @@ import random
 import pytest
 
 from treeca import (
+    DEFAULT_STATE_BUDGET,
     Bta,
     BudgetError,
     NotDeterministicError,
@@ -40,6 +41,8 @@ from helpers import (
     random_dtta,
     random_path_closed_bta,
     run_tta_directly,
+    seeded_draws,
+    subset_construction_by_product,
 )
 
 
@@ -98,6 +101,24 @@ def test_subset_construction_exposes_the_naming():
 def test_determinize_budget_is_enforced(bool2):
     with pytest.raises(BudgetError):
         determinize(bool2, budget=1)
+
+
+def test_rule_index_matches_the_member_product(subset_pools):
+    """Same automaton, same subset map in the same discovery order, and the
+    budget runs out at the same subset, on 250 seeded draws up to arity 3."""
+    for a in seeded_draws(250):
+        ref, ref_members = subset_construction_by_product(a, DEFAULT_STATE_BUDGET)
+        d, members = subset_construction(a)
+        assert d == ref
+        assert list(members.items()) == list(ref_members.items())
+        n = len(ref_members)
+        assert subset_construction(a, budget=n)[0] == ref
+        subset_pools.clear()
+        with pytest.raises(BudgetError):
+            subset_construction(a, budget=n - 1)
+        with pytest.raises(BudgetError):
+            subset_construction_by_product(a, n - 1)
+        assert subset_pools[0].order == list(ref_members.values())[: n - 1]
 
 
 # === codeterminize ================================================================

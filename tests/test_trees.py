@@ -150,6 +150,51 @@ def test_well_rankedness():
         check_well_ranked(Tree("and", (Tree("T"),)), BOOL)
 
 
+# Trees with holes, unknown symbols and wrong arities anywhere.
+ragged = st.recursive(
+    st.sampled_from([Tree("T"), Tree("z"), Tree(HOLE)]),
+    lambda kids: st.builds(
+        Tree, st.sampled_from(["and", "or", "z", HOLE]), st.lists(kids, min_size=1, max_size=3)
+    ),
+    max_leaves=10,
+)
+
+
+def first_ill_ranked(t: Tree, alphabet: RankedAlphabet, allow_hole: bool) -> str | None:
+    """The diagnosis of the first node in preorder that is not well ranked."""
+    for addr, node in iter_nodes(t):
+        where = format_address(addr)
+        if node.label == HOLE:
+            if not (allow_hole and not node.children):
+                return f"hole at {where} is not allowed here"
+        elif node.label not in alphabet:
+            return f"unknown symbol {node.label!r} at {where}"
+        elif alphabet.arity(node.label) != len(node.children):
+            return (
+                f"symbol {node.label!r} at {where} has {len(node.children)} children, "
+                f"expected {alphabet.arity(node.label)}"
+            )
+    return None
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(t=ragged, allow_hole=st.booleans())
+def test_walks_report_what_the_addressed_preorder_finds(t, allow_hole):
+    try:
+        check_well_ranked(t, BOOL, allow_hole)
+        got = None
+    except NotWellRankedError as e:
+        got = str(e)
+    assert got == first_ill_ranked(t, BOOL, allow_hole)
+    holes = [addr for addr, node in iter_nodes(t) if node.label == HOLE]
+    assert is_context(t) == (len(holes) == 1 and not subtree(t, holes[0]).children)
+    if len(holes) == 1:
+        assert pivot(t) == holes[0]
+    else:
+        with pytest.raises(MalformedContextError, match=f"found {len(holes)}$"):
+            pivot(t)
+
+
 # === Paths ========================================================================
 
 def test_path_language_examples():
