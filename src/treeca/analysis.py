@@ -22,12 +22,7 @@ from .automata import (
 )
 from .errors import NotPathClosedError
 from .oracle import _group
-from .minimize import (
-    _path_closed_constructions,
-    _refine,
-    isomorphic,
-    minimize_dbta,
-)
+from .minimize import _path_closed_constructions, _refine, isomorphic
 from .trees import (
     DEFAULT_ENUM_BUDGET,
     Tree,
@@ -38,7 +33,6 @@ from .trees import (
 from .transforms import (
     DEFAULT_STATE_BUDGET,
     codeterminize,
-    determinize,
     subset_construction,
     subset_name,
 )
@@ -91,9 +85,13 @@ def root_to_pivot_equiv(
 def check_gen_det_u(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     """True iff determinizing a directly yields the minimal deterministic
     automaton, i.e. distinct reachable state subsets are never language
-    equivalent."""
-    det = determinize(a, budget=budget)
-    return isomorphic(det, minimize_dbta(det))
+    equivalent.
+
+    The determinization is total and fully reachable, so it is minimal iff
+    its refinement merges no two subsets: the check is gen_det_u_witness
+    finding no witness.
+    """
+    return gen_det_u_witness(a, budget=budget) is None
 
 
 def gen_det_u_witness(
@@ -126,7 +124,8 @@ def check_gen_det_d(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
             "the downward determinization check requires a path-closed language"
         )
     c, da, _ = found
-    return isomorphic(c, codeterminize(da, budget=budget))
+    # A determinization is fully reachable: nothing to trim before.
+    return isomorphic(c, codeterminize(da, pretrim=False, budget=budget))
 
 
 def bta_congruence_up(

@@ -332,6 +332,9 @@ def useful_states(a: Bta) -> frozenset[str]:
 
 
 def _restrict(a: Bta, keep: frozenset[str]) -> Bta:
+    """a over the states of keep; a itself when keep drops nothing."""
+    if keep == a.states:
+        return a
     delta = {
         key: targets & keep
         for key, targets in a.delta.items()

@@ -17,12 +17,11 @@ from .analysis import (
     bta_congruence_down,
     bta_congruence_up,
     check_gen_det_d,
-    check_gen_det_u,
     gen_det_u_witness,
     pre_context,
     root_to_pivot_equiv,
 )
-from .automata import Bta, Tta, accepts, post_tree, trim_unreachable, wpre
+from .automata import Bta, Tta, accepts, post_tree, reachable_states, wpre
 from .errors import TreecaError
 from .fileformat import parse_automaton, serialize_automaton
 from .minimize import (
@@ -214,25 +213,23 @@ def _cmd_is_path_closed(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_brz_u(args: argparse.Namespace) -> int:
-    a = _load_bta(args.automaton)
-    if check_gen_det_u(a, budget=args.budget):
+    found = gen_det_u_witness(_load_bta(args.automaton), budget=args.budget)
+    if found is None:
         print("determinization is minimal")
         return 0
     print("determinization is not minimal")
     if args.witness:
-        found = gen_det_u_witness(a, budget=args.budget)
-        if found is not None:
-            q, m, s1, s2 = found
-            print(
-                f"witness: state {q} separates subsets {subset_name(s1)} and "
-                f"{subset_name(s2)} merged into {m}"
-            )
+        q, m, s1, s2 = found
+        print(
+            f"witness: state {q} separates subsets {subset_name(s1)} and "
+            f"{subset_name(s2)} merged into {m}"
+        )
     return 1
 
 
 def _cmd_check_brz_d(args: argparse.Namespace) -> int:
     a = _load_bta(args.automaton)
-    if trim_unreachable(a).states != a.states:
+    if reachable_states(a) != a.states:
         print("note: unreachable states are removed before checking", file=sys.stderr)
     return _verdict(
         check_gen_det_d(a, budget=args.budget),

@@ -15,6 +15,7 @@ isomorphism checks.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -147,7 +148,7 @@ def _path_closed_constructions(a: Bta, budget: int) -> tuple[Bta, Bta, Bta] | No
     da and dc decides.
     """
     a1 = trim_unreachable(a)
-    c = codeterminize(a1, budget=budget)
+    c = codeterminize(a1, pretrim=False, budget=budget)
     da = determinize(a1, budget=budget)
     dc = determinize(c, budget=budget)
     if _product_walk(da, dc) is not None:
@@ -168,7 +169,7 @@ def min_codbta(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
         raise NotPathClosedError(
             "co-deterministic minimization requires a path-closed language"
         )
-    return codeterminize(found[1], budget=budget)
+    return codeterminize(found[1], pretrim=False, budget=budget)
 
 
 def brzozowski(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
@@ -188,6 +189,38 @@ def brzozowski(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
     return found[2]
 
 
+def _discovery_order(
+    first: list[str], expand: Callable[[int, list[str]], list[str]]
+) -> list[str]:
+    """States numbered in discovery order: those of first, then, for each
+    numbered state m in turn, those expand(m, order) lists; a repeat keeps
+    its first number."""
+    order: list[str] = []
+    seen: set[str] = set()
+    found, m = first, 0
+    while True:
+        for q in found:
+            if q not in seen:
+                seen.add(q)
+                order.append(q)
+        if m == len(order):
+            return order
+        found = expand(m, order)
+        m += 1
+
+
+def _renamed(a: Bta, order: list[str]) -> Bta:
+    """The states of order renamed "0".."n-1" in that order, with the rules
+    whose arguments are all among them; their targets must be too."""
+    names = {q: str(i) for i, q in enumerate(order)}
+    delta = {
+        (sym, tuple(map(names.__getitem__, args))): {names[q] for q in targets}
+        for (sym, args), targets in a.delta.items()
+        if all(q in names for q in args)
+    }
+    return Bta(a.alphabet, names.values(), delta, {names[q] for q in a.final if q in names})
+
+
 def canonical_form(d: Bta) -> Bta:
     """Rename the reachable part of a deterministic automaton to "0".."n-1".
 
@@ -200,35 +233,18 @@ def canonical_form(d: Bta) -> Bta:
     """
     if not is_deterministic(d):
         raise NotDeterministicError("canonical_form requires a deterministic automaton")
-    order: list[str] = []
-    index: dict[str, int] = {}
+    delta = d.delta
+    arities = [(sym, d.alphabet.arity(sym)) for sym in d.alphabet.symbols]
 
-    def intern(q: str) -> None:
-        if q not in index:
-            index[q] = len(order)
-            order.append(q)
+    def expand(m: int, order: list[str]) -> list[str]:
+        found: list[str] = []
+        for sym, k in arities:
+            for combo in fresh_tuples(m, m + 1, k):
+                found += delta.get((sym, tuple(map(order.__getitem__, combo))), ())
+        return found
 
-    for sym in d.alphabet.nullary:
-        targets = d.delta.get((sym, ()))
-        if targets:
-            intern(next(iter(targets)))
-    m = 0
-    while m < len(order):
-        for sym in d.alphabet.symbols:
-            for combo in fresh_tuples(m, m + 1, d.alphabet.arity(sym)):
-                targets = d.delta.get((sym, tuple(order[i] for i in combo)))
-                if targets:
-                    intern(next(iter(targets)))
-        m += 1
-    names = {q: str(i) for q, i in index.items()}
-    delta = {
-        (sym, tuple(names[q] for q in args)): {names[next(iter(targets))]}
-        for (sym, args), targets in d.delta.items()
-        if all(q in names for q in args)
-    }
-    return Bta(
-        d.alphabet, names.values(), delta, {names[q] for q in d.final if q in names}
-    )
+    first = [q for sym in d.alphabet.nullary for q in delta.get((sym, ()), ())]
+    return _renamed(d, _discovery_order(first, expand))
 
 
 def _codet_canonical(a: Bta) -> Bta | None:
@@ -236,37 +252,16 @@ def _codet_canonical(a: Bta) -> Bta | None:
     None when the walk does not cover every state."""
     rev: dict[tuple[str, str], tuple[str, ...]] = {}
     for (sym, args), targets in a.delta.items():
-        if not args:
-            continue
-        for q in targets:
-            rev[(q, sym)] = args
-    order: list[str] = []
-    index: dict[str, int] = {}
+        if args:
+            for q in targets:
+                rev[(q, sym)] = args
+    symbols = [sym for sym in a.alphabet.symbols if a.alphabet.arity(sym)]
 
-    def intern(q: str) -> None:
-        if q not in index:
-            index[q] = len(order)
-            order.append(q)
+    def expand(m: int, order: list[str]) -> list[str]:
+        return [q for sym in symbols for q in rev.get((order[m], sym), ())]
 
-    intern(next(iter(a.final)))
-    m = 0
-    while m < len(order):
-        for sym in a.alphabet.symbols:
-            if a.alphabet.arity(sym) == 0:
-                continue
-            args = rev.get((order[m], sym))
-            if args:
-                for q in args:
-                    intern(q)
-        m += 1
-    if len(order) != len(a.states):
-        return None
-    names = {q: str(i) for q, i in index.items()}
-    delta = {
-        (sym, tuple(names[q] for q in args)): {names[q] for q in targets}
-        for (sym, args), targets in a.delta.items()
-    }
-    return Bta(a.alphabet, names.values(), delta, {names[q] for q in a.final})
+    order = _discovery_order(list(a.final), expand)
+    return _renamed(a, order) if len(order) == len(a.states) else None
 
 
 def _signatures(a: Bta) -> dict[str, tuple]:

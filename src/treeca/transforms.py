@@ -221,16 +221,14 @@ def complete(a: Bta, *, sink: str = "__dead") -> Bta:
     """Add a rejecting sink so every symbol and argument tuple has a rule.
 
     The input must be deterministic; the automaton is returned unchanged when
-    it is already total.
+    it is already total.  Totality is decided by counting: a Bta keeps only
+    well-ranked keys over its states with nonempty targets, so a is total iff
+    each symbol of arity k has |Q|^k keys.
     """
     if not is_deterministic(a):
         raise NotDeterministicError("complete requires a deterministic automaton")
-    states = sorted(a.states)
-    if all(
-        (sym, args) in a.delta
-        for sym in a.alphabet.symbols
-        for args in itertools.product(states, repeat=a.alphabet.arity(sym))
-    ):
+    n = len(a.states)
+    if len(a.delta) == sum(n ** a.alphabet.arity(sym) for sym in a.alphabet.symbols):
         return a
     name = _fresh_name(sink, a.states)
     extended = sorted(a.states | {name})

@@ -20,7 +20,10 @@ from treeca import (
     RankedAlphabet,
     Tree,
     Tta,
+    determinize,
+    isomorphic,
     iter_nodes,
+    minimize_dbta,
     parse_automaton,
     puncture,
     reverse_tta,
@@ -256,6 +259,34 @@ def reachable_by_fixpoint(a: Bta) -> frozenset[str]:
                 reach |= targets
                 changed = True
     return frozenset(reach)
+
+
+def restrict_by_rebuild(a: Bta, keep: frozenset[str]) -> Bta:
+    """A new automaton over the states of keep, with the rules and final
+    states among them."""
+    delta = {
+        (sym, args): targets & keep
+        for (sym, args), targets in a.delta.items()
+        if keep.issuperset(args)
+    }
+    return Bta(a.alphabet, keep, delta, a.final & keep)
+
+
+def is_total_by_product(a: Bta) -> bool:
+    """Totality as defined: every symbol has a rule for every argument tuple
+    over the states."""
+    return all(
+        (sym, args) in a.delta
+        for sym in a.alphabet.symbols
+        for args in itertools.product(sorted(a.states), repeat=a.alphabet.arity(sym))
+    )
+
+
+def gen_det_u_by_isomorphism(a: Bta) -> bool:
+    """The generalized upward condition as defined: the determinization is
+    isomorphic to its minimization."""
+    det = determinize(a)
+    return isomorphic(det, minimize_dbta(det))
 
 
 def subset_construction_by_product(

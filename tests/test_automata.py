@@ -14,6 +14,7 @@ from treeca import (
     TreecaError,
     Tta,
     accepts,
+    determinize,
     enumerate_contexts,
     enumerate_trees,
     is_codeterministic,
@@ -33,7 +34,15 @@ from treeca import (
     wpre,
 )
 
-from helpers import AB, BOOL, load_fixture, random_bta, reachable_by_fixpoint, seeded_draws
+from helpers import (
+    AB,
+    BOOL,
+    load_fixture,
+    random_bta,
+    reachable_by_fixpoint,
+    restrict_by_rebuild,
+    seeded_draws,
+)
 
 
 # === Construction =================================================================
@@ -203,6 +212,26 @@ def test_trims_preserve_the_language():
             expect = accepts(a, t)
             assert accepts(trim_unreachable(a), t) == expect
             assert accepts(trim_empty(a), t) == expect
+
+
+def test_trims_return_their_input_exactly_when_nothing_is_dropped():
+    kept = dropped = 0
+    for a in seeded_draws(250):
+        d = determinize(a)
+        assert trim_unreachable(d) is d  # a determinization is fully reachable
+        for x in (a, d, trim_empty(d)):
+            for trim, keep in (
+                (trim_unreachable, reachable_states(x)),
+                (trim_empty, useful_states(x)),
+            ):
+                got = trim(x)
+                if keep == x.states:
+                    assert got is x
+                    kept += 1
+                else:
+                    assert got is not x and got == restrict_by_rebuild(x, keep)
+                    dropped += 1
+    assert kept > 100 and dropped > 100
 
 
 def test_trim_language_preservation_at_height_four(and1, bool2):

@@ -3,6 +3,7 @@ top-down determinizations."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from treeca import (
     reverse_tta,
     subset_construction,
     subset_name,
+    trim_empty,
     trim_unreachable,
     tta_accepts,
     tta_determinize,
@@ -36,6 +38,7 @@ from treeca import (
 from helpers import (
     AB,
     BOOL,
+    is_total_by_product,
     load_fixture,
     random_bta,
     random_dtta,
@@ -241,6 +244,26 @@ def test_complete_is_idempotent_and_avoids_name_clashes(bool2):
     cc = complete(clash)
     assert len(cc.states) == 2  # a fresh sink, not a collision
     assert "__dead" in cc.states
+
+
+def test_complete_returns_exactly_the_total_inputs_unchanged():
+    partial = 0
+    for a in seeded_draws(250):
+        d = determinize(a)
+        assert is_total_by_product(d) and complete(d) is d
+        p = trim_empty(d)
+        c = complete(p)
+        assert (c is p) == is_total_by_product(p)
+        if c is p:
+            continue
+        partial += 1
+        # A partial input gains the sink and a sink rule for every missing key.
+        expected = dict(p.delta)
+        for sym in p.alphabet.symbols:
+            for args in itertools.product(sorted(c.states), repeat=p.alphabet.arity(sym)):
+                expected.setdefault((sym, args), {"__dead"})
+        assert c == Bta(p.alphabet, p.states | {"__dead"}, expected, p.final)
+    assert partial > 100
 
 
 # === top-down determinization =====================================================
