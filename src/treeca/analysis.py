@@ -20,9 +20,8 @@ from .automata import (
     trim_unreachable,
     wpre,
 )
-from .errors import NotPathClosedError
 from .oracle import _group
-from .minimize import _path_closed_constructions, _refine, isomorphic
+from .minimize import _refine, _require_path_closed
 from .trees import (
     DEFAULT_ENUM_BUDGET,
     Tree,
@@ -32,7 +31,6 @@ from .trees import (
 )
 from .transforms import (
     DEFAULT_STATE_BUDGET,
-    codeterminize,
     subset_construction,
     subset_name,
 )
@@ -117,15 +115,16 @@ def gen_det_u_witness(
 def check_gen_det_d(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     """True iff co-determinizing the trimmed automaton directly yields the
     minimal co-deterministic automaton.  Only defined for path-closed
-    languages; anything else is rejected."""
-    found = _path_closed_constructions(a, budget)
-    if found is None:
-        raise NotPathClosedError(
-            "the downward determinization check requires a path-closed language"
-        )
-    c, da, _ = found
-    # A determinization is fully reachable: nothing to trim before.
-    return isomorphic(c, codeterminize(da, pretrim=False, budget=budget))
+    languages; anything else is rejected.
+
+    The co-determinization c is reduced, so it is minimal iff no two of its
+    states accept the same trees, i.e. iff no two lie in exactly the same
+    reachable subsets of its determinization (the state sets trees reach),
+    which the path-closedness check builds.
+    """
+    c, _, _, members = _require_path_closed(a, budget, "the downward determinization check")
+    vectors = {frozenset(n for n, s in members.items() if q in s) for q in c.states}
+    return len(vectors) == len(c.states)
 
 
 def bta_congruence_up(

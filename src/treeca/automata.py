@@ -9,7 +9,7 @@ Every run is one iterative bottom-up evaluator (_run); wpre folds the spine.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import NotWellRankedError, TreecaError
 from .trees import HOLE, RankedAlphabet, Tree, pivot
@@ -67,12 +67,6 @@ class Bta:
                 acc |= self.delta.get((sym, ()), EMPTY)
             self._initial = frozenset(acc)
         return self._initial
-
-    def rules(self) -> Iterator[tuple[str, tuple[str, ...], str]]:
-        """Yield one (symbol, args, target) triple per single-target rule."""
-        for (sym, args), targets in self.delta.items():
-            for q in targets:
-                yield sym, args, q
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bta):
@@ -358,18 +352,19 @@ def is_deterministic(a: Bta) -> bool:
     return all(len(targets) <= 1 for targets in a.delta.values())
 
 
+def _by_target(a: Bta) -> dict[tuple[str, str], set[tuple[str, ...]]]:
+    """The rules read top-down: each (state, non-nullary symbol) maps to the
+    argument tuples of the rules with that symbol that target the state."""
+    index: dict[tuple[str, str], set[tuple[str, ...]]] = {}
+    for (sym, args), targets in a.delta.items():
+        if args:
+            for q in targets:
+                index.setdefault((q, sym), set()).add(args)
+    return index
+
+
 def is_codeterministic(a: Bta) -> bool:
     """True iff the final set is a singleton and, per state and non-nullary
     symbol, at most one argument tuple produces it."""
-    if len(a.final) != 1:
-        return False
-    seen: dict[tuple[str, str], tuple[str, ...]] = {}
-    for (sym, args), targets in a.delta.items():
-        if not args:
-            continue
-        for q in targets:
-            prev = seen.setdefault((q, sym), args)
-            if prev != args:
-                return False
-    return True
+    return len(a.final) == 1 and all(len(t) == 1 for t in _by_target(a).values())
 

@@ -21,6 +21,7 @@ from functools import cached_property
 
 from .automata import (
     Bta,
+    _by_target,
     is_codeterministic,
     is_deterministic,
     reachable_states,
@@ -33,6 +34,7 @@ from .transforms import (
     codeterminize,
     complete,
     determinize,
+    subset_construction,
     subset_name,
 )
 from .trees import Tree, fresh_tuples
@@ -117,7 +119,13 @@ def minimize_dbta(d: Bta) -> Bta:
     """
     if not is_deterministic(d):
         raise NotDeterministicError("minimize_dbta requires a deterministic automaton")
-    c = trim_unreachable(complete(d))
+    return _merge_classes(trim_unreachable(complete(d)))
+
+
+def _merge_classes(c: Bta) -> Bta:
+    """c merged along its coarsest congruence, classes named after their
+    members.  c must be deterministic, total and fully reachable, as every
+    determinization is."""
     if not c.states:
         return c
     part = _refine(c)
@@ -135,25 +143,39 @@ def minimize_bta(
 ) -> Bta:
     """Determinize and minimize.  With strip_dead the rejecting sink class is
     removed, giving a partial automaton for the same language."""
-    m = minimize_dbta(determinize(a, budget=budget))
+    m = _merge_classes(determinize(a, budget=budget))
     return trim_empty(m) if strip_dead else m
 
 
-def _path_closed_constructions(a: Bta, budget: int) -> tuple[Bta, Bta, Bta] | None:
-    """(c, da, dc) when the language of a is path-closed, otherwise None.
+# c, da, dc and the subsets of c that the states of dc stand for.
+_PathClosed = tuple[Bta, Bta, Bta, dict[str, frozenset[str]]]
+
+
+def _path_closed_constructions(a: Bta, budget: int) -> _PathClosed | None:
+    """(c, da, dc, members) when the language of a is path-closed, else None.
 
     c co-determinizes the trimmed automaton a1, and da and dc determinize a1
-    and c.  Co-determinization always accepts a superset of the language,
-    with equality exactly for path-closed languages, so the product walk of
-    da and dc decides.
+    and c; members maps each state of dc to its subset of states of c.
+    Co-determinization always accepts a superset of the language, with
+    equality exactly for path-closed languages, so the product walk of da
+    and dc decides.
     """
     a1 = trim_unreachable(a)
     c = codeterminize(a1, pretrim=False, budget=budget)
     da = determinize(a1, budget=budget)
-    dc = determinize(c, budget=budget)
+    dc, members = subset_construction(c, budget=budget)
     if _product_walk(da, dc) is not None:
         return None
-    return c, da, dc
+    return c, da, dc, members
+
+
+def _require_path_closed(a: Bta, budget: int, task: str) -> _PathClosed:
+    """The constructions of a path-closed a; NotPathClosedError naming the
+    task otherwise."""
+    found = _path_closed_constructions(a, budget)
+    if found is None:
+        raise NotPathClosedError(f"{task} requires a path-closed language")
+    return found
 
 
 def is_path_closed(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
@@ -164,12 +186,8 @@ def is_path_closed(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
 def min_codbta(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
     """The minimal co-deterministic automaton, defined for path-closed
     languages only: co-determinize the minimal deterministic automaton."""
-    found = _path_closed_constructions(a, budget)
-    if found is None:
-        raise NotPathClosedError(
-            "co-deterministic minimization requires a path-closed language"
-        )
-    return codeterminize(found[1], pretrim=False, budget=budget)
+    da = _require_path_closed(a, budget, "co-deterministic minimization")[1]
+    return codeterminize(da, pretrim=False, budget=budget)
 
 
 def brzozowski(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
@@ -181,12 +199,7 @@ def brzozowski(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
     bottom-up again, is its co-determinization, so the result is the
     determinized co-determinization the path-closedness check builds.
     """
-    found = _path_closed_constructions(a, budget)
-    if found is None:
-        raise NotPathClosedError(
-            "double-reversal minimization requires a path-closed language"
-        )
-    return found[2]
+    return _require_path_closed(a, budget, "double-reversal minimization")[2]
 
 
 def _discovery_order(
@@ -250,15 +263,11 @@ def canonical_form(d: Bta) -> Bta:
 def _codet_canonical(a: Bta) -> Bta | None:
     """Canonical renaming by a downward walk from the single final state;
     None when the walk does not cover every state."""
-    rev: dict[tuple[str, str], tuple[str, ...]] = {}
-    for (sym, args), targets in a.delta.items():
-        if args:
-            for q in targets:
-                rev[(q, sym)] = args
+    by_target = _by_target(a)
     symbols = [sym for sym in a.alphabet.symbols if a.alphabet.arity(sym)]
 
     def expand(m: int, order: list[str]) -> list[str]:
-        return [q for sym in symbols for q in rev.get((order[m], sym), ())]
+        return [q for sym in symbols for args in by_target.get((order[m], sym), ()) for q in args]
 
     order = _discovery_order(list(a.final), expand)
     return _renamed(a, order) if len(order) == len(a.states) else None

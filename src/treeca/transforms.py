@@ -16,6 +16,7 @@ from .automata import (
     EMPTY,
     Bta,
     Tta,
+    _by_target,
     accepts,
     is_deterministic,
     trim_empty,
@@ -25,6 +26,7 @@ from .errors import BudgetError, NotDeterministicError
 from .trees import Tree, fresh_tuples
 
 DEFAULT_STATE_BUDGET = 2**16
+_SINK = "__dead"  # the state complete adds, renamed on a clash
 
 
 def subset_name(members: frozenset[str]) -> str:
@@ -145,12 +147,7 @@ def codeterminize(
     since they would otherwise distort the argument tuples.
     """
     a0 = trim_unreachable(a) if pretrim else a
-    by_target: dict[tuple[str, str], set[tuple[str, ...]]] = {}
-    for (sym, args), targets in a0.delta.items():
-        if not args:
-            continue
-        for q in targets:
-            by_target.setdefault((q, sym), set()).add(args)
+    by_target = _by_target(a0)
     pool = _SubsetPool(budget)
     pool.intern(a0.final)
     rules: list[tuple[str, tuple[int, ...], int]] = []
@@ -217,7 +214,7 @@ def _fresh_name(base: str, taken: frozenset[str]) -> str:
     return f"{base}_{n}"
 
 
-def complete(a: Bta, *, sink: str = "__dead") -> Bta:
+def complete(a: Bta) -> Bta:
     """Add a rejecting sink so every symbol and argument tuple has a rule.
 
     The input must be deterministic; the automaton is returned unchanged when
@@ -230,7 +227,7 @@ def complete(a: Bta, *, sink: str = "__dead") -> Bta:
     n = len(a.states)
     if len(a.delta) == sum(n ** a.alphabet.arity(sym) for sym in a.alphabet.symbols):
         return a
-    name = _fresh_name(sink, a.states)
+    name = _fresh_name(_SINK, a.states)
     extended = sorted(a.states | {name})
     delta: dict[tuple[str, tuple[str, ...]], frozenset[str] | set[str]] = dict(a.delta)
     for sym in a.alphabet.symbols:

@@ -15,12 +15,15 @@ from pathlib import Path
 from treeca import (
     Bta,
     BudgetError,
+    NotPathClosedError,
     ParseError,
     Partition,
     RankedAlphabet,
     Tree,
     Tta,
+    codeterminize,
     determinize,
+    equivalent,
     isomorphic,
     iter_nodes,
     minimize_dbta,
@@ -287,6 +290,18 @@ def gen_det_u_by_isomorphism(a: Bta) -> bool:
     isomorphic to its minimization."""
     det = determinize(a)
     return isomorphic(det, minimize_dbta(det))
+
+
+def gen_det_d_by_isomorphism(a: Bta) -> bool:
+    """The generalized downward condition as defined: the co-determinization
+    of the trimmed automaton is isomorphic to the co-determinization of its
+    determinization.  Only defined for path-closed languages, i.e. when the
+    co-determinization accepts the same language."""
+    a1 = trim_unreachable(a)
+    c = codeterminize(a1, pretrim=False)
+    if not equivalent(a1, c):
+        raise NotPathClosedError("the downward condition requires a path-closed language")
+    return isomorphic(c, codeterminize(determinize(a1), pretrim=False))
 
 
 def subset_construction_by_product(

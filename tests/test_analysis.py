@@ -43,7 +43,9 @@ from helpers import (
     ABG,
     BOOL,
     MONO,
+    TERN,
     accept_all_bta,
+    gen_det_d_by_isomorphism,
     gen_det_u_by_isomorphism,
     path_language_upto,
     random_bta,
@@ -268,6 +270,34 @@ def test_gen_det_d_true_cases(and1, abc):
 def test_gen_det_d_rejects_non_path_closed_input(bool2):
     with pytest.raises(NotPathClosedError):
         check_gen_det_d(bool2)
+
+
+def _gen_det_d_outcome(check, a):
+    try:
+        return check(a)
+    except NotPathClosedError:
+        return "not path-closed"
+
+
+def test_gen_det_d_membership_and_isomorphism_checks_agree():
+    # The draws of acceptance criterion 3 (seeds 31 and 32) are among these.
+    rng706, rng31, rng32 = random.Random(706), random.Random(31), random.Random(32)
+    draws = [
+        *seeded_draws(250),
+        *(
+            random_path_closed_bta(rng706, alphabet)
+            for alphabet in (AB, ABG, BOOL, MONO, TERN)
+            for _ in range(100)
+        ),
+        *(random_bta(rng31) for _ in range(500)),
+        *(random_codbta(rng32) for _ in range(150)),
+    ]
+    outcomes = set()
+    for a in draws:
+        expected = _gen_det_d_outcome(gen_det_d_by_isomorphism, a)
+        assert _gen_det_d_outcome(check_gen_det_d, a) == expected
+        outcomes.add(expected)
+    assert outcomes == {False, True, "not path-closed"}
 
 
 # === Automaton congruences ========================================================

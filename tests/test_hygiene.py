@@ -1,6 +1,7 @@
 """Source hygiene checked with the standard library alone: every name a
-library module imports is used in that module, so deleting a route cannot
-leave dead imports behind."""
+library module imports is used in that module, and every private
+module-level function or class is used somewhere in the package, so deleting
+a route cannot leave dead imports or helpers behind."""
 
 from __future__ import annotations
 
@@ -11,6 +12,15 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "treeca"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    """Names read under node, bare or as an attribute of something."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -25,3 +35,22 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_private_helper_is_used():
+    # A definition's own body does not count as a use, so a helper that only
+    # calls itself is still reported.
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = getattr(stmt, "name", "")
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and (
+                name.startswith("_") and not name.startswith("__")
+            ):
+                defined[name] = path.name
+                used |= _names_used(stmt) - {name}
+            else:
+                used |= _names_used(stmt)
+    unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+    assert not unused, f"private helpers nothing in the package uses: {unused}"

@@ -240,7 +240,7 @@ def test_brzozowski_is_the_literal_double_reversal(and1, abc):
 
 
 def test_path_closed_constructions_are_built_once(subset_pools, and1):
-    for build, constructions in [(brzozowski, 3), (min_codbta, 4), (check_gen_det_d, 4)]:
+    for build, constructions in [(brzozowski, 3), (min_codbta, 4), (check_gen_det_d, 3)]:
         subset_pools.clear()
         build(and1)
         assert len(subset_pools) == constructions, build.__name__
