@@ -1,8 +1,12 @@
 """Bottom-up and top-down tree automata and their basic semantics.
 
 A Bta stores its transition map as a total function defaulting to the empty
-set: only keys with nonempty target sets are kept.  A Tta maps each state to
-the set of productions it can expand to.  Both are treated as immutable.
+set: only keys with nonempty target sets are kept.  A Tta holds a Bta and
+reads the same rules top-down: each state maps to the productions it can
+expand to, its initial states are the Bta's final states.  Reversal only
+switches the reading and copies nothing.  Both are treated as immutable.
+The public constructors check every rule; the library builds automata from
+checked ones through the unchecked Bta._of.
 Every run is one iterative bottom-up evaluator (_run); wpre folds the spine.
 """
 
@@ -22,7 +26,7 @@ BtaKey = tuple[str, tuple[str, ...]]
 class Bta:
     """A bottom-up tree automaton (alphabet, states, delta, final states)."""
 
-    __slots__ = ("alphabet", "states", "delta", "final", "_initial")
+    __slots__ = ("alphabet", "states", "delta", "final", "_initial", "_down")
 
     def __init__(
         self,
@@ -31,12 +35,10 @@ class Bta:
         delta: Mapping[BtaKey, Iterable[str]],
         final: Iterable[str],
     ):
-        self.alphabet = alphabet
-        self.states = frozenset(states)
-        self.final = frozenset(final)
-        if not self.final <= self.states:
-            raise TreecaError(f"final states {sorted(self.final - self.states)} are not declared")
-        states = self.states
+        states = frozenset(states)
+        final = frozenset(final)
+        if not final <= states:
+            raise TreecaError(f"final states {sorted(final - states)} are not declared")
         arities = alphabet.entries
         norm: dict[BtaKey, frozenset[str]] = {}
         for (sym, args), targets in delta.items():
@@ -55,12 +57,23 @@ class Bta:
                 bad = (set(args) | targets) - states
                 raise TreecaError(f"transition mentions undeclared states {sorted(bad)}")
             norm[(sym, args)] = targets
-        self.delta = norm
-        self._initial: frozenset[str] | None = None
+        self.alphabet, self.states, self.delta, self.final = alphabet, states, norm, final
+        self._initial = self._down = None
+
+    @classmethod
+    def _of(cls, alphabet: RankedAlphabet, states: frozenset[str],
+            delta: dict[BtaKey, frozenset[str]], final: frozenset[str]) -> Bta:
+        """An automaton from fields already in normal form, unchecked: frozenset
+        states and final, tuple argument keys over declared states, and
+        nonempty frozenset targets."""
+        a = object.__new__(cls)
+        a.alphabet, a.states, a.delta, a.final = alphabet, states, delta, final
+        a._initial = a._down = None
+        return a
 
     @property
     def initial_states(self) -> frozenset[str]:
-        """Union of the targets of all nullary rules."""
+        """Union of the targets of all nullary rules, built once."""
         if self._initial is None:
             acc: set[str] = set()
             for sym in self.alphabet.nullary:
@@ -88,9 +101,14 @@ class Bta:
 
 
 class Tta:
-    """A top-down tree automaton (alphabet, states, productions, initial states)."""
+    """A top-down tree automaton (alphabet, states, productions, initial states).
 
-    __slots__ = ("alphabet", "states", "delta", "initial")
+    It holds the Bta whose rules it reads top-down: its initial states are
+    that Bta's final states, and its productions are built from the rules
+    once per Bta.
+    """
+
+    __slots__ = ("_bta",)
 
     def __init__(
         self,
@@ -99,55 +117,65 @@ class Tta:
         delta: Mapping[str, Iterable[tuple[str, tuple[str, ...]]]],
         initial: Iterable[str],
     ):
-        self.alphabet = alphabet
-        self.states = frozenset(states)
-        self.initial = frozenset(initial)
-        if not self.initial <= self.states:
-            raise TreecaError(f"initial states {sorted(self.initial - self.states)} are not declared")
-        states = self.states
-        arities = alphabet.entries
-        norm: dict[str, frozenset[tuple[str, tuple[str, ...]]]] = {}
+        states = frozenset(states)
+        initial = frozenset(initial)
+        if not initial <= states:
+            raise TreecaError(f"initial states {sorted(initial - states)} are not declared")
+        rules: dict[BtaKey, set[str]] = {}
         for q, prods in delta.items():
             if q not in states:
                 raise TreecaError(f"production for undeclared state {q!r}")
-            fixed = frozenset((sym, tuple(args)) for sym, args in prods)
-            if not fixed:
-                continue
-            for sym, args in fixed:
-                if arities.get(sym) != len(args):
-                    if sym not in arities:
-                        raise TreecaError(f"production uses unknown symbol {sym!r}")
-                    raise TreecaError(f"production {sym} has arity {len(args)}, expected {arities[sym]}")
-                if not states.issuperset(args):
-                    bad = set(args) - states
-                    raise TreecaError(f"production mentions undeclared states {sorted(bad)}")
-            norm[q] = fixed
-        self.delta = norm
+            for sym, args in prods:
+                rules.setdefault((sym, tuple(args)), set()).add(q)
+        self._bta = Bta(alphabet, states, rules, initial)
+
+    alphabet = property(lambda self: self._bta.alphabet)
+    states = property(lambda self: self._bta.states)
+    initial = property(lambda self: self._bta.final)
+    final_states = property(
+        lambda self: self._bta.initial_states,
+        doc="States that can produce some nullary symbol.",
+    )
 
     @property
-    def final_states(self) -> frozenset[str]:
-        """States that can produce some nullary symbol."""
-        return frozenset(
-            q for q, prods in self.delta.items() if any(not args for _, args in prods)
-        )
+    def delta(self) -> dict[str, frozenset[BtaKey]]:
+        """Each state that has productions, mapped to the (symbol, arguments)
+        keys of the rules that target it; built once per Bta."""
+        a = self._bta
+        if a._down is None:
+            down: dict[str, set[BtaKey]] = {}
+            for key, targets in a.delta.items():
+                for q in targets:
+                    down.setdefault(q, set()).add(key)
+            a._down = {q: frozenset(prods) for q, prods in down.items()}
+        return a._down
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tta):
             return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.states == other.states
-            and self.delta == other.delta
-            and self.initial == other.initial
-        )
+        return self._bta == other._bta
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
+        a = self._bta
         return (
-            f"Tta(states={len(self.states)}, prods={sum(len(v) for v in self.delta.values())}, "
-            f"initial={len(self.initial)})"
+            f"Tta(states={len(a.states)}, prods={sum(len(v) for v in a.delta.values())}, "
+            f"initial={len(a.final)})"
         )
+
+
+def reverse_bta(a: Bta) -> Tta:
+    """The rules of a read top-down; final states become initial states.
+    Nothing is copied."""
+    t = object.__new__(Tta)
+    t._bta = a
+    return t
+
+
+def reverse_tta(t: Tta) -> Bta:
+    """The Bta whose rules t reads top-down; initial states become final."""
+    return t._bta
 
 
 def _check_states(a: Bta, s: Iterable[str]) -> frozenset[str]:
@@ -242,12 +270,13 @@ def seeded_post(a: Bta, x: Tree, q: str) -> frozenset[str]:
 def _spine_fold(a: Bta, x: Tree, s: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
     """Fold the root-to-pivot spine of context x downward from the root set s.
 
-    Each step (f, i) keeps argument i of every f-rule whose targets meet the
+    Each step (f, i) keeps argument i of every f-production of a state in the
     running set.  Requiring the other arguments to lie in the states of the
     actual siblings gives wpre(a, x, s), the first result.  Dropping that
     check gives pre, exact on a trimmed a, the second (empty if the first is).
     """
     leaves = _leaves(a)
+    down = reverse_bta(a).delta
     weak = strong = s
     node = x
     for i in pivot(x):
@@ -255,13 +284,16 @@ def _spine_fold(a: Bta, x: Tree, s: frozenset[str]) -> tuple[frozenset[str], fro
         if node.label not in a.alphabet or a.alphabet.arity(node.label) != len(kids):
             raise NotWellRankedError(f"context is not well ranked at symbol {node.label!r}")
         sibs = [a.states if j == i else _run(a, c, leaves) for j, c in enumerate(kids, 1)]
-        rules = [(args, targets) for (f, args), targets in a.delta.items() if f == node.label]
+        label = node.label
         weak = frozenset(
             args[i - 1]
-            for args, targets in rules
-            if targets & weak and all(map(frozenset.__contains__, sibs, args))
+            for q in weak
+            for f, args in down.get(q, EMPTY)
+            if f == label and all(map(frozenset.__contains__, sibs, args))
         )
-        strong = frozenset(args[i - 1] for args, targets in rules if targets & strong)
+        strong = frozenset(
+            args[i - 1] for q in strong for f, args in down.get(q, EMPTY) if f == label
+        )
         node = kids[i - 1]
     return weak, strong if weak else EMPTY
 
@@ -306,22 +338,24 @@ def useful_states(a: Bta) -> frozenset[str]:
     """States with a nonempty upward language (some context climbs to a final root).
 
     A state climbs through a rule only if every sibling position is realizable
-    by an actual tree, so sibling arguments must be reachable.
+    by an actual tree, so sibling arguments must be reachable.  A worklist
+    down the productions from the final states.
     """
     reach = reachable_states(a)
-    useful: set[str] = set(a.final)
-    changed = True
-    while changed:
-        changed = False
-        for (sym, args), targets in a.delta.items():
-            if not targets & useful:
-                continue
-            for i, q in enumerate(args):
-                if q in useful:
-                    continue
-                if all(p in reach for j, p in enumerate(args) if j != i):
-                    useful.add(q)
-                    changed = True
+    down = reverse_bta(a).delta
+    useful: set[str] = set()
+    todo = list(a.final)
+    while todo:
+        p = todo.pop()
+        if p in useful:
+            continue
+        useful.add(p)
+        for _, args in down.get(p, EMPTY):
+            missing = [q for q in args if q not in reach]
+            if not missing:
+                todo += args
+            elif len(missing) == 1:
+                todo += missing
     return frozenset(useful)
 
 
@@ -334,7 +368,7 @@ def _restrict(a: Bta, keep: frozenset[str]) -> Bta:
         for key, targets in a.delta.items()
         if keep.issuperset(key[1]) and targets & keep
     }
-    return Bta(a.alphabet, keep, delta, a.final & keep)
+    return Bta._of(a.alphabet, keep, delta, a.final & keep)
 
 
 def trim_unreachable(a: Bta) -> Bta:
@@ -352,19 +386,9 @@ def is_deterministic(a: Bta) -> bool:
     return all(len(targets) <= 1 for targets in a.delta.values())
 
 
-def _by_target(a: Bta) -> dict[tuple[str, str], set[tuple[str, ...]]]:
-    """The rules read top-down: each (state, non-nullary symbol) maps to the
-    argument tuples of the rules with that symbol that target the state."""
-    index: dict[tuple[str, str], set[tuple[str, ...]]] = {}
-    for (sym, args), targets in a.delta.items():
-        if args:
-            for q in targets:
-                index.setdefault((q, sym), set()).add(args)
-    return index
-
-
 def is_codeterministic(a: Bta) -> bool:
     """True iff the final set is a singleton and, per state and non-nullary
     symbol, at most one argument tuple produces it."""
-    return len(a.final) == 1 and all(len(t) == 1 for t in _by_target(a).values())
+    by_state = ([sym for sym, args in prods if args] for prods in reverse_bta(a).delta.values())
+    return len(a.final) == 1 and all(len(syms) == len(set(syms)) for syms in by_state)
 

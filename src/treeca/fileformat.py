@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .automata import Bta, Tta
+from .automata import Bta, Tta, reverse_bta, reverse_tta
 from .trees import RankedAlphabet
 
 _ALPHA_ENTRY_RE = re.compile(r"([A-Za-z0-9_]+)/(\d+)$")
@@ -97,11 +97,14 @@ def _check_symbol(sym: str, args: tuple[str, ...], d: _Decls, lineno: int, col: 
 
 
 def parse_automaton(text: str) -> Bta | Tta:
-    """Parse an automaton file; raises ParseError with line/column on failure."""
+    """Parse an automaton file; raises ParseError with line/column on failure.
+
+    Each rule is checked once, here.  A tta line is stored reversed, so both
+    headers fill one rule dict and build the automaton unchecked.
+    """
     kind: str | None = None
     d = _Decls()
-    bta_delta: dict[tuple[str, tuple[str, ...]], set[str]] = {}
-    tta_delta: dict[str, set[tuple[str, tuple[str, ...]]]] = {}
+    rules: dict[tuple[str, tuple[str, ...]], set[str]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].rstrip()
@@ -173,14 +176,14 @@ def parse_automaton(text: str) -> Bta | Tta:
             _check_symbol(sym, args, d, lineno, col)
             if rhs not in d.states:
                 raise ParseError(f"undeclared state {rhs!r}", lineno, raw.rfind(rhs) + 1)
-            bta_delta.setdefault((sym, args), set()).add(rhs)
+            rules.setdefault((sym, args), set()).add(rhs)
         else:
             if lhs not in d.states:
                 raise ParseError(f"undeclared state {lhs!r}", lineno, raw.find(lhs) + 1)
             col = raw.rfind(rhs) + 1
             sym, args = _parse_pattern(rhs, lineno, col)
             _check_symbol(sym, args, d, lineno, col)
-            tta_delta.setdefault(lhs, set()).add((sym, args))
+            rules.setdefault((sym, args), set()).add(lhs)
 
     if kind is None:
         raise ParseError("missing header: the first line must be 'bta' or 'tta'", 1, 1)
@@ -195,32 +198,29 @@ def parse_automaton(text: str) -> Bta | Tta:
         if q not in d.states:
             raise ParseError(f"undeclared state {q!r} in {'final' if kind == 'bta' else 'initial'} line", lastline, 1)
 
-    if kind == "bta":
-        return Bta(d.alphabet, d.states, bta_delta, d.marked)
-    return Tta(d.alphabet, d.states, tta_delta, d.marked)
+    delta = {key: frozenset(targets) for key, targets in rules.items()}
+    a = Bta._of(d.alphabet, frozenset(d.states), delta, frozenset(d.marked))
+    return a if kind == "bta" else reverse_bta(a)
 
 
 def serialize_automaton(a: Bta | Tta) -> str:
-    """Render an automaton in canonical form: sorted alphabet, states, transitions."""
-    out: list[str] = []
-    if isinstance(a, Bta):
-        out.append("bta")
+    """Render an automaton in canonical form: sorted alphabet, states, transitions.
+
+    Both headers write the same (symbol, arguments, state) rules: a bta
+    sorted by symbol, a tta by state.
+    """
+    bottom_up = isinstance(a, Bta)
+    b = a if bottom_up else reverse_tta(a)
+    out = [
+        "bta" if bottom_up else "tta",
+        "alphabet " + " ".join(f"{n}/{b.alphabet.arity(n)}" for n in b.alphabet.symbols),
+        ("states " + " ".join(sorted(b.states))).rstrip(),
+        (("final " if bottom_up else "initial ") + " ".join(sorted(b.final))).rstrip(),
+    ]
+    rules = [(sym, args, q) for (sym, args), targets in b.delta.items() for q in targets]
+    if bottom_up:
+        out += [f"{sym}({','.join(args)}) -> {q}" for sym, args, q in sorted(rules)]
     else:
-        out.append("tta")
-    out.append("alphabet " + " ".join(f"{n}/{a.alphabet.arity(n)}" for n in a.alphabet.symbols))
-    out.append(("states " + " ".join(sorted(a.states))).rstrip())
-    if isinstance(a, Bta):
-        out.append(("final " + " ".join(sorted(a.final))).rstrip())
-        lines = sorted(
-            (sym, args, q) for (sym, args), targets in a.delta.items() for q in targets
-        )
-        for sym, args, q in lines:
-            out.append(f"{sym}({','.join(args)}) -> {q}")
-    else:
-        out.append(("initial " + " ".join(sorted(a.initial))).rstrip())
-        lines = sorted(
-            (q, sym, args) for q, prods in a.delta.items() for sym, args in prods
-        )
-        for q, sym, args in lines:
-            out.append(f"{q} -> {sym}({','.join(args)})")
+        rules.sort(key=lambda r: (r[2], r[0], r[1]))
+        out += [f"{q} -> {sym}({','.join(args)})" for sym, args, q in rules]
     return "\n".join(out) + "\n"

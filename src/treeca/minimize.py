@@ -21,10 +21,10 @@ from functools import cached_property
 
 from .automata import (
     Bta,
-    _by_target,
     is_codeterministic,
     is_deterministic,
     reachable_states,
+    reverse_bta,
     trim_empty,
     trim_unreachable,
 )
@@ -130,12 +130,14 @@ def _merge_classes(c: Bta) -> Bta:
         return c
     part = _refine(c)
     name_of = {q: subset_name(block) for block in part.blocks for q in block}
+    named = {q: frozenset((name,)) for q, name in name_of.items()}
     # Rules whose arguments merge blockwise have targets in one block.
     delta = {
-        (sym, tuple(map(name_of.__getitem__, args))): {name_of[next(iter(targets))]}
+        (sym, tuple(map(name_of.__getitem__, args))): named[next(iter(targets))]
         for (sym, args), targets in c.delta.items()
     }
-    return Bta(c.alphabet, name_of.values(), delta, {name_of[q] for q in c.final})
+    final = frozenset(name_of[q] for q in c.final)
+    return Bta._of(c.alphabet, frozenset(name_of.values()), delta, final)
 
 
 def minimize_bta(
@@ -227,11 +229,12 @@ def _renamed(a: Bta, order: list[str]) -> Bta:
     whose arguments are all among them; their targets must be too."""
     names = {q: str(i) for i, q in enumerate(order)}
     delta = {
-        (sym, tuple(map(names.__getitem__, args))): {names[q] for q in targets}
+        (sym, tuple(map(names.__getitem__, args))): frozenset(map(names.__getitem__, targets))
         for (sym, args), targets in a.delta.items()
         if all(q in names for q in args)
     }
-    return Bta(a.alphabet, names.values(), delta, {names[q] for q in a.final if q in names})
+    final = frozenset(names[q] for q in a.final if q in names)
+    return Bta._of(a.alphabet, frozenset(names.values()), delta, final)
 
 
 def canonical_form(d: Bta) -> Bta:
@@ -263,11 +266,11 @@ def canonical_form(d: Bta) -> Bta:
 def _codet_canonical(a: Bta) -> Bta | None:
     """Canonical renaming by a downward walk from the single final state;
     None when the walk does not cover every state."""
-    by_target = _by_target(a)
-    symbols = [sym for sym in a.alphabet.symbols if a.alphabet.arity(sym)]
+    down = reverse_bta(a).delta
 
     def expand(m: int, order: list[str]) -> list[str]:
-        return [q for sym in symbols for args in by_target.get((order[m], sym), ()) for q in args]
+        # Codeterministic: one argument tuple per symbol, so sorting orders by symbol.
+        return [q for _, args in sorted(down.get(order[m], ())) for q in args]
 
     order = _discovery_order(list(a.final), expand)
     return _renamed(a, order) if len(order) == len(a.states) else None

@@ -1,4 +1,4 @@
-"""Determinization, co-determinization, reversal, and completion.
+"""Determinization, co-determinization, and completion.
 
 Synthesized states are named after the subset of original states they stand
 for, "{q0,q1}" with members sorted, so the constructions are reproducible and
@@ -16,9 +16,10 @@ from .automata import (
     EMPTY,
     Bta,
     Tta,
-    _by_target,
     accepts,
     is_deterministic,
+    reverse_bta,
+    reverse_tta,
     trim_empty,
     trim_unreachable,
 )
@@ -122,8 +123,8 @@ def subset_construction(
         (sym, tuple(map(names.__getitem__, combo))): singletons[target]
         for (sym, combo), target in raw_delta.items()
     }
-    final = {names[i] for i, s in enumerate(pool.order) if s & a.final}
-    det = Bta(a.alphabet, names, delta, final)
+    final = frozenset(names[i] for i, s in enumerate(pool.order) if s & a.final)
+    det = Bta._of(a.alphabet, frozenset(names), delta, final)
     return det, {names[i]: s for i, s in enumerate(pool.order)}
 
 
@@ -140,31 +141,31 @@ def codeterminize(
     Subsets are discovered downward from the final set.  For a discovered
     subset R and symbol f, the argument tuple collects, position by position,
     the argument states of all f-rules that target a member of R; no f-rule is
-    emitted for R when no such rule exists.  A final pass adds the nullary
-    rules, and states with an empty upward language are removed.  The result
-    accepts a superset of the language of a, with equality exactly on the
-    path-closed languages; unreachable states are removed first by default
-    since they would otherwise distort the argument tuples.
+    emitted for R when no such rule exists, and a nullary f-rule targets R
+    when it targets a member.  States with an empty upward language are then
+    removed.  The result accepts a superset of the language of a, with
+    equality exactly on the path-closed languages; unreachable states are
+    removed first by default since they would otherwise distort the argument
+    tuples.
     """
     a0 = trim_unreachable(a) if pretrim else a
-    by_target = _by_target(a0)
+    down = reverse_bta(a0).delta
     pool = _SubsetPool(budget)
     pool.intern(a0.final)
     rules: list[tuple[str, tuple[int, ...], int]] = []
     i = 0
     while i < len(pool.order):
-        r = pool.order[i]
+        by_sym: dict[str, set[tuple[str, ...]]] = {}
+        for q in pool.order[i]:
+            for sym, args in down.get(q, EMPTY):
+                by_sym.setdefault(sym, set()).add(args)
         for sym in a0.alphabet.symbols:
-            k = a0.alphabet.arity(sym)
-            if k == 0:
-                continue
-            tuples: set[tuple[str, ...]] = set()
-            for q in r:
-                tuples |= by_target.get((q, sym), set())
-            if not tuples:
+            tuples = by_sym.get(sym)
+            if tuples is None:
                 continue
             combo = tuple(
-                pool.intern(frozenset(t[j] for t in tuples)) for j in range(k)
+                pool.intern(frozenset(t[j] for t in tuples))
+                for j in range(a0.alphabet.arity(sym))
             )
             rules.append((sym, combo, i))
         i += 1
@@ -173,31 +174,9 @@ def codeterminize(
     for sym, combo, target in rules:
         key = (sym, tuple(names[j] for j in combo))
         delta.setdefault(key, set()).add(names[target])
-    for sym in a0.alphabet.nullary:
-        image = a0.delta.get((sym, ()), EMPTY)
-        targets = {names[j] for j, s in enumerate(pool.order) if s & image}
-        if targets:
-            delta[(sym, ())] = targets
-    built = Bta(a0.alphabet, names, delta, {names[0]})
+    frozen = {key: frozenset(targets) for key, targets in delta.items()}
+    built = Bta._of(a0.alphabet, frozenset(names), frozen, frozenset({names[0]}))
     return trim_empty(built)
-
-
-def reverse_bta(a: Bta) -> Tta:
-    """Read the rules of a top-down; final states become initial states."""
-    delta: dict[str, set[tuple[str, tuple[str, ...]]]] = {}
-    for (sym, args), targets in a.delta.items():
-        for q in targets:
-            delta.setdefault(q, set()).add((sym, args))
-    return Tta(a.alphabet, a.states, delta, a.final)
-
-
-def reverse_tta(t: Tta) -> Bta:
-    """Read the productions of t bottom-up; initial states become final states."""
-    delta: dict[tuple[str, tuple[str, ...]], set[str]] = {}
-    for q, prods in t.delta.items():
-        for sym, args in prods:
-            delta.setdefault((sym, args), set()).add(q)
-    return Bta(t.alphabet, t.states, delta, t.initial)
 
 
 def tta_accepts(t: Tta, tree: Tree) -> bool:
@@ -228,14 +207,14 @@ def complete(a: Bta) -> Bta:
     if len(a.delta) == sum(n ** a.alphabet.arity(sym) for sym in a.alphabet.symbols):
         return a
     name = _fresh_name(_SINK, a.states)
-    extended = sorted(a.states | {name})
-    delta: dict[tuple[str, tuple[str, ...]], frozenset[str] | set[str]] = dict(a.delta)
+    sink = frozenset((name,))
+    extended = a.states | sink
+    order = sorted(extended)
+    delta = dict(a.delta)
     for sym in a.alphabet.symbols:
-        k = a.alphabet.arity(sym)
-        for args in itertools.product(extended, repeat=k):
-            if (sym, args) not in delta:
-                delta[(sym, args)] = {name}
-    return Bta(a.alphabet, extended, delta, a.final)
+        for args in itertools.product(order, repeat=a.alphabet.arity(sym)):
+            delta.setdefault((sym, args), sink)
+    return Bta._of(a.alphabet, extended, delta, a.final)
 
 
 def tta_determinize(t: Tta, *, budget: int = DEFAULT_STATE_BUDGET) -> Tta:
@@ -253,32 +232,21 @@ def tta_determinize_direct(t: Tta, *, budget: int = DEFAULT_STATE_BUDGET) -> Tta
     the cleanup done by the reversal route.
     """
     t0 = reverse_bta(trim_unreachable(reverse_tta(t)))
-    by_sym: dict[tuple[str, str], set[tuple[str, ...]]] = {}
-    for q, prods in t0.delta.items():
-        for sym, args in prods:
-            if args:
-                by_sym.setdefault((q, sym), set()).add(args)
     pool = _SubsetPool(budget)
     pool.intern(t0.initial)
     prods_out: list[tuple[int, str, tuple[int, ...]]] = []
     i = 0
     while i < len(pool.order):
-        r = pool.order[i]
         for sym in t0.alphabet.symbols:
-            k = t0.alphabet.arity(sym)
-            if k == 0:
-                if any((sym, ()) in t0.delta.get(q, EMPTY) for q in r):
-                    prods_out.append((i, sym, ()))
-                continue
-            tuples: set[tuple[str, ...]] = set()
-            for q in r:
-                tuples |= by_sym.get((q, sym), set())
-            if not tuples:
-                continue
-            combo = tuple(
-                pool.intern(frozenset(t2[j] for t2 in tuples)) for j in range(k)
-            )
-            prods_out.append((i, sym, combo))
+            tuples = {
+                args for q in pool.order[i] for f, args in t0.delta.get(q, EMPTY) if f == sym
+            }
+            if tuples:
+                combo = tuple(
+                    pool.intern(frozenset(t2[j] for t2 in tuples))
+                    for j in range(t0.alphabet.arity(sym))
+                )
+                prods_out.append((i, sym, combo))
         i += 1
     names = [subset_name(s) for s in pool.order]
     delta: dict[str, set[tuple[str, tuple[str, ...]]]] = {}

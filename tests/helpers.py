@@ -78,6 +78,14 @@ def random_bta(rng: random.Random, alphabet: RankedAlphabet = AB, max_states: in
 def random_dtta(rng: random.Random, alphabet: RankedAlphabet = AB, max_states: int = 4) -> Tta:
     """A random deterministic TTA: one initial state, at most one production
     per state and symbol."""
+    return Tta(*random_dtta_parts(rng, alphabet, max_states))
+
+
+def random_dtta_parts(
+    rng: random.Random, alphabet: RankedAlphabet = AB, max_states: int = 4
+) -> tuple[RankedAlphabet, list[str], dict[str, set[tuple[str, tuple[str, ...]]]], set[str]]:
+    """The arguments random_dtta passes to Tta: alphabet, states, productions
+    by state, and initial states."""
     n = rng.randint(1, max_states)
     states = [f"p{i}" for i in range(n)]
     delta: dict[str, set[tuple[str, tuple[str, ...]]]] = {}
@@ -89,7 +97,7 @@ def random_dtta(rng: random.Random, alphabet: RankedAlphabet = AB, max_states: i
                 prods.add((sym, tuple(rng.choice(states) for _ in range(k))))
         if prods:
             delta[q] = prods
-    return Tta(alphabet, states, delta, {rng.choice(states)})
+    return alphabet, states, delta, {rng.choice(states)}
 
 
 def random_path_closed_bta(rng: random.Random, alphabet: RankedAlphabet = AB, max_states: int = 4) -> Bta:
@@ -249,6 +257,63 @@ def path_language_upto(a: Bta, max_height: int) -> frozenset[tuple]:
 
 
 # === Literal definitions of the indexed constructions ==============================
+
+def productions_by_copy(a: Bta) -> dict[str, frozenset[tuple[str, tuple[str, ...]]]]:
+    """The rules of a read top-down, copied rule by rule: each state with
+    productions maps to the (symbol, arguments) pairs of the rules that
+    target it."""
+    delta: dict[str, set[tuple[str, tuple[str, ...]]]] = {}
+    for (sym, args), targets in a.delta.items():
+        for q in targets:
+            delta.setdefault(q, set()).add((sym, args))
+    return {q: frozenset(prods) for q, prods in delta.items()}
+
+
+def reverse_bta_by_copy(a: Bta) -> Tta:
+    """Reversal as a copy: a new Tta built from the copied productions."""
+    return Tta(a.alphabet, a.states, productions_by_copy(a), a.final)
+
+
+def rules_by_copy(
+    alphabet: RankedAlphabet,
+    states,
+    delta: dict[str, set[tuple[str, tuple[str, ...]]]],
+    initial,
+) -> Bta:
+    """Productions read bottom-up, copied one by one into a new Bta whose
+    final states are the initial states."""
+    rules: dict[tuple[str, tuple[str, ...]], set[str]] = {}
+    for q, prods in delta.items():
+        for sym, args in prods:
+            rules.setdefault((sym, tuple(args)), set()).add(q)
+    return Bta(alphabet, states, rules, initial)
+
+
+def reverse_tta_by_copy(t: Tta) -> Bta:
+    """Reversal as a copy: a new Bta built from the productions of t."""
+    return rules_by_copy(t.alphabet, t.states, t.delta, t.initial)
+
+
+def useful_by_fixpoint(a: Bta) -> frozenset[str]:
+    """Useful states as the least fixpoint: rescan every rule until no rule
+    with a useful target makes an argument useful whose siblings are all
+    reachable."""
+    reach = reachable_by_fixpoint(a)
+    useful: set[str] = set(a.final)
+    changed = True
+    while changed:
+        changed = False
+        for (sym, args), targets in a.delta.items():
+            if not targets & useful:
+                continue
+            for i, q in enumerate(args):
+                if q in useful:
+                    continue
+                if all(p in reach for j, p in enumerate(args) if j != i):
+                    useful.add(q)
+                    changed = True
+    return frozenset(useful)
+
 
 def reachable_by_fixpoint(a: Bta) -> frozenset[str]:
     """Reachable states as the least fixpoint: rescan every rule until no

@@ -26,6 +26,7 @@ from treeca import (
     post_tree,
     reachable_states,
     reverse_bta,
+    reverse_tta,
     seeded_post,
     trim_empty,
     trim_unreachable,
@@ -36,12 +37,18 @@ from treeca import (
 
 from helpers import (
     AB,
+    ABG,
     BOOL,
+    MONO,
+    TERN,
     load_fixture,
     random_bta,
+    random_dtta_parts,
     reachable_by_fixpoint,
     restrict_by_rebuild,
+    rules_by_copy,
     seeded_draws,
+    useful_by_fixpoint,
 )
 
 
@@ -68,6 +75,19 @@ def test_tta_validates_productions():
         Tta(BOOL, {"p"}, {}, {"q"})
     with pytest.raises(TreecaError):
         Tta(BOOL, {"p"}, {"p": {("and", ("p",))}}, {"p"})
+    with pytest.raises(TreecaError):
+        Tta(BOOL, {"p"}, {"q": set()}, {"p"})  # productions for an undeclared state
+
+
+def test_tta_reads_the_rules_of_its_productions():
+    for seed in range(200):
+        rng = random.Random(seed)
+        alphabet = (AB, ABG, BOOL, MONO, TERN)[seed % 5]
+        alphabet, states, delta, initial = random_dtta_parts(rng, alphabet, 5)
+        t = Tta(alphabet, states, delta, initial)
+        assert t.delta == {q: frozenset(prods) for q, prods in delta.items() if prods}
+        assert (t.states, t.initial) == (frozenset(states), frozenset(initial))
+        assert reverse_tta(t) == rules_by_copy(alphabet, states, delta, initial)
 
 
 # === post and accepts =============================================================
@@ -180,6 +200,11 @@ def test_reachable_and_useful_states(star):
 def test_reachable_states_is_the_rescan_fixpoint():
     for a in seeded_draws(250):
         assert reachable_states(a) == reachable_by_fixpoint(a)
+
+
+def test_useful_states_is_the_rescan_fixpoint(star):
+    for a in [star] + seeded_draws(250):
+        assert useful_states(a) == useful_by_fixpoint(a)
 
 
 def test_trim_empty_keeps_unreachable_but_useful_states(star):

@@ -1,7 +1,8 @@
 """Source hygiene checked with the standard library alone: every name a
 library module imports is used in that module, and every private
 module-level function or class is used somewhere in the package, so deleting
-a route cannot leave dead imports or helpers behind."""
+a route cannot leave dead imports or helpers behind.  Only the public entry
+points call the checking constructors, so no rule is checked twice."""
 
 from __future__ import annotations
 
@@ -54,3 +55,34 @@ def test_every_private_helper_is_used():
                 used |= _names_used(stmt)
     unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
     assert not unused, f"private helpers nothing in the package uses: {unused}"
+
+
+# Inside the package, automata are built unchecked through Bta._of from fields
+# already checked; only these scopes call the public, checking constructors.
+PUBLIC_BUILDERS = {"Tta.__init__", "tta_determinize_direct"}
+
+
+def _public_builds(node: ast.AST, scope: tuple[str, ...] = ()):
+    """The scopes (dotted class and function names) of the Bta(...) and
+    Tta(...) calls under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _public_builds(child, scope + (child.name,))
+            continue
+        if (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Name)
+            and child.func.id in ("Bta", "Tta")
+        ):
+            yield ".".join(scope) or "<module>"
+        yield from _public_builds(child, scope)
+
+
+def test_only_the_public_entry_points_call_the_checking_constructors():
+    callers = {
+        f"{path.name}:{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope in _public_builds(ast.parse(path.read_text(encoding="utf-8")))
+        if scope not in PUBLIC_BUILDERS
+    }
+    assert not callers, f"library code revalidating through Bta(...)/Tta(...): {sorted(callers)}"

@@ -40,9 +40,12 @@ from helpers import (
     BOOL,
     is_total_by_product,
     load_fixture,
+    productions_by_copy,
     random_bta,
     random_dtta,
     random_path_closed_bta,
+    reverse_bta_by_copy,
+    reverse_tta_by_copy,
     run_tta_directly,
     seeded_draws,
     subset_construction_by_product,
@@ -211,6 +214,26 @@ def test_reverse_swaps_final_and_initial(abc):
     r = reverse_bta(abc)
     assert r.initial == abc.final
     assert r.final_states == abc.initial_states
+
+
+def test_reverse_copies_nothing(bool2r):
+    for a in seeded_draws(250):
+        t = reverse_bta(a)
+        assert reverse_tta(t) is a
+        assert reverse_bta(a).delta is t.delta  # the reading is built once per Bta
+    assert reverse_tta(reverse_bta(reverse_tta(bool2r))) is reverse_tta(bool2r)
+
+
+def test_reversal_reads_what_the_copies_build(bool2r):
+    rng = random.Random(507)
+    ttas = [bool2r] + [random_dtta(rng, alphabet) for alphabet in (AB, BOOL) * 30]
+    for a in seeded_draws(250):
+        t = reverse_bta(a)
+        assert t.delta == productions_by_copy(a)
+        assert t == reverse_bta_by_copy(a)
+        ttas.append(t)
+    for t in ttas:
+        assert reverse_tta(t) == reverse_tta_by_copy(t)
 
 
 # === complete =====================================================================
