@@ -119,11 +119,13 @@ def check_gen_det_d(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
 
     The co-determinization c is reduced, so it is minimal iff no two of its
     states accept the same trees, i.e. iff no two lie in exactly the same
-    reachable subsets of its determinization (the state sets trees reach),
-    which the path-closedness check builds.
+    reachable subsets of its determinization (the state sets trees reach).
+    The path-closedness walk that finds no separating tree has met every
+    one of them.
     """
-    c, _, _, members = _require_path_closed(a, budget, "the downward determinization check")
-    vectors = {frozenset(n for n, s in members.items() if q in s) for q in c.states}
+    c, _, sc = _require_path_closed(a, budget, "the downward determinization check")
+    subsets = sc.pool.order
+    vectors = {frozenset(i for i, s in enumerate(subsets) if q in s) for q in c.states}
     return len(vectors) == len(c.states)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -182,7 +183,12 @@ def _cmd_post(args: argparse.Namespace) -> int:
 def _cmd_pre(args: argparse.Namespace) -> int:
     a = _load_bta(args.automaton)
     x = parse_context(args.context, a.alphabet)
-    return _print_states(pre_context(a, x, args.states))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "pre_context removes unreachable states")
+        states = pre_context(a, x, args.states)
+    if reachable_states(a) != a.states:
+        print("note: unreachable states are removed before computing", file=sys.stderr)
+    return _print_states(states)
 
 
 def _cmd_wpre(args: argparse.Namespace) -> int:
@@ -229,10 +235,11 @@ def _cmd_check_brz_u(args: argparse.Namespace) -> int:
 
 def _cmd_check_brz_d(args: argparse.Namespace) -> int:
     a = _load_bta(args.automaton)
+    minimal = check_gen_det_d(a, budget=args.budget)
     if reachable_states(a) != a.states:
         print("note: unreachable states are removed before checking", file=sys.stderr)
     return _verdict(
-        check_gen_det_d(a, budget=args.budget),
+        minimal,
         "co-determinization is minimal",
         "co-determinization is not minimal",
     )

@@ -4,12 +4,14 @@ Deterministic automata are minimized by Moore-style partition refinement over
 indexed transitions: each state's row lists, once, the targets of the rules
 with the state at each argument position, and two states stay merged only
 while their rows map to the same blocks.
-Language equivalence is one breadth-first product walk of the two
-determinizations, which also finds a separating tree of minimal height.
-Path-closedness is the same walk between the determinizations of an automaton
-and of its co-determinization; the co-deterministic and double-reversal
-minimizers reuse those constructions.  A canonical renaming serves the
-isomorphism checks.
+Language equivalence is one breadth-first product walk over the pairs of
+state subsets that trees reach in the two automata, which also finds a
+separating tree of minimal height.  Each side steps through its own subset
+construction (transforms._Subsets) on demand, so a walk that finds a tree
+early builds only what it reached.  Path-closedness is the same walk between
+an automaton and its co-determinization; the co-deterministic and
+double-reversal minimizers close those subset constructions into the full
+determinizations.  A canonical renaming serves the isomorphism checks.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from .automata import (
 from .errors import NotDeterministicError, NotPathClosedError, TreecaError
 from .transforms import (
     DEFAULT_STATE_BUDGET,
+    _Subsets,
     codeterminize,
     complete,
     determinize,
-    subset_construction,
     subset_name,
 )
 from .trees import Tree, fresh_tuples
@@ -149,29 +151,25 @@ def minimize_bta(
     return trim_empty(m) if strip_dead else m
 
 
-# c, da, dc and the subsets of c that the states of dc stand for.
-_PathClosed = tuple[Bta, Bta, Bta, dict[str, frozenset[str]]]
+def _path_closed_constructions(a: Bta, budget: int) -> tuple[Bta, _Subsets, _Subsets] | None:
+    """(c, sa, sc) when the language of a is path-closed, else None.
 
-
-def _path_closed_constructions(a: Bta, budget: int) -> _PathClosed | None:
-    """(c, da, dc, members) when the language of a is path-closed, else None.
-
-    c co-determinizes the trimmed automaton a1, and da and dc determinize a1
-    and c; members maps each state of dc to its subset of states of c.
+    c co-determinizes the trimmed automaton a1, and sa and sc are the subset
+    constructions of a1 and c, as far as the product walk built them.
     Co-determinization always accepts a superset of the language, with
-    equality exactly for path-closed languages, so the product walk of da
-    and dc decides.
+    equality exactly for path-closed languages, so the walk decides; when it
+    finds no tree, every reachable subset of each side has appeared in some
+    pair.
     """
     a1 = trim_unreachable(a)
     c = codeterminize(a1, pretrim=False, budget=budget)
-    da = determinize(a1, budget=budget)
-    dc, members = subset_construction(c, budget=budget)
-    if _product_walk(da, dc) is not None:
+    sa, sc = _Subsets(a1, budget), _Subsets(c, budget)
+    if _product_walk(sa, sc) is not None:
         return None
-    return c, da, dc, members
+    return c, sa, sc
 
 
-def _require_path_closed(a: Bta, budget: int, task: str) -> _PathClosed:
+def _require_path_closed(a: Bta, budget: int, task: str) -> tuple[Bta, _Subsets, _Subsets]:
     """The constructions of a path-closed a; NotPathClosedError naming the
     task otherwise."""
     found = _path_closed_constructions(a, budget)
@@ -188,8 +186,8 @@ def is_path_closed(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
 def min_codbta(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
     """The minimal co-deterministic automaton, defined for path-closed
     languages only: co-determinize the minimal deterministic automaton."""
-    da = _require_path_closed(a, budget, "co-deterministic minimization")[1]
-    return codeterminize(da, pretrim=False, budget=budget)
+    sa = _require_path_closed(a, budget, "co-deterministic minimization")[1]
+    return codeterminize(sa.close()[0], pretrim=False, budget=budget)
 
 
 def brzozowski(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
@@ -199,9 +197,9 @@ def brzozowski(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
 
     Top-down determinization of the reversed trimmed automaton, read
     bottom-up again, is its co-determinization, so the result is the
-    determinized co-determinization the path-closedness check builds.
+    determinized co-determinization the path-closedness check walked.
     """
-    return _require_path_closed(a, budget, "double-reversal minimization")[2]
+    return _require_path_closed(a, budget, "double-reversal minimization")[2].close()[0]
 
 
 def _discovery_order(
@@ -367,34 +365,35 @@ def isomorphic(a: Bta, b: Bta) -> bool:
     return _backtracking_iso(a, b)
 
 
-def _product_walk(da: Bta, db: Bta) -> Tree | None:
-    """A tree of minimal height on which the complete deterministic automata
-    da and db disagree, or None: a breadth-first walk over the pairs of
-    states that trees reach in both, one height at a time."""
-
-    def target(d: Bta, sym: str, args: tuple[str, ...]) -> str:
-        return next(iter(d.delta[(sym, args)]))
-
-    explored: list[tuple[str, str, Tree]] = []
-    seen: set[tuple[str, str]] = set()
-    fresh: list[tuple[str, str, Tree]] = []
-    for sym in da.alphabet.nullary:
-        pa, pb = target(da, sym, ()), target(db, sym, ())
+def _product_walk(sa: _Subsets, sb: _Subsets) -> Tree | None:
+    """A tree of minimal height accepted by exactly one of the automata that
+    sa and sb determinize, or None: a breadth-first walk over the pairs of
+    subsets that trees reach in both, one height at a time.  Each side steps
+    through its own subset construction, so only the subsets the walk
+    reaches are built."""
+    ma, fa = sa.pool.order, sa.a.final
+    mb, fb = sb.pool.order, sb.a.final
+    alphabet = sa.a.alphabet
+    explored: list[tuple[int, int, Tree]] = []
+    seen: set[tuple[int, int]] = set()
+    fresh: list[tuple[int, int, Tree]] = []
+    for sym in alphabet.nullary:
+        pa, pb = sa.leaves[sym], sb.leaves[sym]
         if (pa, pb) not in seen:
             seen.add((pa, pb))
             fresh.append((pa, pb, Tree(sym)))
     while fresh:
         for pa, pb, wit in fresh:
-            if (pa in da.final) != (pb in db.final):
+            if ma[pa].isdisjoint(fa) != mb[pb].isdisjoint(fb):
                 return wit
         lo = len(explored)
         explored.extend(fresh)
-        nxt: list[tuple[str, str, Tree]] = []
-        for sym in da.alphabet.symbols:
-            for combo in fresh_tuples(lo, len(explored), da.alphabet.arity(sym)):
+        nxt: list[tuple[int, int, Tree]] = []
+        for sym in alphabet.symbols:
+            for combo in fresh_tuples(lo, len(explored), alphabet.arity(sym)):
                 entries = [explored[i] for i in combo]
-                pa = target(da, sym, tuple(e[0] for e in entries))
-                pb = target(db, sym, tuple(e[1] for e in entries))
+                pa = sa.step(sym, tuple(e[0] for e in entries))
+                pb = sb.step(sym, tuple(e[1] for e in entries))
                 if (pa, pb) not in seen:
                     seen.add((pa, pb))
                     nxt.append(
@@ -409,12 +408,13 @@ def separating_tree(
 ) -> Tree | None:
     """A tree of minimal height accepted by exactly one of a and b, or None.
 
-    Runs a breadth-first product walk of the two determinized automata, so the
-    witness height is bounded by the number of reachable state pairs.
+    Runs a breadth-first product walk over the subset constructions of a and
+    b, built only as far as the walk reaches, so the witness height is
+    bounded by the number of reachable subset pairs.
     """
     if a.alphabet != b.alphabet:
         raise TreecaError("separating_tree requires automata over the same alphabet")
-    return _product_walk(determinize(a, budget=budget), determinize(b, budget=budget))
+    return _product_walk(_Subsets(a, budget), _Subsets(b, budget))
 
 
 def equivalent(a: Bta, b: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:

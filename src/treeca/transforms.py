@@ -56,76 +56,104 @@ class _SubsetPool:
         return self.index[members]
 
 
+class _Subsets:
+    """The subset construction of a, computed on demand.
+
+    Subsets are interned in a budgeted pool, starting with the nullary
+    images; the empty subset is a state whenever some tree has no run.  The
+    rules are indexed once.  The rules of each non-nullary symbol are
+    numbered, and for each argument position and state the index holds the
+    bitmask of the rules with that state at that position.  Each interned
+    subset gets its mask per (symbol, position): the OR over its members.
+    The rules that fire on an argument tuple of subsets are then the AND of
+    k masks, and the union of their targets is interned once per (symbol,
+    mask).  step computes one transition, so a walk builds only the subsets
+    it reaches; close runs the discovery loop to the full determinization.
+    """
+
+    def __init__(self, a: Bta, budget: int):
+        self.a = a
+        self.pool = _SubsetPool(budget)
+        by_sym: dict[str, list[tuple[tuple[str, ...], frozenset[str]]]] = {}
+        for (sym, args), targets in a.delta.items():
+            if args:
+                by_sym.setdefault(sym, []).append((args, targets))
+        # Per non-nullary symbol: masks by position and state, rule targets by
+        # rule id, subset masks by position and subset id, target by mask.
+        self.index: dict[str, tuple[list[dict[str, int]], list, list[list[int]], dict]] = {}
+        for sym in a.alphabet.symbols:
+            k = a.alphabet.arity(sym)
+            if k:
+                at: list[dict[str, int]] = [{} for _ in range(k)]
+                rules = by_sym.get(sym, [])
+                for r, (args, _) in enumerate(rules):
+                    for i, q in enumerate(args):
+                        at[i][q] = at[i].get(q, 0) | 1 << r
+                self.index[sym] = (at, [t for _, t in rules], [[] for _ in range(k)], {})
+        self.leaves = {
+            sym: self._intern(frozenset(a.delta.get((sym, ()), EMPTY)))
+            for sym in a.alphabet.nullary
+        }
+
+    def _intern(self, members: frozenset[str]) -> int:
+        fresh = len(self.pool.order)
+        got = self.pool.intern(members)
+        if got == fresh:
+            for at, _, cols, _ in self.index.values():
+                for by_state, col in zip(at, cols):
+                    mask = 0
+                    for q in members:
+                        mask |= by_state.get(q, 0)
+                    col.append(mask)
+        return got
+
+    def step(self, sym: str, combo: tuple[int, ...]) -> int:
+        """The subset a non-nullary sym reaches from the subsets of combo."""
+        _, targets, cols, memo = self.index[sym]
+        fired = reduce(and_, map(getitem, cols, combo))
+        target = memo.get(fired)
+        if target is None:
+            acc: set[str] = set()
+            bits = fired
+            while bits:
+                low = bits & -bits
+                acc |= targets[low.bit_length() - 1]
+                bits ^= low
+            target = memo[fired] = self._intern(frozenset(acc))
+        return target
+
+    def close(self) -> tuple[Bta, dict[str, frozenset[str]]]:
+        """The determinization, every subset named, and the map from names
+        to subsets: each subset m in turn is combined with the ones before."""
+        order = self.pool.order
+        raw = {(sym, ()): target for sym, target in self.leaves.items()}
+        step = self.step
+        m = 0
+        while m < len(order):
+            for sym, (_, _, cols, _) in self.index.items():
+                for combo in fresh_tuples(m, m + 1, len(cols)):
+                    raw[(sym, combo)] = step(sym, combo)
+            m += 1
+        names = [subset_name(s) for s in order]
+        singletons = [frozenset((name,)) for name in names]
+        delta = {
+            (sym, tuple(map(names.__getitem__, combo))): singletons[target]
+            for (sym, combo), target in raw.items()
+        }
+        final = frozenset(names[i] for i, s in enumerate(order) if s & self.a.final)
+        det = Bta._of(self.a.alphabet, frozenset(names), delta, final)
+        return det, dict(zip(names, order))
+
+
 def subset_construction(
     a: Bta, *, budget: int = DEFAULT_STATE_BUDGET
 ) -> tuple[Bta, dict[str, frozenset[str]]]:
     """Determinize a and also return the map from new names to state subsets.
 
-    Subsets are discovered from the nullary images upward; the empty subset is
-    a state whenever some tree has no run.  The result is deterministic and
-    total over its states, and accepts exactly the language of a.
-
-    The rules are indexed once.  The rules of each non-nullary symbol are
-    numbered, and for each argument position and state the index holds the
-    bitmask of the rules with that state at that position.  When a subset is
-    processed, its mask per (symbol, position) is the OR over its members.
-    The rules that fire on an argument tuple of subsets are then the AND of
-    k masks, and the union of their targets is interned once per (symbol,
-    mask).
+    The result is deterministic and total over its states, and accepts
+    exactly the language of a; see _Subsets for how it is computed.
     """
-    pool = _SubsetPool(budget)
-    raw_delta: dict[tuple[str, tuple[int, ...]], int] = {}
-    for sym in a.alphabet.nullary:
-        image = frozenset(a.delta.get((sym, ()), EMPTY))
-        raw_delta[(sym, ())] = pool.intern(image)
-    by_sym: dict[str, list[tuple[tuple[str, ...], frozenset[str]]]] = {}
-    for (sym, args), targets in a.delta.items():
-        if args:
-            by_sym.setdefault(sym, []).append((args, targets))
-    # Per non-nullary symbol: (symbol, masks by position and state, rule
-    # targets by rule id, subset masks by position and subset, target memo).
-    index = []
-    for sym in a.alphabet.symbols:
-        k = a.alphabet.arity(sym)
-        if k == 0:
-            continue
-        at: list[dict[str, int]] = [{} for _ in range(k)]
-        rules = by_sym.get(sym, [])
-        for r, (args, _) in enumerate(rules):
-            for i, q in enumerate(args):
-                at[i][q] = at[i].get(q, 0) | 1 << r
-        index.append((sym, at, [t for _, t in rules], [[] for _ in range(k)], {}))
-    m = 0
-    while m < len(pool.order):
-        members = pool.order[m]
-        for sym, at, targets, cols, memo in index:
-            for by_state, col in zip(at, cols):
-                mask = 0
-                for q in members:
-                    mask |= by_state.get(q, 0)
-                col.append(mask)
-            for combo in fresh_tuples(m, m + 1, len(cols)):
-                fired = reduce(and_, map(getitem, cols, combo))
-                target = memo.get(fired)
-                if target is None:
-                    acc: set[str] = set()
-                    bits = fired
-                    while bits:
-                        low = bits & -bits
-                        acc |= targets[low.bit_length() - 1]
-                        bits ^= low
-                    target = memo[fired] = pool.intern(frozenset(acc))
-                raw_delta[(sym, combo)] = target
-        m += 1
-    names = [subset_name(s) for s in pool.order]
-    singletons = [frozenset((name,)) for name in names]
-    delta = {
-        (sym, tuple(map(names.__getitem__, combo))): singletons[target]
-        for (sym, combo), target in raw_delta.items()
-    }
-    final = frozenset(names[i] for i, s in enumerate(pool.order) if s & a.final)
-    det = Bta._of(a.alphabet, frozenset(names), delta, final)
-    return det, {names[i]: s for i, s in enumerate(pool.order)}
+    return _Subsets(a, budget).close()
 
 
 def determinize(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import total_ordering
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
     AddressError,
@@ -354,22 +354,54 @@ def _enumerate_raw(entries: Mapping[str, int], max_height: int, budget: int) -> 
     return tuple(out)
 
 
-_tree_cache: dict[tuple[RankedAlphabet, int], tuple[Tree, ...]] = {}
-_context_cache: dict[tuple[RankedAlphabet, int], tuple[int, tuple[Tree, ...]]] = {}
+def _counts_upto(items: tuple[Tree, ...], max_height: int) -> list[int]:
+    """Per height h up to max_height, how many items have height <= h; the
+    items come in canonical order, so those are a prefix."""
+    counts = [0] * (max_height + 1)
+    for t in items:
+        counts[t.height] += 1
+    return list(itertools.accumulate(counts))
+
+
+# One entry per alphabet: the items at the greatest height asked for so far,
+# and per height the prefix counts of the raw enumeration (which the budget
+# applies to) and of the items; a smaller height takes a prefix.
+_Cache = dict[RankedAlphabet, tuple[tuple[Tree, ...], list[int], list[int]]]
+_tree_cache: _Cache = {}
+_context_cache: _Cache = {}
+
+
+def _cached_enumeration(
+    cache: _Cache,
+    alphabet: RankedAlphabet,
+    entries: Mapping[str, int],
+    max_height: int,
+    budget: int,
+    keep: Callable[[tuple[Tree, ...]], tuple[Tree, ...]],
+) -> tuple[Tree, ...]:
+    """keep of the enumeration over entries up to max_height, served from
+    the alphabet's cache entry when that reaches max_height; a hit is held
+    to the same budget as a fresh enumeration."""
+    cached = cache.get(alphabet)
+    if cached is None or not 1 <= max_height < len(cached[1]):
+        raw = _enumerate_raw(entries, max_height, budget)
+        items = keep(raw)
+        raw_counts = _counts_upto(raw, max_height)
+        counts = raw_counts if items is raw else _counts_upto(items, max_height)
+        cached = cache[alphabet] = (items, raw_counts, counts)
+    items, raw_counts, counts = cached
+    if raw_counts[max_height] > budget:
+        raise BudgetError(f"tree enumeration exceeded the budget of {budget} items")
+    return items[: counts[max_height]]
 
 
 def enumerate_trees(
     alphabet: RankedAlphabet, max_height: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> tuple[Tree, ...]:
     """All well-ranked trees of height <= max_height in canonical order."""
-    key = (alphabet, max_height)
-    cached = _tree_cache.get(key)
-    if cached is None:
-        cached = _enumerate_raw(alphabet.entries, max_height, budget)
-        _tree_cache[key] = cached
-    if len(cached) > budget:
-        raise BudgetError(f"tree enumeration exceeded the budget of {budget} items")
-    return cached
+    return _cached_enumeration(
+        _tree_cache, alphabet, alphabet.entries, max_height, budget, lambda raw: raw
+    )
 
 
 def enumerate_contexts(
@@ -379,21 +411,14 @@ def enumerate_contexts(
 
     Enumerates trees over the alphabet extended with the hole and keeps the
     one-hole ones, so the order is inherited from enumerate_trees.  The budget
-    applies to the raw enumeration, whose size is cached with the contexts so
-    that a cache hit is held to the same budget.
+    applies to the raw enumeration.
     """
-    key = (alphabet, max_height)
-    cached = _context_cache.get(key)
-    if cached is None:
-        entries = alphabet.entries
-        entries[HOLE] = 0
-        raw = _enumerate_raw(entries, max_height, budget)
-        cached = (len(raw), tuple(t for t in raw if _holes(t)[0] == 1))
-        _context_cache[key] = cached
-    raw_size, contexts = cached
-    if raw_size > budget:
-        raise BudgetError(f"tree enumeration exceeded the budget of {budget} items")
-    return contexts
+    entries = alphabet.entries
+    entries[HOLE] = 0
+    return _cached_enumeration(
+        _context_cache, alphabet, entries, max_height, budget,
+        lambda raw: tuple(t for t in raw if _holes(t)[0] == 1),
+    )
 
 
 def format_term(t: Tree) -> str:

@@ -13,6 +13,7 @@ import random
 from pathlib import Path
 
 from treeca import (
+    DEFAULT_STATE_BUDGET,
     Bta,
     BudgetError,
     NotPathClosedError,
@@ -34,6 +35,7 @@ from treeca import (
     trim_empty,
     trim_unreachable,
 )
+from treeca.trees import fresh_tuples
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -367,6 +369,61 @@ def gen_det_d_by_isomorphism(a: Bta) -> bool:
     if not equivalent(a1, c):
         raise NotPathClosedError("the downward condition requires a path-closed language")
     return isomorphic(c, codeterminize(determinize(a1), pretrim=False))
+
+
+def separating_tree_by_determinization(
+    a: Bta, b: Bta, budget: int = DEFAULT_STATE_BUDGET
+) -> Tree | None:
+    """The product walk over named tables: determinize a and b in full, then
+    walk the pairs of their states breadth-first, one height at a time, and
+    return the tree that first reaches a pair disagreeing on acceptance."""
+    da, db = determinize(a, budget=budget), determinize(b, budget=budget)
+
+    def target(d: Bta, sym: str, args: tuple[str, ...]) -> str:
+        return next(iter(d.delta[(sym, args)]))
+
+    explored: list[tuple[str, str, Tree]] = []
+    seen: set[tuple[str, str]] = set()
+    fresh: list[tuple[str, str, Tree]] = []
+    for sym in da.alphabet.nullary:
+        pa, pb = target(da, sym, ()), target(db, sym, ())
+        if (pa, pb) not in seen:
+            seen.add((pa, pb))
+            fresh.append((pa, pb, Tree(sym)))
+    while fresh:
+        for pa, pb, wit in fresh:
+            if (pa in da.final) != (pb in db.final):
+                return wit
+        lo = len(explored)
+        explored.extend(fresh)
+        nxt: list[tuple[str, str, Tree]] = []
+        for sym in da.alphabet.symbols:
+            for combo in fresh_tuples(lo, len(explored), da.alphabet.arity(sym)):
+                entries = [explored[i] for i in combo]
+                pa = target(da, sym, tuple(e[0] for e in entries))
+                pb = target(db, sym, tuple(e[1] for e in entries))
+                if (pa, pb) not in seen:
+                    seen.add((pa, pb))
+                    nxt.append((pa, pb, Tree(sym, tuple(e[2] for e in entries))))
+        fresh = nxt
+    return None
+
+
+def path_closed_by_determinization(a: Bta, budget: int = DEFAULT_STATE_BUDGET) -> bool:
+    """Path-closedness over named tables: the trimmed automaton and its
+    co-determinization, both determinized in full, have no separating tree."""
+    a1 = trim_unreachable(a)
+    c = codeterminize(a1, pretrim=False, budget=budget)
+    return separating_tree_by_determinization(a1, c, budget) is None
+
+
+def drop_one_rule(a: Bta) -> Bta:
+    """a without its least rule; a itself when it has none."""
+    if not a.delta:
+        return a
+    dropped = min(a.delta)
+    delta = {key: targets for key, targets in a.delta.items() if key != dropped}
+    return Bta(a.alphabet, a.states, delta, a.final)
 
 
 def subset_construction_by_product(

@@ -8,6 +8,7 @@ text that parses back to the same machine the library produces.
 
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -30,6 +31,7 @@ from treeca import (
     determinize,
     format_term,
     parse_automaton,
+    reachable_states,
     serialize_automaton,
 )
 from treeca.cli import main
@@ -237,6 +239,34 @@ def test_pre_and_wpre_print_one_sorted_line(capsys):
     assert (code, out) == (0, "\n")
     code, out, _ = run(capsys, "wpre", fx("bool2.bta"), "-c", "or(and(T,F),<>)")
     assert (code, out) == (0, "q1\n")
+
+
+PRE_NOTE = "note: unreachable states are removed before computing\n"
+
+
+def with_unreachable_state(a: Bta) -> Bta:
+    return Bta(a.alphabet, a.states | {"zz"}, a.delta, a.final)
+
+
+def test_pre_notes_the_trim_in_one_line(capsys, tmp_path, bool2):
+    """The library warns; the command line prints one note and no warning
+    text, and still accepts the trimmed state as a seed."""
+    path = tmp_path / "bool2z.bta"
+    path.write_text(serialize_automaton(with_unreachable_state(bool2)))
+    for states in ([], ["--states", "zz", "q1"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "pre", str(path), "-c", "or(T,<>)", *states)
+        assert (code, out, err) == (0, "q0 q1\n", PRE_NOTE)
+    code, out, err = run(capsys, "pre", fx("bool2.bta"), "-c", "or(T,<>)")
+    assert (code, out, err) == (0, "q0 q1\n", "")
+
+
+def test_check_brz_d_notes_nothing_when_it_fails(capsys, tmp_path, bool2):
+    path = tmp_path / "bool2z.bta"
+    path.write_text(serialize_automaton(with_unreachable_state(bool2)))
+    assert_one_error_line(*run(capsys, "check-brz-d", str(path)))
+    assert_one_error_line(*run(capsys, "check-brz-d", fx("star.bta"), "--budget", "1"))
 
 
 def test_pre_rejects_unknown_seed_states(capsys):
@@ -457,7 +487,6 @@ def _fuzz_options(draw, verb: str, alphabet: RankedAlphabet) -> list[str]:
     return opts
 
 
-@pytest.mark.filterwarnings("ignore:pre_context removes unreachable states")
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -469,18 +498,24 @@ def test_fuzzed_calls_keep_the_exit_contract(capsys, tmp_path, data):
     path = tmp_path / "fuzz.bta"
     path.write_bytes(raw)
     try:
-        alphabet = parse_automaton(raw.decode("utf-8")).alphabet
+        parsed = parse_automaton(raw.decode("utf-8"))
     except (TreecaError, UnicodeDecodeError):
-        alphabet = BOOL
+        parsed = None
+    alphabet = BOOL if parsed is None else parsed.alphabet
     verb = data.draw(st.sampled_from([
         "member", "post", "pre", "wpre", "rtp-equiv", "enumerate", "language-upto",
         "classes-up", "classes-down", "oracle-classes-up", "oracle-classes-down",
         "determinize", "minimize", "is-path-closed", "check-brz-u", "codeterminize",
     ]))
-    code, out, err = run(capsys, verb, str(path), *_fuzz_options(data.draw, verb, alphabet))
+    options = _fuzz_options(data.draw, verb, alphabet)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a Python warning would reach stderr unformatted
+        code, out, err = run(capsys, verb, str(path), *options)
     assert code in (0, 1, 2)
     if code == 2:
         assert_one_error_line(code, out, err)
+    elif verb == "pre" and reachable_states(parsed) != parsed.states:
+        assert err == PRE_NOTE
     else:
         assert err == ""
 

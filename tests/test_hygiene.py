@@ -2,7 +2,9 @@
 library module imports is used in that module, and every private
 module-level function or class is used somewhere in the package, so deleting
 a route cannot leave dead imports or helpers behind.  Only the public entry
-points call the checking constructors, so no rule is checked twice."""
+points call the checking constructors, so no rule is checked twice; only
+minimization determinizes in full, and the rule-mask step of the subset
+construction is written once."""
 
 from __future__ import annotations
 
@@ -57,32 +59,63 @@ def test_every_private_helper_is_used():
     assert not unused, f"private helpers nothing in the package uses: {unused}"
 
 
-# Inside the package, automata are built unchecked through Bta._of from fields
-# already checked; only these scopes call the public, checking constructors.
-PUBLIC_BUILDERS = {"Tta.__init__", "tta_determinize_direct"}
-
-
-def _public_builds(node: ast.AST, scope: tuple[str, ...] = ()):
-    """The scopes (dotted class and function names) of the Bta(...) and
-    Tta(...) calls under node."""
+def _calls_by_scope(node: ast.AST, names: set[str], scope: tuple[str, ...] = ()):
+    """The scopes (dotted class and function names) of the calls under node
+    to a function named in names."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            yield from _public_builds(child, scope + (child.name,))
+            yield from _calls_by_scope(child, names, scope + (child.name,))
             continue
         if (
             isinstance(child, ast.Call)
             and isinstance(child.func, ast.Name)
-            and child.func.id in ("Bta", "Tta")
+            and child.func.id in names
         ):
             yield ".".join(scope) or "<module>"
-        yield from _public_builds(child, scope)
+        yield from _calls_by_scope(child, names, scope)
+
+
+# Inside the package, automata are built unchecked through Bta._of from fields
+# already checked; only these scopes call the public, checking constructors.
+PUBLIC_BUILDERS = {"Tta.__init__", "tta_determinize_direct"}
 
 
 def test_only_the_public_entry_points_call_the_checking_constructors():
     callers = {
         f"{path.name}:{scope}"
         for path in sorted(SRC.glob("*.py"))
-        for scope in _public_builds(ast.parse(path.read_text(encoding="utf-8")))
+        for scope in _calls_by_scope(ast.parse(path.read_text(encoding="utf-8")), {"Bta", "Tta"})
         if scope not in PUBLIC_BUILDERS
     }
     assert not callers, f"library code revalidating through Bta(...)/Tta(...): {sorted(callers)}"
+
+
+def test_verdicts_determinize_nothing_in_full():
+    # Equivalence and path-closedness step through transforms._Subsets as far
+    # as their product walk reaches; only minimization needs the whole table.
+    tree = ast.parse((SRC / "minimize.py").read_text(encoding="utf-8"))
+    callers = set(_calls_by_scope(tree, {"determinize", "subset_construction"}))
+    assert callers == {"minimize_bta"}
+
+
+def _is_low_bit(node: ast.AST) -> bool:
+    """node spells x & -x for one name x."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitAnd)
+        and isinstance(node.left, ast.Name)
+        and isinstance(node.right, ast.UnaryOp)
+        and isinstance(node.right.op, ast.USub)
+        and isinstance(node.right.operand, ast.Name)
+        and node.left.id == node.right.operand.id
+    )
+
+
+def test_the_rule_mask_step_is_written_once():
+    steps = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _is_low_bit(node)
+    ]
+    assert steps == ["transforms.py"]

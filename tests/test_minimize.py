@@ -8,7 +8,9 @@ import random
 import pytest
 
 from treeca import (
+    DEFAULT_STATE_BUDGET,
     Bta,
+    BudgetError,
     NotDeterministicError,
     NotPathClosedError,
     Partition,
@@ -24,6 +26,7 @@ from treeca import (
     equivalent,
     is_codeterministic,
     is_deterministic,
+    is_path_closed,
     isomorphic,
     language_upto,
     min_codbta,
@@ -35,23 +38,29 @@ from treeca import (
     reverse_tta,
     separating_tree,
     serialize_automaton,
+    subset_construction,
     trim_unreachable,
     tta_determinize,
 )
 
-from treeca.minimize import _refine
+from treeca.minimize import _path_closed_constructions, _refine
 
 from helpers import (
     AB,
     ABG,
     BOOL,
+    MONO,
+    TERN,
     accept_all_bta,
+    drop_one_rule,
+    path_closed_by_determinization,
     random_bta,
     random_path_closed_bta,
     refine_by_products,
     rename_states,
     representative_trap_bta,
     seeded_draws,
+    separating_tree_by_determinization,
 )
 
 
@@ -369,3 +378,73 @@ def test_equivalent_matches_bounded_language_equality():
         a, b = random_bta(rng, max_states=3), random_bta(rng, max_states=3)
         same = language_upto(a, 4) == language_upto(b, 4)
         assert equivalent(a, b) == same
+
+
+# === the lazy product walk ========================================================
+
+def _outcome(walk, a: Bta, b: Bta, budget: int):
+    try:
+        return walk(a, b, budget=budget)
+    except BudgetError:
+        return BudgetError
+
+
+def test_walk_matches_the_walk_over_full_determinizations(subset_pools):
+    """Same verdicts and witnesses as determinizing both sides first, on 250
+    seeded draws against themselves, their co-determinizations and a copy
+    with one rule dropped, building no more subsets than the two
+    determinizations.  Under small budgets the walk may answer where the
+    full determinizations overflow, never the other way round."""
+    for a in seeded_draws(250):
+        for b in (a, codeterminize(a), drop_one_rule(a)):
+            subset_pools.clear()
+            w = separating_tree(a, b)
+            built = sum(len(pool.order) for pool in subset_pools)
+            assert w == separating_tree_by_determinization(a, b)
+            assert built <= len(determinize(a).states) + len(determinize(b).states)
+            for budget in (2, 3, 5, 8):
+                want = _outcome(separating_tree_by_determinization, a, b, budget)
+                if want is not BudgetError:
+                    assert _outcome(separating_tree, a, b, budget) == want
+
+
+def test_path_closedness_matches_the_walk_over_full_determinizations():
+    rng = random.Random(909)
+    closed = [
+        random_path_closed_bta(rng, alphabet)
+        for alphabet in (AB, ABG, BOOL, MONO, TERN)
+        for _ in range(20)
+    ]
+    assert all(is_path_closed(a) for a in closed)
+    for a in seeded_draws(250) + closed:
+        assert is_path_closed(a) == path_closed_by_determinization(a)
+
+
+def test_a_walk_that_finds_no_tree_meets_every_reachable_subset():
+    rng = random.Random(910)
+    for _ in range(100):
+        a = random_path_closed_bta(rng, rng.choice([AB, ABG, BOOL, MONO, TERN]))
+        c, sa, sc = _path_closed_constructions(a, DEFAULT_STATE_BUDGET)
+        assert set(sc.pool.order) == set(subset_construction(c)[1].values())
+        assert set(sa.pool.order) == set(subset_construction(trim_unreachable(a))[1].values())
+
+
+def test_a_short_witness_builds_less_than_both_determinizations(subset_pools):
+    a = seeded_draws(158)[157]
+    b = drop_one_rule(a)
+    subset_pools.clear()
+    assert separating_tree(a, b) == parse_term("F")
+    built = sum(len(pool.order) for pool in subset_pools)
+    assert built == 4
+    assert len(determinize(a).states) + len(determinize(b).states) == 34
+
+
+def test_a_walk_can_answer_within_a_budget_the_determinizations_exceed():
+    """Behaviour change: the walk interns subsets only as it reaches them, so
+    it finds f(a,a) with two, where determinizing the draw first needs more
+    and overflows."""
+    a = seeded_draws(1)[0]
+    b = codeterminize(a)
+    with pytest.raises(BudgetError):
+        separating_tree_by_determinization(a, b, budget=2)
+    assert separating_tree(a, b, budget=2) == parse_term("f(a,a)")

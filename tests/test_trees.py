@@ -34,7 +34,7 @@ from treeca import (
     subtree,
     substitute,
 )
-from treeca.trees import fresh_tuples
+from treeca.trees import _context_cache, _enumerate_raw, _tree_cache, fresh_tuples
 
 from helpers import AB, BOOL
 
@@ -262,6 +262,35 @@ def test_context_budget_is_enforced_on_cold_and_warm_caches():
     assert len(enumerate_contexts(alphabet, 3)) > 5
     with pytest.raises(BudgetError):
         enumerate_contexts(alphabet, 3, budget=5)
+
+
+def test_enumeration_caches_keep_one_prefix_per_alphabet():
+    """Heights asked in any order give the fresh enumeration; the cache keeps
+    only the greatest height per alphabet, and a smaller height served from
+    it is held to its budget."""
+    alphabet = RankedAlphabet({"c": 0, "v": 1, "x": 2})  # cached by no other test
+    with_hole = {**alphabet.entries, HOLE: 0}
+    for h in (2, 4, 1, 3, 4, 2):
+        assert enumerate_trees(alphabet, h) == _enumerate_raw(alphabet.entries, h, 10**6)
+        raw = _enumerate_raw(with_hole, h, 10**6)
+        assert enumerate_contexts(alphabet, h) == tuple(t for t in raw if is_context(t))
+    for cache in (_tree_cache, _context_cache):
+        items, raw_counts, counts = cache[alphabet]
+        assert max(t.height for t in items) == 4
+        assert len(raw_counts) == len(counts) == 5  # prefix counts for heights 0..4
+    n = len(_enumerate_raw(alphabet.entries, 2, 10**6))
+    raw_n = len(_enumerate_raw(with_hole, 2, 10**6))
+    with pytest.raises(BudgetError):
+        enumerate_trees(alphabet, 2, budget=n - 1)
+    with pytest.raises(BudgetError):
+        enumerate_contexts(alphabet, 2, budget=raw_n - 1)
+    assert len(enumerate_trees(alphabet, 2, budget=n)) == n
+    assert enumerate_contexts(alphabet, 2, budget=raw_n)
+    for h in (0, -1):
+        with pytest.raises(BudgetError):
+            enumerate_trees(alphabet, h)
+        with pytest.raises(BudgetError):
+            enumerate_contexts(alphabet, h)
 
 
 @settings(deadline=None, max_examples=100)
