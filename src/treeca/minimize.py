@@ -11,21 +11,22 @@ construction (transforms._Subsets) on demand, so a walk that finds a tree
 early builds only what it reached.  Path-closedness is the same walk between
 an automaton and its co-determinization; the co-deterministic and
 double-reversal minimizers close those subset constructions into the full
-determinizations.  A canonical renaming serves the isomorphism checks.
+determinizations.  Isomorphism is one search that maps states pair by pair,
+adding every pair the rules force before it branches.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
 from .automata import (
+    EMPTY,
     Bta,
-    is_codeterministic,
+    BtaKey,
     is_deterministic,
-    reachable_states,
     reverse_bta,
     trim_empty,
     trim_unreachable,
@@ -128,8 +129,6 @@ def _merge_classes(c: Bta) -> Bta:
     """c merged along its coarsest congruence, classes named after their
     members.  c must be deterministic, total and fully reachable, as every
     determinization is."""
-    if not c.states:
-        return c
     part = _refine(c)
     name_of = {q: subset_name(block) for block in part.blocks for q in block}
     named = {q: frozenset((name,)) for q, name in name_of.items()}
@@ -202,144 +201,75 @@ def brzozowski(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
     return _require_path_closed(a, budget, "double-reversal minimization")[2].close()[0]
 
 
-def _discovery_order(
-    first: list[str], expand: Callable[[int, list[str]], list[str]]
-) -> list[str]:
-    """States numbered in discovery order: those of first, then, for each
-    numbered state m in turn, those expand(m, order) lists; a repeat keeps
-    its first number."""
-    order: list[str] = []
-    seen: set[str] = set()
-    found, m = first, 0
-    while True:
-        for q in found:
-            if q not in seen:
-                seen.add(q)
-                order.append(q)
-        if m == len(order):
-            return order
-        found = expand(m, order)
-        m += 1
-
-
-def _renamed(a: Bta, order: list[str]) -> Bta:
-    """The states of order renamed "0".."n-1" in that order, with the rules
-    whose arguments are all among them; their targets must be too."""
-    names = {q: str(i) for i, q in enumerate(order)}
-    delta = {
-        (sym, tuple(map(names.__getitem__, args))): frozenset(map(names.__getitem__, targets))
-        for (sym, args), targets in a.delta.items()
-        if all(q in names for q in args)
-    }
-    final = frozenset(names[q] for q in a.final if q in names)
-    return Bta._of(a.alphabet, frozenset(names.values()), delta, final)
-
-
 def canonical_form(d: Bta) -> Bta:
     """Rename the reachable part of a deterministic automaton to "0".."n-1".
 
     States are numbered by a breadth-first walk that takes nullary symbols in
     sorted order and then, layer by layer, every symbol in sorted order with
-    argument tuples in lexicographic index order.  The walk only sees
-    reachable states, so unreachable ones are dropped.  Two deterministic,
-    fully reachable automata are isomorphic iff their canonical forms are
-    equal.
+    argument tuples in lexicographic index order; a repeat keeps its first
+    number.  The walk only sees reachable states, so unreachable ones are
+    dropped.  Two deterministic, fully reachable automata are isomorphic iff
+    their canonical forms are equal.
     """
     if not is_deterministic(d):
         raise NotDeterministicError("canonical_form requires a deterministic automaton")
     delta = d.delta
     arities = [(sym, d.alphabet.arity(sym)) for sym in d.alphabet.symbols]
-
-    def expand(m: int, order: list[str]) -> list[str]:
-        found: list[str] = []
-        for sym, k in arities:
-            for combo in fresh_tuples(m, m + 1, k):
-                found += delta.get((sym, tuple(map(order.__getitem__, combo))), ())
-        return found
-
-    first = [q for sym in d.alphabet.nullary for q in delta.get((sym, ()), ())]
-    return _renamed(d, _discovery_order(first, expand))
-
-
-def _codet_canonical(a: Bta) -> Bta | None:
-    """Canonical renaming by a downward walk from the single final state;
-    None when the walk does not cover every state."""
-    down = reverse_bta(a).delta
-
-    def expand(m: int, order: list[str]) -> list[str]:
-        # Codeterministic: one argument tuple per symbol, so sorting orders by symbol.
-        return [q for _, args in sorted(down.get(order[m], ())) for q in args]
-
-    order = _discovery_order(list(a.final), expand)
-    return _renamed(a, order) if len(order) == len(a.states) else None
-
-
-def _signatures(a: Bta) -> dict[str, tuple]:
-    occ: dict[str, Counter] = {q: Counter() for q in a.states}
-    for (sym, args), targets in a.delta.items():
-        for i, q in enumerate(args):
-            occ[q][("arg", sym, i, len(targets))] += 1
-        for q in targets:
-            occ[q][("target", sym)] += 1
-    return {
-        q: (q in a.final, tuple(sorted(occ[q].items()))) for q in a.states
+    found = [q for sym in d.alphabet.nullary for q in delta.get((sym, ()), ())]
+    order: list[str] = []
+    names: dict[str, str] = {}
+    m = 0
+    while True:
+        for q in found:
+            if q not in names:
+                names[q] = str(len(order))
+                order.append(q)
+        if m == len(order):
+            break
+        # The rules with the m-th state as an argument and only earlier ones besides.
+        found = [
+            q
+            for sym, k in arities
+            for combo in fresh_tuples(m, m + 1, k)
+            for q in delta.get((sym, tuple(map(order.__getitem__, combo))), ())
+        ]
+        m += 1
+    renamed = {
+        (sym, tuple(map(names.__getitem__, args))): frozenset(map(names.__getitem__, targets))
+        for (sym, args), targets in delta.items()
+        if all(q in names for q in args)
     }
+    final = frozenset(names[q] for q in d.final if q in names)
+    return Bta._of(d.alphabet, frozenset(names.values()), renamed, final)
 
 
-def _mapped_rules_consistent(a: Bta, b: Bta, mapping: dict[str, str]) -> bool:
-    for (sym, args), targets in a.delta.items():
-        if not all(q in mapping for q in args):
-            continue
-        image = b.delta.get((sym, tuple(mapping[q] for q in args)))
-        if image is None or len(image) != len(targets):
-            return False
-        if any(mapping[q] not in image for q in targets if q in mapping):
-            return False
-    return True
-
-
-def _backtracking_iso(a: Bta, b: Bta) -> bool:
-    siga = _signatures(a)
-    sigb = _signatures(b)
-    if Counter(siga.values()) != Counter(sigb.values()):
-        return False
-    order = sorted(a.states)
-    candidates = {
-        q: sorted(p for p in b.states if sigb[p] == siga[q]) for q in order
+def _profiles(a: Bta) -> tuple[dict[str, dict[str, list[tuple[str, ...]]]], dict[str, tuple]]:
+    """The argument tuples that produce each state, by symbol, and each
+    state's profile, which every renaming keeps: its finality, its number of
+    argument occurrences and its number of productions per symbol."""
+    occurrences = Counter(q for _, args in a.delta for q in args)
+    prods: dict[str, dict[str, list[tuple[str, ...]]]] = {q: {} for q in a.states}
+    for q, keys in reverse_bta(a).delta.items():
+        for sym, args in keys:
+            prods[q].setdefault(sym, []).append(args)
+    return prods, {
+        q: (q in a.final, occurrences[q], tuple(sorted((s, len(t)) for s, t in prods[q].items())))
+        for q in a.states
     }
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def extend(idx: int) -> bool:
-        if idx == len(order):
-            renamed = {
-                (sym, tuple(mapping[q] for q in args)): frozenset(
-                    mapping[q] for q in targets
-                )
-                for (sym, args), targets in a.delta.items()
-            }
-            return renamed == b.delta
-        q = order[idx]
-        for p in candidates[q]:
-            if p in used:
-                continue
-            mapping[q] = p
-            used.add(p)
-            if _mapped_rules_consistent(a, b, mapping) and extend(idx + 1):
-                return True
-            del mapping[q]
-            used.discard(p)
-        return False
-
-    return extend(0)
 
 
 def isomorphic(a: Bta, b: Bta) -> bool:
     """True iff some renaming of states turns a into b.
 
-    Deterministic fully reachable automata and co-deterministic fully covered
-    ones are compared through canonical renamings; everything else falls back
-    to a backtracking search pruned by local state signatures.
+    One search maps the states of a to states of b, adding every pair the
+    mapping so far forces: the single target of a rule whose arguments are
+    all mapped (nullary rules first), the single final state, and the
+    arguments of a mapped state's only production for a symbol.  When
+    nothing more is forced it branches on the first unmapped state in sorted
+    order, over the unused states of b with the same profile, and a conflict
+    backtracks to the last branch.  A complete mapping is accepted only if it
+    carries every rule of a to a rule of b.  Deterministic, fully reachable
+    automata and co-deterministic ones are mapped without branching.
     """
     if a.alphabet != b.alphabet:
         return False
@@ -350,19 +280,86 @@ def isomorphic(a: Bta, b: Bta) -> bool:
         or sum(len(v) for v in a.delta.values()) != sum(len(v) for v in b.delta.values())
     ):
         return False
-    if (
-        is_deterministic(a)
-        and is_deterministic(b)
-        and reachable_states(a) == a.states
-        and reachable_states(b) == b.states
-    ):
-        return canonical_form(a) == canonical_form(b)
-    if is_codeterministic(a) and is_codeterministic(b):
-        ca = _codet_canonical(a)
-        cb = _codet_canonical(b)
-        if ca is not None and cb is not None:
-            return ca == cb
-    return _backtracking_iso(a, b)
+    (prods_a, profile_a), (prods_b, profile_b) = _profiles(a), _profiles(b)
+    if Counter(profile_a.values()) != Counter(profile_b.values()):
+        return False
+    candidates: dict[tuple, list[str]] = {}
+    for p in sorted(b.states):
+        candidates.setdefault(profile_b[p], []).append(p)
+    touching: dict[str, list[BtaKey]] = {q: [] for q in a.states}
+    for key, targets in a.delta.items():
+        for q in {*key[1], *targets}:
+            touching[q].append(key)
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
+    trail: list[str] = []
+
+    def image(sym: str, args: tuple[str, ...]) -> frozenset[str]:
+        return b.delta.get((sym, tuple(map(mapping.__getitem__, args))), EMPTY)
+
+    def force(pairs: list[tuple[str, str]]) -> bool:
+        """Map the pairs and everything they force; False on a conflict.  A
+        rule of a is checked whenever a state it mentions is mapped and its
+        arguments all are: its image in b must have as many targets and hold
+        every mapped one."""
+        while pairs:
+            q, p = pairs.pop()
+            if q in mapping:
+                if mapping[q] != p:
+                    return False
+                continue
+            if p in used or profile_a[q] != profile_b[p]:
+                return False
+            mapping[q] = p
+            used.add(p)
+            trail.append(q)
+            for sym, tuples in prods_a[q].items():
+                if len(tuples) == 1:
+                    pairs.extend(zip(tuples[0], prods_b[p][sym][0]))
+            for sym, args in touching[q]:
+                if mapping.keys() >= set(args):
+                    targets, found = a.delta[(sym, args)], image(sym, args)
+                    if len(found) != len(targets) or any(
+                        mapping[t] not in found for t in targets if t in mapping
+                    ):
+                        return False
+                    if len(targets) == 1:
+                        pairs.append((next(iter(targets)), next(iter(found))))
+        return True
+
+    # Equal profiles give each nullary symbol as many targets in b as in a.
+    seeds = [
+        (next(iter(a.delta[(sym, ())])), next(iter(b.delta[(sym, ())])))
+        for sym in a.alphabet.nullary
+        if len(a.delta.get((sym, ()), ())) == 1
+    ]
+    if len(a.final) == 1:
+        seeds.append((next(iter(a.final)), next(iter(b.final))))
+    order = sorted(a.states)
+    # Each branch: the trail length before it, the index in order of the
+    # state it maps, and the candidates left to try.
+    branches: list[tuple[int, int, Iterator[str]]] = []
+    ok = force(seeds)
+    while True:
+        if ok and len(trail) < len(order):
+            i = branches[-1][1] + 1 if branches else 0
+            while order[i] in mapping:
+                i += 1
+            branches.append((len(trail), i, iter(candidates[profile_a[order[i]]])))
+        elif ok and all(
+            image(sym, args) == frozenset(map(mapping.__getitem__, targets))
+            for (sym, args), targets in a.delta.items()
+        ):
+            return True
+        if not branches:
+            return False
+        mark, i, rest = branches[-1]
+        while len(trail) > mark:
+            used.discard(mapping.pop(trail.pop()))
+        p = next((p for p in rest if p not in used), None)
+        if p is None:
+            branches.pop()
+        ok = p is not None and force([(order[i], p)])
 
 
 def _product_walk(sa: _Subsets, sb: _Subsets) -> Tree | None:

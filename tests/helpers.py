@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 from treeca import (
@@ -22,14 +23,19 @@ from treeca import (
     RankedAlphabet,
     Tree,
     Tta,
+    canonical_form,
     codeterminize,
     determinize,
     equivalent,
+    is_codeterministic,
+    is_deterministic,
     isomorphic,
     iter_nodes,
     minimize_dbta,
     parse_automaton,
     puncture,
+    reachable_states,
+    reverse_bta,
     reverse_tta,
     subset_name,
     trim_empty,
@@ -424,6 +430,162 @@ def drop_one_rule(a: Bta) -> Bta:
     dropped = min(a.delta)
     delta = {key: targets for key, targets in a.delta.items() if key != dropped}
     return Bta(a.alphabet, a.states, delta, a.final)
+
+
+def regular_bta(rng: random.Random, n: int) -> Bta:
+    """n states over a/0 g/1: a reaches every state, g takes each state to
+    two states, and each state is the target of two g rules.  Every state has
+    the same finality, argument occurrences and productions per symbol, and
+    no rule has a single target, so an isomorphism search must branch on
+    every state and often backtrack."""
+    states = [f"q{i}" for i in range(n)]
+    first, second = rng.sample(range(n), n), rng.sample(range(n), n)
+    while any(i == j for i, j in zip(first, second)):
+        second = rng.sample(range(n), n)
+    delta = {("a", ()): set(states)}
+    for q, i, j in zip(states, first, second):
+        delta[("g", (q,))] = {states[i], states[j]}
+    return Bta(RankedAlphabet({"a": 0, "g": 1}), states, delta, ())
+
+
+def shuffle_states(a: Bta, rng: random.Random) -> Bta:
+    """A structurally identical copy with the states renamed "p0".."p{n-1}"
+    in a random order, so that sorting no longer lines them up."""
+    names = [f"p{i}" for i in range(len(a.states))]
+    rng.shuffle(names)
+    new = dict(zip(sorted(a.states), names))
+    delta = {
+        (sym, tuple(new[q] for q in args)): {new[t] for t in targets}
+        for (sym, args), targets in a.delta.items()
+    }
+    return Bta(a.alphabet, new.values(), delta, {new[q] for q in a.final})
+
+
+def swap_two_targets(a: Bta) -> Bta:
+    """a with the target sets of its two least rules of one symbol that differ
+    swapped; a itself when no symbol has two such rules.  Every state keeps
+    its finality, argument occurrences and number of productions per symbol."""
+    for k1, k2 in itertools.combinations(sorted(a.delta), 2):
+        if k1[0] == k2[0] and a.delta[k1] != a.delta[k2]:
+            delta = {**a.delta, k1: a.delta[k2], k2: a.delta[k1]}
+            return Bta(a.alphabet, a.states, delta, a.final)
+    return a
+
+
+def _signatures_by_occurrence(a: Bta) -> dict[str, tuple]:
+    occ: dict[str, Counter] = {q: Counter() for q in a.states}
+    for (sym, args), targets in a.delta.items():
+        for i, q in enumerate(args):
+            occ[q][("arg", sym, i, len(targets))] += 1
+        for q in targets:
+            occ[q][("target", sym)] += 1
+    return {
+        q: (q in a.final, tuple(sorted(occ[q].items()))) for q in a.states
+    }
+
+
+def _mapped_rules_consistent(a: Bta, b: Bta, mapping: dict[str, str]) -> bool:
+    for (sym, args), targets in a.delta.items():
+        if not all(q in mapping for q in args):
+            continue
+        image = b.delta.get((sym, tuple(mapping[q] for q in args)))
+        if image is None or len(image) != len(targets):
+            return False
+        if any(mapping[q] not in image for q in targets if q in mapping):
+            return False
+    return True
+
+
+def _backtracking_iso(a: Bta, b: Bta) -> bool:
+    siga = _signatures_by_occurrence(a)
+    sigb = _signatures_by_occurrence(b)
+    if Counter(siga.values()) != Counter(sigb.values()):
+        return False
+    order = sorted(a.states)
+    candidates = {
+        q: sorted(p for p in b.states if sigb[p] == siga[q]) for q in order
+    }
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
+
+    def extend(idx: int) -> bool:
+        if idx == len(order):
+            renamed = {
+                (sym, tuple(mapping[q] for q in args)): frozenset(
+                    mapping[q] for q in targets
+                )
+                for (sym, args), targets in a.delta.items()
+            }
+            return renamed == b.delta
+        q = order[idx]
+        for p in candidates[q]:
+            if p in used:
+                continue
+            mapping[q] = p
+            used.add(p)
+            if _mapped_rules_consistent(a, b, mapping) and extend(idx + 1):
+                return True
+            del mapping[q]
+            used.discard(p)
+        return False
+
+    return extend(0)
+
+
+def _codet_canonical_by_walk(a: Bta) -> Bta | None:
+    """Canonical renaming by a downward walk from the single final state;
+    None when the walk does not cover every state."""
+    down = reverse_bta(a).delta
+    order: list[str] = []
+    seen: set[str] = set()
+    found, m = list(a.final), 0
+    while True:
+        for q in found:
+            if q not in seen:
+                seen.add(q)
+                order.append(q)
+        if m == len(order):
+            break
+        # Codeterministic: one argument tuple per symbol, so sorting orders by symbol.
+        found = [q for _, args in sorted(down.get(order[m], ())) for q in args]
+        m += 1
+    if len(order) != len(a.states):
+        return None
+    names = {q: str(i) for i, q in enumerate(order)}
+    delta = {
+        (sym, tuple(names[q] for q in args)): {names[q] for q in targets}
+        for (sym, args), targets in a.delta.items()
+    }
+    return Bta(a.alphabet, names.values(), delta, {names[q] for q in a.final})
+
+
+def isomorphic_by_routes(a: Bta, b: Bta) -> bool:
+    """Isomorphism by three routes: canonical forms for deterministic, fully
+    reachable pairs, canonical downward walks for co-deterministic pairs
+    they cover, and a recursive backtracking search pruned by local state
+    signatures for everything else."""
+    if a.alphabet != b.alphabet:
+        return False
+    if (
+        len(a.states) != len(b.states)
+        or len(a.final) != len(b.final)
+        or len(a.delta) != len(b.delta)
+        or sum(len(v) for v in a.delta.values()) != sum(len(v) for v in b.delta.values())
+    ):
+        return False
+    if (
+        is_deterministic(a)
+        and is_deterministic(b)
+        and reachable_states(a) == a.states
+        and reachable_states(b) == b.states
+    ):
+        return canonical_form(a) == canonical_form(b)
+    if is_codeterministic(a) and is_codeterministic(b):
+        ca = _codet_canonical_by_walk(a)
+        cb = _codet_canonical_by_walk(b)
+        if ca is not None and cb is not None:
+            return ca == cb
+    return _backtracking_iso(a, b)
 
 
 def subset_construction_by_product(

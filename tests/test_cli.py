@@ -475,6 +475,8 @@ def _fuzz_options(draw, verb: str, alphabet: RankedAlphabet) -> list[str]:
     elif verb == "rtp-equiv":
         count = draw(st.integers(1, 3))
         opts = [f"--context={_fuzz_term(draw, alphabet, True)}" for _ in range(count)]
+    elif verb == "isomorphic":
+        opts = []
     elif verb in ("enumerate", "language-upto", "classes-up", "classes-down"):
         opts = [height, budget]
     elif verb in ("oracle-classes-up", "oracle-classes-down"):
@@ -491,9 +493,10 @@ def _fuzz_options(draw, verb: str, alphabet: RankedAlphabet) -> list[str]:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_fuzzed_calls_keep_the_exit_contract(capsys, tmp_path, data):
-    """Random files, terms and small heights or budgets on cheap verbs: a
-    verdict exits 0 or 1, anything else exits 2 with one error line, and
-    nothing escapes as a traceback."""
+    """Random files, terms and small heights or budgets on cheap verbs, the
+    two-file verbs comparing the file with itself or with bool2: a verdict
+    exits 0 or 1, anything else exits 2 with one error line, and nothing
+    escapes as a traceback."""
     raw = data.draw(AUTOMATON_BYTES)
     path = tmp_path / "fuzz.bta"
     path.write_bytes(raw)
@@ -506,11 +509,15 @@ def test_fuzzed_calls_keep_the_exit_contract(capsys, tmp_path, data):
         "member", "post", "pre", "wpre", "rtp-equiv", "enumerate", "language-upto",
         "classes-up", "classes-down", "oracle-classes-up", "oracle-classes-down",
         "determinize", "minimize", "is-path-closed", "check-brz-u", "codeterminize",
+        "isomorphic", "equiv",
     ]))
+    files = [str(path)]
+    if verb in ("isomorphic", "equiv"):
+        files.append(data.draw(st.sampled_from([str(path), fx("bool2.bta")])))
     options = _fuzz_options(data.draw, verb, alphabet)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a Python warning would reach stderr unformatted
-        code, out, err = run(capsys, verb, str(path), *options)
+        code, out, err = run(capsys, verb, *files, *options)
     assert code in (0, 1, 2)
     if code == 2:
         assert_one_error_line(code, out, err)

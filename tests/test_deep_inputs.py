@@ -1,9 +1,11 @@
 """Inputs far deeper than the interpreter's recursion limit: a unary chain
-5000 deep through the command line and through the tree and run code."""
+5000 deep through the command line and through the tree and run code, and an
+automaton whose states form a 5000-long chain through isomorphism."""
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 
 import pytest
 
@@ -88,6 +90,41 @@ def parity(tmp_path) -> str:
 )
 def test_deep_terms_and_contexts_get_a_verdict(capsys, parity, argv, code, out):
     got = main([argv[0], parity, *argv[1:]])
+    captured = capsys.readouterr()
+    assert got == code
+    assert captured.out == out + "\n"
+    assert captured.err == ""
+
+
+def state_chain(name: Callable[[int], str], drop: bool = False) -> str:
+    """DEPTH states strung by g, two a leaves at the bottom and two final
+    states at the top: neither deterministic nor co-deterministic.  name(i)
+    names the i-th state from the bottom; drop leaves out the top g rule."""
+    states = [name(i) for i in range(DEPTH)]
+    rules = [f"a() -> {states[0]}", f"a() -> {states[1]}"]
+    rules += [f"g({q}) -> {r}" for q, r in zip(states, states[1:])]
+    if drop:
+        rules.pop()
+    return "\n".join([
+        "bta", "alphabet a/0 g/1", "states " + " ".join(states),
+        f"final {states[-2]} {states[-1]}", *rules, "",
+    ])
+
+
+@pytest.mark.parametrize(
+    "name, drop, code, out",
+    [
+        (lambda i: f"r{i}", False, 0, "isomorphic"),
+        (lambda i: f"r{DEPTH - 1 - i}", False, 0, "isomorphic"),
+        (lambda i: f"r{i}", True, 1, "not isomorphic"),
+    ],
+    ids=["same-order", "reversed-order", "rule-dropped"],
+)
+def test_long_state_chains_get_an_isomorphism_verdict(capsys, tmp_path, name, drop, code, out):
+    left, right = tmp_path / "left.bta", tmp_path / "right.bta"
+    left.write_text(state_chain(lambda i: f"q{i}"))
+    right.write_text(state_chain(name, drop))
+    got = main(["isomorphic", str(left), str(right)])
     captured = capsys.readouterr()
     assert got == code
     assert captured.out == out + "\n"

@@ -3,8 +3,8 @@ library module imports is used in that module, and every private
 module-level function or class is used somewhere in the package, so deleting
 a route cannot leave dead imports or helpers behind.  Only the public entry
 points call the checking constructors, so no rule is checked twice; only
-minimization determinizes in full, and the rule-mask step of the subset
-construction is written once."""
+minimization determinizes in full, the rule-mask step of the subset
+construction is written once, and no recursion grows with the input."""
 
 from __future__ import annotations
 
@@ -73,6 +73,45 @@ def _calls_by_scope(node: ast.AST, names: set[str], scope: tuple[str, ...] = ())
         ):
             yield ".".join(scope) or "<module>"
         yield from _calls_by_scope(child, names, scope)
+
+
+def _calls_itself(f: ast.FunctionDef) -> bool:
+    """f calls its own name, bare or as a method of self or cls."""
+    for n in ast.walk(f):
+        if not isinstance(n, ast.Call):
+            continue
+        if isinstance(n.func, ast.Name) and n.func.id == f.name:
+            return True
+        if (
+            isinstance(n.func, ast.Attribute)
+            and n.func.attr == f.name
+            and isinstance(n.func.value, ast.Name)
+            and n.func.value.id in ("self", "cls")
+        ):
+            return True
+    return False
+
+
+def _self_calls(node: ast.AST, scope: tuple[str, ...] = ()):
+    """The dotted names of the functions under node that call themselves."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+            if isinstance(child, ast.FunctionDef) and _calls_itself(child):
+                yield ".".join(inner)
+            yield from _self_calls(child, inner)
+
+
+def test_no_function_calls_itself():
+    # A recursion as deep as the input reaches the interpreter's limit on
+    # large automata and deep terms; fresh_tuples recurses once per argument
+    # position, so its depth is bounded by the arity.
+    recursive = {
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in _self_calls(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert recursive == {"trees.fresh_tuples"}
 
 
 # Inside the package, automata are built unchecked through Bta._of from fields

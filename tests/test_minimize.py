@@ -53,14 +53,18 @@ from helpers import (
     TERN,
     accept_all_bta,
     drop_one_rule,
+    isomorphic_by_routes,
     path_closed_by_determinization,
     random_bta,
     random_path_closed_bta,
     refine_by_products,
+    regular_bta,
     rename_states,
     representative_trap_bta,
     seeded_draws,
     separating_tree_by_determinization,
+    shuffle_states,
+    swap_two_targets,
 )
 
 
@@ -299,8 +303,8 @@ def test_canonical_forms_decide_isomorphism_for_deterministic_pairs():
 
 def test_isomorphic_on_renamings_and_counterexamples(bool2, abc, abc_codet):
     assert isomorphic(bool2, rename_states(bool2))
-    assert isomorphic(abc, rename_states(abc))  # nondeterministic: backtracking path
-    assert isomorphic(codeterminize(abc), abc_codet)  # co-deterministic path
+    assert isomorphic(abc, rename_states(abc))  # nondeterministic
+    assert isomorphic(codeterminize(abc), abc_codet)  # co-deterministic
     assert not isomorphic(bool2, minimize_bta(abc))  # different alphabets
     assert not isomorphic(bool2, accept_all_bta(BOOL))  # different state counts
 
@@ -321,6 +325,46 @@ def test_isomorphic_distinguishes_near_identical_automata(abc):
         abc.final,
     )
     assert not isomorphic(abc, tweaked)
+
+
+def test_the_search_gives_the_verdicts_of_the_three_routes():
+    """Each draw against a copy with one rule dropped and against the next
+    draw; its determinization against its minimization; and the draw, its
+    determinization, co-determinization and minimization each against a copy
+    with the states renamed in random order, and against such a copy with
+    two targets swapped (same counts and state profiles, often not
+    isomorphic)."""
+    draws = seeded_draws(250)
+    verdicts = []
+    for i, a in enumerate(draws):
+        rng = random.Random(i)
+        d, c, m = determinize(a), codeterminize(a), minimize_bta(a)
+        pairs = [(a, drop_one_rule(a)), (d, m)]
+        for x in (a, d, c, m):
+            pairs += [(x, shuffle_states(x, rng)), (x, shuffle_states(swap_two_targets(x), rng))]
+        if i + 1 < len(draws):
+            pairs.append((a, draws[i + 1]))
+        for x, y in pairs:
+            want = isomorphic_by_routes(x, y)
+            assert isomorphic(x, y) == want, (i, x, y)
+            verdicts.append(want)
+    assert len(verdicts) == 2749
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_the_search_backtracks_to_the_verdicts_of_the_three_routes():
+    """Automata whose states all look alike, so that only branching and
+    backtracking find a renaming: each against a shuffled copy and against
+    another such automaton."""
+    rng = random.Random(11)
+    verdicts = []
+    for _ in range(50):
+        a = regular_bta(rng, 6)
+        for b in (shuffle_states(a, rng), regular_bta(rng, 6)):
+            want = isomorphic_by_routes(a, b)
+            assert isomorphic(a, b) == want, (a, b)
+            verdicts.append(want)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 # === equivalent and separating_tree ===============================================

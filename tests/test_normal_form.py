@@ -11,7 +11,6 @@ from treeca import (
     codeterminize,
     complete,
     determinize,
-    is_codeterministic,
     is_deterministic,
     minimize_bta,
     minimize_dbta,
@@ -23,7 +22,6 @@ from treeca import (
     trim_empty,
     trim_unreachable,
 )
-from treeca.minimize import _codet_canonical
 
 from helpers import FIXTURES, load_fixture, seeded_draws
 
@@ -55,9 +53,6 @@ def constructions(a: Bta):
         yield "complete partial", complete(trim_empty(a))
         yield "minimize_dbta", minimize_dbta(a)
         yield "canonical_form", canonical_form(a)
-    for x in (a, c):
-        if is_codeterministic(x) and (renamed := _codet_canonical(x)) is not None:
-            yield "codet canonical", renamed
 
 
 def fixture_btas() -> list[Bta]:
@@ -80,7 +75,7 @@ def test_every_construction_is_a_fixed_point_of_the_public_constructor():
             for route, o in constructions(x):
                 assert_normal_form(o)
                 routes.add(route)
-    assert len(routes) == 14
+    assert len(routes) == 13
 
 
 def test_public_tta_builds_the_rules_it_reads(bool2r):
