@@ -103,7 +103,7 @@ def gen_det_u_witness(
     least determinized states by name in its block.
     """
     det, members = subset_construction(a, budget=budget)
-    merged = [block for block in _refine(det).blocks if len(block) > 1]
+    merged = [block for block in _refine(det) if len(block) > 1]
     if not merged:
         return None
     block = min(merged, key=subset_name)

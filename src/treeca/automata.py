@@ -26,7 +26,7 @@ BtaKey = tuple[str, tuple[str, ...]]
 class Bta:
     """A bottom-up tree automaton (alphabet, states, delta, final states)."""
 
-    __slots__ = ("alphabet", "states", "delta", "final", "_initial", "_down")
+    __slots__ = ("alphabet", "states", "delta", "final", "_down")
 
     def __init__(
         self,
@@ -58,7 +58,7 @@ class Bta:
                 raise TreecaError(f"transition mentions undeclared states {sorted(bad)}")
             norm[(sym, args)] = targets
         self.alphabet, self.states, self.delta, self.final = alphabet, states, norm, final
-        self._initial = self._down = None
+        self._down = None
 
     @classmethod
     def _of(cls, alphabet: RankedAlphabet, states: frozenset[str],
@@ -68,18 +68,16 @@ class Bta:
         nonempty frozenset targets."""
         a = object.__new__(cls)
         a.alphabet, a.states, a.delta, a.final = alphabet, states, delta, final
-        a._initial = a._down = None
+        a._down = None
         return a
 
     @property
     def initial_states(self) -> frozenset[str]:
-        """Union of the targets of all nullary rules, built once."""
-        if self._initial is None:
-            acc: set[str] = set()
-            for sym in self.alphabet.nullary:
-                acc |= self.delta.get((sym, ()), EMPTY)
-            self._initial = frozenset(acc)
-        return self._initial
+        """Union of the targets of all nullary rules."""
+        acc: set[str] = set()
+        for sym in self.alphabet.nullary:
+            acc |= self.delta.get((sym, ()), EMPTY)
+        return frozenset(acc)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bta):

@@ -12,7 +12,7 @@ import argparse
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NoReturn
 
 from .analysis import (
     bta_congruence_down,
@@ -291,8 +291,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as TreecaError, so they exit like every other
+    failure: status 2 and one error line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise TreecaError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treeca",
         description="Transform, minimize, compare, and probe ranked tree automata.",
     )
@@ -403,8 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (TreecaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cached_property
 
 from .automata import (
     EMPTY,
@@ -43,24 +41,9 @@ from .transforms import (
 from .trees import Tree, fresh_tuples
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A partition of a state set into disjoint nonempty blocks."""
-
-    blocks: tuple[frozenset[str], ...]
-
-    @cached_property
-    def block_of(self) -> dict[str, int]:
-        """Map each state to the index of its block."""
-        return {q: i for i, block in enumerate(self.blocks) for q in block}
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def _refine(c: Bta) -> Partition:
-    """Coarsest congruence of a complete deterministic automaton that
-    separates final from non-final states.
+def _refine(c: Bta) -> tuple[frozenset[str], ...]:
+    """Blocks of the coarsest congruence of a complete deterministic automaton
+    that separates final from non-final states, sorted by their members.
 
     States are numbered in sorted order and each gets a row, built once: its
     own number, then for every symbol, argument position i and combination of
@@ -109,8 +92,7 @@ def _refine(c: Bta) -> Partition:
     members: dict[int, set[str]] = {}
     for q, b in zip(states, block):
         members.setdefault(b, set()).add(q)
-    blocks = sorted((frozenset(m) for m in members.values()), key=sorted)
-    return Partition(tuple(blocks))
+    return tuple(sorted((frozenset(m) for m in members.values()), key=sorted))
 
 
 def minimize_dbta(d: Bta) -> Bta:
@@ -129,8 +111,7 @@ def _merge_classes(c: Bta) -> Bta:
     """c merged along its coarsest congruence, classes named after their
     members.  c must be deterministic, total and fully reachable, as every
     determinization is."""
-    part = _refine(c)
-    name_of = {q: subset_name(block) for block in part.blocks for q in block}
+    name_of = {q: subset_name(block) for block in _refine(c) for q in block}
     named = {q: frozenset((name,)) for q, name in name_of.items()}
     # Rules whose arguments merge blockwise have targets in one block.
     delta = {
@@ -184,7 +165,9 @@ def is_path_closed(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
 
 def min_codbta(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
     """The minimal co-deterministic automaton, defined for path-closed
-    languages only: co-determinize the minimal deterministic automaton."""
+    languages only: co-determinize the determinization of the trimmed
+    automaton, unminimized, whose subset construction the path-closedness
+    check has already begun."""
     sa = _require_path_closed(a, budget, "co-deterministic minimization")[1]
     return codeterminize(sa.close()[0], pretrim=False, budget=budget)
 

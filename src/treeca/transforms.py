@@ -39,6 +39,8 @@ class _SubsetPool:
     """Interned subsets in discovery order, guarded by a budget."""
 
     def __init__(self, budget: int):
+        if budget < 1:
+            raise BudgetError("budget must be positive")
         self.order: list[frozenset[str]] = []
         self.index: dict[frozenset[str], int] = {}
         self.budget = budget
@@ -248,39 +250,3 @@ def complete(a: Bta) -> Bta:
 def tta_determinize(t: Tta, *, budget: int = DEFAULT_STATE_BUDGET) -> Tta:
     """Determinize a top-down automaton by co-determinizing its reversal."""
     return reverse_bta(codeterminize(reverse_tta(t), budget=budget))
-
-
-def tta_determinize_direct(t: Tta, *, budget: int = DEFAULT_STATE_BUDGET) -> Tta:
-    """Determinize a top-down automaton by a direct downward subset construction.
-
-    Subsets are discovered from the set of initial states; for a subset R and
-    symbol f, position i collects the i-th argument of every f-production of a
-    member of R.  States whose downward language is empty are removed first,
-    and states whose upward language is empty are removed afterwards, matching
-    the cleanup done by the reversal route.
-    """
-    t0 = reverse_bta(trim_unreachable(reverse_tta(t)))
-    pool = _SubsetPool(budget)
-    pool.intern(t0.initial)
-    prods_out: list[tuple[int, str, tuple[int, ...]]] = []
-    i = 0
-    while i < len(pool.order):
-        for sym in t0.alphabet.symbols:
-            tuples = {
-                args for q in pool.order[i] for f, args in t0.delta.get(q, EMPTY) if f == sym
-            }
-            if tuples:
-                combo = tuple(
-                    pool.intern(frozenset(t2[j] for t2 in tuples))
-                    for j in range(t0.alphabet.arity(sym))
-                )
-                prods_out.append((i, sym, combo))
-        i += 1
-    names = [subset_name(s) for s in pool.order]
-    delta: dict[str, set[tuple[str, tuple[str, ...]]]] = {}
-    for src, sym, combo in prods_out:
-        delta.setdefault(names[src], set()).add(
-            (sym, tuple(names[j] for j in combo))
-        )
-    built = Tta(t0.alphabet, names, delta, {names[0]})
-    return reverse_bta(trim_empty(reverse_tta(built)))

@@ -328,10 +328,6 @@ def fresh_tuples(lo: int, hi: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def _enumerate_raw(entries: Mapping[str, int], max_height: int, budget: int) -> tuple[Tree, ...]:
     """All trees over the given arity map with height <= max_height, in canonical order."""
-    if max_height < 1:
-        raise BudgetError("max_height must be at least 1")
-    if budget < 1:
-        raise BudgetError("budget must be positive")
     names = sorted(entries)
     out: list[Tree] = []
     lo = 0  # out[lo:] holds the trees of the greatest height so far
@@ -382,8 +378,12 @@ def _cached_enumeration(
     """keep of the enumeration over entries up to max_height, served from
     the alphabet's cache entry when that reaches max_height; a hit is held
     to the same budget as a fresh enumeration."""
+    if max_height < 1:
+        raise BudgetError("max_height must be at least 1")
+    if budget < 1:
+        raise BudgetError("budget must be positive")
     cached = cache.get(alphabet)
-    if cached is None or not 1 <= max_height < len(cached[1]):
+    if cached is None or max_height >= len(cached[1]):
         raw = _enumerate_raw(entries, max_height, budget)
         items = keep(raw)
         raw_counts = _counts_upto(raw, max_height)

@@ -19,7 +19,6 @@ from treeca import (
     BudgetError,
     NotPathClosedError,
     ParseError,
-    Partition,
     RankedAlphabet,
     Tree,
     Tta,
@@ -41,6 +40,8 @@ from treeca import (
     trim_empty,
     trim_unreachable,
 )
+from treeca.automata import EMPTY
+from treeca.transforms import _SubsetPool
 from treeca.trees import fresh_tuples
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -631,7 +632,7 @@ def subset_construction_by_product(
     return Bta(a.alphabet, names, delta, final), dict(zip(names, order))
 
 
-def refine_by_products(c: Bta) -> Partition:
+def refine_by_products(c: Bta) -> tuple[frozenset[str], ...]:
     """Moore refinement of a complete deterministic automaton as defined: a
     state's signature is its block and, for every symbol, position and
     combination of states at the other positions, the block of the target."""
@@ -657,7 +658,43 @@ def refine_by_products(c: Bta) -> Partition:
     members: dict[int, set[str]] = {}
     for q, b in block.items():
         members.setdefault(b, set()).add(q)
-    return Partition(tuple(sorted((frozenset(m) for m in members.values()), key=sorted)))
+    return tuple(sorted((frozenset(m) for m in members.values()), key=sorted))
+
+
+def tta_determinize_direct(t: Tta, *, budget: int = DEFAULT_STATE_BUDGET) -> Tta:
+    """Determinize a top-down automaton by a direct downward subset construction.
+
+    Subsets are discovered from the set of initial states; for a subset R and
+    symbol f, position i collects the i-th argument of every f-production of a
+    member of R.  States whose downward language is empty are removed first,
+    and states whose upward language is empty are removed afterwards, matching
+    the cleanup done by the reversal route.
+    """
+    t0 = reverse_bta(trim_unreachable(reverse_tta(t)))
+    pool = _SubsetPool(budget)
+    pool.intern(t0.initial)
+    prods_out: list[tuple[int, str, tuple[int, ...]]] = []
+    i = 0
+    while i < len(pool.order):
+        for sym in t0.alphabet.symbols:
+            tuples = {
+                args for q in pool.order[i] for f, args in t0.delta.get(q, EMPTY) if f == sym
+            }
+            if tuples:
+                combo = tuple(
+                    pool.intern(frozenset(t2[j] for t2 in tuples))
+                    for j in range(t0.alphabet.arity(sym))
+                )
+                prods_out.append((i, sym, combo))
+        i += 1
+    names = [subset_name(s) for s in pool.order]
+    delta: dict[str, set[tuple[str, tuple[str, ...]]]] = {}
+    for src, sym, combo in prods_out:
+        delta.setdefault(names[src], set()).add(
+            (sym, tuple(names[j] for j in combo))
+        )
+    built = Tta(t0.alphabet, names, delta, {names[0]})
+    return reverse_bta(trim_empty(reverse_tta(built)))
 
 
 def split_args_by_scanner(body: str, lineno: int, col0: int) -> list[str]:

@@ -423,6 +423,29 @@ def test_height_zero_exits_with_2(capsys, verb):
     assert_one_error_line(*run(capsys, verb, fx("bool2.bta"), "--height", "0"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["member", fx("bool2.bta")],
+        ["enumerate", fx("bool2.bta"), "--height", "x"],
+        ["frobnicate", fx("bool2.bta")],
+    ],
+    ids=["missing-term", "height-not-an-int", "unknown-verb"],
+)
+def test_usage_errors_exit_with_2_and_one_error_line(capsys, argv):
+    assert_one_error_line(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize(
+    "verb", [["determinize"], ["classes-up", "--height", "2"]], ids=lambda v: v[0]
+)
+def test_budgets_below_one_are_rejected_alike(capsys, verb, budget):
+    # determinize is capped by the subset pool, classes-up by the enumeration.
+    got = run(capsys, *verb, fx("bool2.bta"), f"--budget={budget}")
+    assert got == (2, "", "error: budget must be positive\n")
+
+
 def test_non_utf8_file_exits_with_2_naming_the_path(capsys, tmp_path):
     garbled = tmp_path / "garbled.bta"
     garbled.write_bytes(b"\xff\xfe")

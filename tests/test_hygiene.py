@@ -4,11 +4,15 @@ module-level function or class is used somewhere in the package, so deleting
 a route cannot leave dead imports or helpers behind.  Only the public entry
 points call the checking constructors, so no rule is checked twice; only
 minimization determinizes in full, the rule-mask step of the subset
-construction is written once, and no recursion grows with the input."""
+construction is written once, no recursion grows with the input, and the
+command line starts without modules it does not need."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,7 +120,7 @@ def test_no_function_calls_itself():
 
 # Inside the package, automata are built unchecked through Bta._of from fields
 # already checked; only these scopes call the public, checking constructors.
-PUBLIC_BUILDERS = {"Tta.__init__", "tta_determinize_direct"}
+PUBLIC_BUILDERS = {"Tta.__init__"}
 
 
 def test_only_the_public_entry_points_call_the_checking_constructors():
@@ -158,3 +162,25 @@ def test_the_rule_mask_step_is_written_once():
         if _is_low_bit(node)
     ]
     assert steps == ["transforms.py"]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Every treeca command first imports treeca.cli, and these two modules
+    # would be a large part of that start-up; a fresh interpreter shows what
+    # the import itself adds.
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import treeca.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        check=True,
+    )
+    added = set(proc.stdout.split())
+    assert "treeca.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)

@@ -13,7 +13,6 @@ from treeca import (
     BudgetError,
     NotDeterministicError,
     NotPathClosedError,
-    Partition,
     TreecaError,
     accepts,
     brzozowski,
@@ -91,24 +90,18 @@ def downward_languages(d: Bta, height: int) -> dict[str, frozenset]:
     return {q: frozenset(ts) for q, ts in out.items()}
 
 
-# === Partition ====================================================================
-
-def test_partition_blocks_and_lookup():
-    p = Partition((frozenset({"a", "b"}), frozenset({"c"})))
-    assert len(p) == 2
-    assert p.block_of["a"] == p.block_of["b"] != p.block_of["c"]
-
+# === Refinement ===================================================================
 
 def test_row_refinement_matches_the_product_signatures():
-    """The same Partition on the determinized and on the completed, trimmed
+    """The same blocks on the determinized and on the completed, trimmed
     determinized automata of 250 seeded draws up to arity 3."""
     merged = 0
     for a in seeded_draws(250):
         d = determinize(a)
         for c in (d, trim_unreachable(complete(d))):
-            part = _refine(c)
-            assert part == refine_by_products(c)
-            merged += len(part) < len(c.states)
+            blocks = _refine(c)
+            assert blocks == refine_by_products(c)
+            merged += len(blocks) < len(c.states)
     assert merged > 100
 
 

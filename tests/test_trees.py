@@ -264,6 +264,16 @@ def test_context_budget_is_enforced_on_cold_and_warm_caches():
         enumerate_contexts(alphabet, 3, budget=5)
 
 
+def test_budgets_below_one_are_rejected_on_cold_and_warm_caches():
+    alphabet = RankedAlphabet({"a": 0, "s": 1, "y": 2})  # cached by no other test
+    for _ in range(2):  # the second round is served from the caches
+        for enum in (enumerate_trees, enumerate_contexts):
+            for budget in (0, -3):
+                with pytest.raises(BudgetError, match="^budget must be positive$"):
+                    enum(alphabet, 2, budget)
+            assert enum(alphabet, 2)
+
+
 def test_enumeration_caches_keep_one_prefix_per_alphabet():
     """Heights asked in any order give the fresh enumeration; the cache keeps
     only the greatest height per alphabet, and a smaller height served from
