@@ -5,14 +5,15 @@ set: only keys with nonempty target sets are kept.  A Tta holds a Bta and
 reads the same rules top-down: each state maps to the productions it can
 expand to, its initial states are the Bta's final states.  Reversal only
 switches the reading and copies nothing.  Both are treated as immutable.
-The public constructors check every rule; the library builds automata from
-checked ones through the unchecked Bta._of.
+The public constructors check every rule and state name; the library builds
+automata from checked ones through the unchecked Bta._of.
 Every run is one iterative bottom-up evaluator (_run); wpre folds the spine.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterable, Mapping
 
 from .errors import NotWellRankedError, TreecaError
@@ -21,6 +22,20 @@ from .trees import HOLE, RankedAlphabet, Tree, pivot
 EMPTY: frozenset[str] = frozenset()
 
 BtaKey = tuple[str, tuple[str, ...]]
+
+_UNREADABLE_RE = re.compile(r"[\s#]|->")
+_BRACED_RE = re.compile(r"\{[^{}]*\}")
+
+
+def is_state_name(q: str) -> bool:
+    """Whether an automaton file can hold q as a state name: nonempty, no
+    whitespace, '#' or '->', balanced braces, and commas only inside braces."""
+    if not q or _UNREADABLE_RE.search(q):
+        return False
+    n = 1
+    while n:
+        q, n = _BRACED_RE.subn("", q)
+    return not ("{" in q or "}" in q or "," in q)
 
 
 class Bta:
@@ -37,6 +52,9 @@ class Bta:
     ):
         states = frozenset(states)
         final = frozenset(final)
+        bad = sorted(q for q in states if not is_state_name(q))
+        if bad:
+            raise TreecaError(f"illegal state names {bad}")
         if not final <= states:
             raise TreecaError(f"final states {sorted(final - states)} are not declared")
         arities = alphabet.entries

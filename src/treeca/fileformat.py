@@ -11,7 +11,8 @@
 duplicate left-hand sides merge into the target set.  Synthesized state names
 such as {q0,q1} are legal tokens: argument lists split on commas only at
 brace depth zero.  serialize_automaton emits the canonical form (sorted
-alphabet, states, and transitions), so serialize(parse(x)) is a fixpoint.
+alphabet, states, and transitions), so serialize(parse(x)) is a fixpoint,
+and the parser reads a rule line in exactly that form with one regex match.
 """
 
 from __future__ import annotations
@@ -19,24 +20,28 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .automata import Bta, Tta, reverse_bta, reverse_tta
+from .automata import Bta, Tta, is_state_name, reverse_bta, reverse_tta
 from .trees import RankedAlphabet
 
 _ALPHA_ENTRY_RE = re.compile(r"([A-Za-z0-9_]+)/(\d+)$")
+_WORD_RE = re.compile(r"\S+")
 
-
-_FLAT_BODY_RE = re.compile(r"(?:[^{}]|\{[^{}]*\})*")
-_FLAT_ARG_RE = re.compile(r"((?:[^{},]|\{[^{}]*\})*),")
+# A rule line as serialize_automaton writes it: no comment, no whitespace but
+# one space each side of the arrow, a first word that is no header keyword,
+# and brace-flat arguments.  The groups are the symbol, the argument body
+# (None without parentheses) and the state, in line order.
+_PATTERN = r"([A-Za-z0-9_]+)(?:\(([^\s#{}]*(?:\{[^\s#{}]*\}[^\s#{}]*)*)\))?"
+_NOT_A_HEADER = r"(?!(?:alphabet|states|final|initial) )"
+_RULE_RE = {
+    "bta": re.compile(_NOT_A_HEADER + _PATTERN + r" -> ([^\s#]+)"),
+    "tta": re.compile(_NOT_A_HEADER + r"([^\s#]+) -> " + _PATTERN),
+}
+_OUTER_COMMA_RE = re.compile(r",(?![^{]*\})")  # brace depth zero, in a brace-flat body
 
 
 def _split_args(body: str, lineno: int, col0: int) -> list[str]:
-    """Split a parenthesized argument body on brace-depth-zero commas.
-
-    A body whose braces are balanced and unnested is split by one regex; any
-    other body goes to the scanner, which also reports unbalanced braces.
-    """
-    if body and _FLAT_BODY_RE.fullmatch(body):
-        return [a.strip() for a in _FLAT_ARG_RE.findall(body + ",")]
+    """Split a parenthesized argument body on brace-depth-zero commas,
+    reporting unbalanced braces where the scan finds them."""
     args: list[str] = []
     depth = 0
     cur = ""
@@ -96,17 +101,41 @@ def _check_symbol(sym: str, args: tuple[str, ...], d: _Decls, lineno: int, col: 
         raise ParseError(f"undeclared state {q!r}", lineno, col)
 
 
+def _words(line: str) -> list[tuple[int, str]]:
+    """The words after a declaration line's keyword, with their columns."""
+    return [(m.start() + 1, m[0]) for m in _WORD_RE.finditer(line)][1:]
+
+
 def parse_automaton(text: str) -> Bta | Tta:
     """Parse an automaton file; raises ParseError with line/column on failure.
 
     Each rule is checked once, here.  A tta line is stored reversed, so both
-    headers fill one rule dict and build the automaton unchecked.
+    headers fill one rule dict and build the automaton unchecked.  After the
+    first rule line, a line in canonical form is read by one regex match and
+    a few lookups; any other line, or one that fails a check, takes the
+    general route, which words every error.
     """
     kind: str | None = None
     d = _Decls()
-    rules: dict[tuple[str, tuple[str, ...]], set[str]] = {}
+    rules: dict[tuple[str, tuple[str, ...]], frozenset[str]] = {}
+    rule_re = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if rule_re is not None:
+            m = rule_re.fullmatch(raw)
+            if m is not None:
+                sym, body, q = m.groups() if bottom_up else m.group(2, 3, 1)
+                if not body:
+                    args: tuple[str, ...] = ()
+                elif "{" in body:
+                    args = tuple(_OUTER_COMMA_RE.split(body))
+                else:
+                    args = tuple(body.split(","))
+                if arities.get(sym) == len(args) and q in one and states.issuperset(args):
+                    key = (sym, args)
+                    got = rules.get(key)
+                    rules[key] = one[q] if got is None else got | one[q]
+                    continue
         line = raw.partition("#")[0].rstrip()
         if not line:
             continue
@@ -123,15 +152,13 @@ def parse_automaton(text: str) -> Bta | Tta:
             if d.alphabet is not None:
                 raise ParseError("duplicate alphabet line", lineno, 1)
             entries: dict[str, int] = {}
-            for w in words[1:]:
+            for col, w in _words(line):
                 m = _ALPHA_ENTRY_RE.fullmatch(w)
                 if not m:
-                    raise ParseError(
-                        f"bad alphabet entry {w!r}, expected name/arity", lineno, raw.find(w) + 1
-                    )
+                    raise ParseError(f"bad alphabet entry {w!r}, expected name/arity", lineno, col)
                 name, arity = m.group(1), int(m.group(2))
                 if name in entries:
-                    raise ParseError(f"duplicate alphabet entry {name!r}", lineno, raw.find(w) + 1)
+                    raise ParseError(f"duplicate alphabet entry {name!r}", lineno, col)
                 entries[name] = arity
             try:
                 d.alphabet = RankedAlphabet(entries)
@@ -143,7 +170,11 @@ def parse_automaton(text: str) -> Bta | Tta:
         if head == "states":
             if d.states is not None:
                 raise ParseError("duplicate states line", lineno, 1)
+            for col, q in _words(line):
+                if not is_state_name(q):
+                    raise ParseError(f"illegal state name {q!r}", lineno, col)
             d.states = set(words[1:])
+            one = {q: frozenset((q,)) for q in d.states}  # shared one-target sets
             continue
 
         if head in ("final", "initial"):
@@ -166,24 +197,28 @@ def parse_automaton(text: str) -> Bta | Tta:
                 lineno,
                 1,
             )
+        # The declarations are complete: later lines may take the fast path.
+        rule_re, arities, states, bottom_up = _RULE_RE[kind], d.arities, d.states, kind == "bta"
         lhs, _, rhs = line.partition("->")
         lhs, rhs = lhs.strip(), rhs.strip()
         if not lhs or not rhs:
             raise ParseError("malformed transition, expected 'lhs -> rhs'", lineno, 1)
+        lhs_col, rhs_col = len(line) - len(line.lstrip()) + 1, len(line) - len(rhs) + 1
         if kind == "bta":
-            col = raw.find(lhs) + 1
-            sym, args = _parse_pattern(lhs, lineno, col)
-            _check_symbol(sym, args, d, lineno, col)
+            sym, args = _parse_pattern(lhs, lineno, lhs_col)
+            _check_symbol(sym, args, d, lineno, lhs_col)
             if rhs not in d.states:
-                raise ParseError(f"undeclared state {rhs!r}", lineno, raw.rfind(rhs) + 1)
-            rules.setdefault((sym, args), set()).add(rhs)
+                raise ParseError(f"undeclared state {rhs!r}", lineno, rhs_col)
+            q = rhs
         else:
             if lhs not in d.states:
-                raise ParseError(f"undeclared state {lhs!r}", lineno, raw.find(lhs) + 1)
-            col = raw.rfind(rhs) + 1
-            sym, args = _parse_pattern(rhs, lineno, col)
-            _check_symbol(sym, args, d, lineno, col)
-            rules.setdefault((sym, args), set()).add(lhs)
+                raise ParseError(f"undeclared state {lhs!r}", lineno, lhs_col)
+            sym, args = _parse_pattern(rhs, lineno, rhs_col)
+            _check_symbol(sym, args, d, lineno, rhs_col)
+            q = lhs
+        key = (sym, args)
+        got = rules.get(key)
+        rules[key] = one[q] if got is None else got | one[q]
 
     if kind is None:
         raise ParseError("missing header: the first line must be 'bta' or 'tta'", 1, 1)
@@ -198,8 +233,7 @@ def parse_automaton(text: str) -> Bta | Tta:
         if q not in d.states:
             raise ParseError(f"undeclared state {q!r} in {'final' if kind == 'bta' else 'initial'} line", lastline, 1)
 
-    delta = {key: frozenset(targets) for key, targets in rules.items()}
-    a = Bta._of(d.alphabet, frozenset(d.states), delta, frozenset(d.marked))
+    a = Bta._of(d.alphabet, frozenset(d.states), rules, frozenset(d.marked))
     return a if kind == "bta" else reverse_bta(a)
 
 

@@ -18,7 +18,6 @@ from treeca import (
     Bta,
     BudgetError,
     NotPathClosedError,
-    ParseError,
     RankedAlphabet,
     Tree,
     Tta,
@@ -449,6 +448,19 @@ def regular_bta(rng: random.Random, n: int) -> Bta:
     return Bta(RankedAlphabet({"a": 0, "g": 1}), states, delta, ())
 
 
+def cycles_bta(lengths: list[int]) -> Bta:
+    """Disjoint g-cycles of the given lengths over a/0 g/1, with no a rule and
+    no final state: every state has the same profile, every rule a single
+    target, and a cycle maps onto any cycle whose length divides its own."""
+    states, delta = [], {}
+    for n in lengths:
+        cycle = [f"c{len(states) + i}" for i in range(n)]
+        states += cycle
+        for i, q in enumerate(cycle):
+            delta[("g", (q,))] = {cycle[(i + 1) % n]}
+    return Bta(RankedAlphabet({"a": 0, "g": 1}), states, delta, ())
+
+
 def shuffle_states(a: Bta, rng: random.Random) -> Bta:
     """A structurally identical copy with the states renamed "p0".."p{n-1}"
     in a random order, so that sorting no longer lines them up."""
@@ -695,28 +707,3 @@ def tta_determinize_direct(t: Tta, *, budget: int = DEFAULT_STATE_BUDGET) -> Tta
         )
     built = Tta(t0.alphabet, names, delta, {names[0]})
     return reverse_bta(trim_empty(reverse_tta(built)))
-
-
-def split_args_by_scanner(body: str, lineno: int, col0: int) -> list[str]:
-    """Split an argument body on brace-depth-zero commas, one character at a
-    time, reporting unbalanced braces where the scan finds them."""
-    args: list[str] = []
-    depth = 0
-    cur = ""
-    for i, ch in enumerate(body):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced '}' in state name", lineno, col0 + i + 1)
-        if ch == "," and depth == 0:
-            args.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if depth != 0:
-        raise ParseError("unbalanced '{' in state name", lineno, col0 + len(body))
-    if cur or args:
-        args.append(cur)
-    return [a.strip() for a in args]

@@ -418,6 +418,17 @@ def assert_one_error_line(code: int, out: str, err: str) -> None:
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["x,y", "x->y"])
+def test_state_names_a_file_cannot_hold_exit_with_2(capsys, tmp_path, name):
+    """complete would write g(x,y) -> __dead for a state x,y, which reads back
+    as a rule of arity 2, so the states line refuses the name."""
+    path = tmp_path / "names.bta"
+    path.write_text(f"bta\nalphabet a/0 g/1\nstates {name} p\nfinal p\na() -> {name}\n")
+    code, out, err = run(capsys, "complete", str(path))
+    assert_one_error_line(code, out, err)
+    assert f"line 3, column 8: illegal state name {name!r}" in err
+
+
 @pytest.mark.parametrize("verb", ["enumerate", "classes-up", "language-upto"])
 def test_height_zero_exits_with_2(capsys, verb):
     assert_one_error_line(*run(capsys, verb, fx("bool2.bta"), "--height", "0"))

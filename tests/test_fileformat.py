@@ -3,6 +3,7 @@ canonical serialization."""
 
 from __future__ import annotations
 
+import re
 from unittest import mock
 
 import pytest
@@ -11,19 +12,24 @@ from hypothesis import given, settings, strategies as st
 from treeca import (
     Bta,
     ParseError,
+    RankedAlphabet,
+    TreecaError,
     Tta,
+    canonical_form,
     codeterminize,
+    complete,
     determinize,
     minimize_bta,
     parse_automaton,
     reverse_bta,
     serialize_automaton,
+    subset_name,
 )
 
 from treeca import fileformat
-from treeca.fileformat import _split_args
+from treeca.automata import is_state_name
 
-from helpers import FIXTURES, split_args_by_scanner
+from helpers import FIXTURES, drop_one_rule, load_fixture, seeded_draws
 
 
 # === Round trips ==================================================================
@@ -83,12 +89,14 @@ def test_tta_files_parse_to_ttas(bool2r):
 
 # === Diagnostics ==================================================================
 
-def expect_error(text: str, fragment: str, line: int | None = None):
+def expect_error(text: str, fragment: str, line: int | None = None, column: int | None = None):
     with pytest.raises(ParseError) as exc:
         parse_automaton(text)
     assert fragment in str(exc.value)
     if line is not None:
         assert exc.value.line == line
+    if column is not None:
+        assert exc.value.column == column
 
 
 def test_missing_header():
@@ -141,10 +149,29 @@ def test_missing_sections_are_reported():
 
 def test_unbalanced_braces_in_state_names():
     expect_error(
-        "bta\nalphabet a/0 f/2\nstates {q0 q1\nfinal {q0\nf({q0,q1) -> {q0\n",
-        "unbalanced",
+        "bta\nalphabet a/0 f/2\nstates {q0,q1} q0\nfinal q0\nf({q0,q1) -> q0\n",
+        "unbalanced '{'",
         line=5,
     )
+    expect_error("bta\nalphabet a/0 f/2\nstates q1 {q0\nfinal q1\n", "illegal state name '{q0'", 3, 11)
+
+
+def test_an_undeclared_target_points_at_it_not_into_the_comment():
+    expect_error("bta\nalphabet a/0\nstates q\nfinal q\na() -> r  # the r state\n", "undeclared", 5, 8)
+
+
+def test_a_bad_tta_pattern_points_at_it_not_into_the_comment():
+    expect_error(
+        "tta\nalphabet a/0 f/1\nstates q\ninitial q\nq -> f(q,q)  # f(q,q) twice\n", "arity 1", 5, 6
+    )
+
+
+def test_a_bad_alphabet_entry_points_at_it_not_into_the_keyword():
+    expect_error("bta\nalphabet ab/0 b\nstates q\nfinal q\n", "bad alphabet entry 'b'", 2, 15)
+
+
+def test_a_duplicate_alphabet_entry_points_at_the_duplicate():
+    expect_error("bta\nalphabet a/0 b/0 a/0\nstates q\nfinal q\n", "duplicate alphabet entry", 2, 18)
 
 
 def test_error_messages_render_line_and_column():
@@ -157,34 +184,110 @@ def test_error_messages_render_line_and_column():
         pytest.fail("expected a ParseError")
 
 
-# === Argument splitting against the scanner =======================================
+# === State names ==================================================================
 
-STATES = ["q0", "a", "{q0}", "{a}", "{q0,a}", "{{q0}}", "{{q0},{a}}"]
-DECLS = f"alphabet a/0 f/1 g/2 h/3\nstates {' '.join(STATES)}\n"
-# Brace-flat, nested, unbalanced and empty arguments over a few tokens, and
-# lists of declared or empty arguments, which often parse.
-BODIES = st.one_of(
-    st.lists(st.sampled_from(["{", "}", ",", "q0", "a", " "]), max_size=14).map("".join),
-    st.lists(st.sampled_from(STATES + [" q0 ", ""]), min_size=1, max_size=4).map(",".join),
-)
+@pytest.mark.parametrize("name", ["x,y", "x->y", "{a", "a}{", "{a}}"])
+def test_unreadable_state_names_are_rejected_on_the_states_line(name):
+    expect_error(f"bta\nalphabet a/0\nstates p {name}\nfinal p\n", f"illegal state name {name!r}", 3, 10)
 
 
-def outcome(fn, *args):
-    """fn's result, or the message, line and column of its ParseError."""
+@pytest.mark.parametrize("name", ["x,y", "x->y", "{a", "a}{", "a#b", "a b", ""])
+def test_the_constructors_reject_unreadable_state_names(name):
+    assert not is_state_name(name)
+    ab = RankedAlphabet({"a": 0})
+    with pytest.raises(TreecaError, match="illegal state names"):
+        Bta(ab, ["p", name], {("a", ()): [name]}, [])
+    with pytest.raises(TreecaError, match="illegal state names"):
+        Tta(ab, ["p", name], {name: [("a", ())]}, [])
+
+
+def test_every_name_the_library_makes_is_readable(abc):
+    inner = subset_name(frozenset({"q1"}))
+    names = {subset_name(frozenset({inner})), subset_name(frozenset({inner, subset_name(frozenset())}))}
+    for a in seeded_draws(20) + [abc]:
+        d = determinize(a)
+        sunk = complete(drop_one_rule(d))
+        for out in (d, determinize(d), sunk, complete(drop_one_rule(sunk)), codeterminize(a),
+                    minimize_bta(a), canonical_form(d)):
+            names |= out.states
+    assert {"{{q1}}", "{{q1},{}}", "{{q0,q1}}", "{}", "__dead", "__dead_1"} <= names
+    assert all(map(is_state_name, names))
+
+
+# === The canonical-line fast path against the general route =====================
+
+NEVER = re.compile(r"(?!)")
+
+
+def outcome(text: str):
+    """What parse_automaton makes of text: the automaton, or the message,
+    line and column of its ParseError."""
     try:
-        return fn(*args)
+        return parse_automaton(text)
     except ParseError as e:
         return ("ParseError", str(e), e.line, e.column)
 
 
-@settings(max_examples=600, deadline=None, derandomize=True)
-@given(body=BODIES, sym=st.sampled_from(["f", "g", "h"]), col0=st.integers(1, 9))
-def test_split_args_and_parse_match_the_scanner(body, sym, col0):
-    assert outcome(_split_args, body, 5, col0) == outcome(split_args_by_scanner, body, 5, col0)
-    for text in (
-        f"bta\n{DECLS}final q0\n {sym}( {body}) -> q0\n",
-        f"tta\n{DECLS}initial q0\nq0 -> {sym}({body} )\n",
-    ):
-        got = outcome(parse_automaton, text)
-        with mock.patch.object(fileformat, "_split_args", split_args_by_scanner):
-            assert got == outcome(parse_automaton, text)
+def assert_routes_agree(text: str) -> None:
+    """Every line read by the fast path, where it matches, or by the general
+    route alone gives the same automaton or the same error."""
+    got = outcome(text)
+    with mock.patch.dict(fileformat._RULE_RE, {"bta": NEVER, "tta": NEVER}):
+        want = outcome(text)
+    assert type(got) is type(want)
+    assert got == want
+
+
+def test_routes_agree_on_fixtures_draws_and_determinizations():
+    for path in sorted(FIXTURES.iterdir()):
+        assert_routes_agree(path.read_text())
+    for a in seeded_draws(40):
+        for b in (a, determinize(a)):
+            assert_routes_agree(serialize_automaton(b))
+            assert_routes_agree(serialize_automaton(reverse_bta(b)))
+
+
+# Declared names: plain, brace-flat, nested, empty braces, parentheses, and
+# header keywords; symbols include nullary ones named after header keywords.
+STATES = ["q0", "a", "{q0}", "{q0,a}", "{}", "{{q0},{a}}", "x(y)", "final", "states"]
+DECLS = f"alphabet a/0 states/0 initial/0 f/1 g/2 h/3\nstates {' '.join(STATES)}\n"
+ARITIES = {"a": 0, "states": 0, "initial": 0, "f": 1, "g": 2, "h": 3}
+NOISE = [" ", "  ", "\t", "#", "{", "}", "(", ")", "()", ",", ",q0", "->", "-", ">", "states", "q0"]
+
+
+@st.composite
+def rule_lines(draw, kind: str) -> str:
+    """A rule line in canonical form over declared or undeclared states, with
+    any number of arguments, then a few characters deleted and a few noise
+    tokens inserted."""
+    sym = draw(st.sampled_from(sorted(ARITIES)))
+    args = draw(st.lists(st.sampled_from(STATES + ["zz"]), max_size=3))
+    pattern = sym if not args and draw(st.booleans()) else f"{sym}({','.join(args)})"
+    q = draw(st.sampled_from(STATES + ["zz"]))
+    line = f"{pattern} -> {q}" if kind == "bta" else f"{q} -> {pattern}"
+    for at in draw(st.lists(st.integers(0, 60), max_size=1)):
+        at %= len(line)
+        line = line[:at] + line[at + 1 :]
+    for at, noise in draw(st.lists(st.tuples(st.integers(0, 60), st.sampled_from(NOISE)), max_size=2)):
+        at %= len(line) + 1
+        line = line[:at] + noise + line[at:]
+    return line
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(["bta", "tta"]))
+def test_routes_agree_on_mutated_rule_lines(data, kind):
+    lines = data.draw(st.lists(rule_lines(kind), min_size=1, max_size=4))
+    marked = "final" if kind == "bta" else "initial"
+    first = "a() -> q0" if kind == "bta" else "q0 -> a()"
+    assert_routes_agree(f"{kind}\n{DECLS}{marked} q0\n{first}\n" + "\n".join(lines) + "\n")
+
+
+def test_canonical_rule_lines_skip_the_general_route(abc):
+    """Reading serialize_automaton's output sends at most the first rule line
+    through the general route's pattern parser."""
+    for a in [*(load_fixture(p.name) for p in sorted(FIXTURES.iterdir())), determinize(abc)]:
+        text = serialize_automaton(a)
+        with mock.patch.object(fileformat, "_parse_pattern", wraps=fileformat._parse_pattern) as spy:
+            assert parse_automaton(text) == a
+        assert spy.call_count <= 1

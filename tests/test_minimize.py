@@ -51,6 +51,7 @@ from helpers import (
     MONO,
     TERN,
     accept_all_bta,
+    cycles_bta,
     drop_one_rule,
     isomorphic_by_routes,
     path_closed_by_determinization,
@@ -358,6 +359,19 @@ def test_the_search_backtracks_to_the_verdicts_of_the_three_routes():
             assert isomorphic(a, b) == want, (a, b)
             verdicts.append(want)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_a_forced_pair_never_lands_on_a_used_state():
+    """A 6-cycle maps onto shorter cycles whose lengths divide 6 by a renaming
+    that is not one-to-one: going round the cycle, the forced pairs come back
+    to a state of b that is already used, and only that check stops them."""
+    six = cycles_bta([6])
+    for lengths in ([3, 3], [2, 2, 2], [2, 4], [1, 2, 3]):
+        other = cycles_bta(lengths)
+        assert not isomorphic(six, other)
+        assert not isomorphic(other, six)
+    assert isomorphic(six, shuffle_states(six, random.Random(5)))
+    assert isomorphic(cycles_bta([2, 4]), cycles_bta([4, 2]))
 
 
 # === equivalent and separating_tree ===============================================
