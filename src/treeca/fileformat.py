@@ -7,17 +7,21 @@
     T() -> q1
     and(q0,q1) -> q0             # tta lines are reversed: q0 -> and(q0,q1)
 
-'#' starts a comment, blank lines are ignored, one transition per line, and
-duplicate left-hand sides merge into the target set.  Synthesized state names
-such as {q0,q1} are legal tokens: argument lists split on commas only at
-brace depth zero.  serialize_automaton emits the canonical form (sorted
-alphabet, states, and transitions), so serialize(parse(x)) is a fixpoint,
-and the parser reads a rule line in exactly that form with one regex match.
+The header comes first, then the alphabet, states and final (or initial)
+lines in any order; every later line is a rule, so states and symbols may
+share names with the keywords.  '#' starts a comment, blank lines are
+ignored, one transition per line, and duplicate left-hand sides merge into
+the target set.  Synthesized state names such as {q0,q1} are legal tokens:
+argument lists split on commas only at brace depth zero.
+serialize_automaton emits the canonical form (sorted alphabet, states, and
+transitions), so serialize(parse(x)) is a fixpoint, and the parser reads a
+rule line in exactly that form with one regex match.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 from .errors import ParseError
 from .automata import Bta, Tta, is_state_name, reverse_bta, reverse_tta
@@ -27,14 +31,13 @@ _ALPHA_ENTRY_RE = re.compile(r"([A-Za-z0-9_]+)/(\d+)$")
 _WORD_RE = re.compile(r"\S+")
 
 # A rule line as serialize_automaton writes it: no comment, no whitespace but
-# one space each side of the arrow, a first word that is no header keyword,
-# and brace-flat arguments.  The groups are the symbol, the argument body
-# (None without parentheses) and the state, in line order.
+# one space each side of the arrow, and brace-flat arguments.  The groups are
+# the symbol, the argument body (None without parentheses) and the state, in
+# line order.
 _PATTERN = r"([A-Za-z0-9_]+)(?:\(([^\s#{}]*(?:\{[^\s#{}]*\}[^\s#{}]*)*)\))?"
-_NOT_A_HEADER = r"(?!(?:alphabet|states|final|initial) )"
 _RULE_RE = {
-    "bta": re.compile(_NOT_A_HEADER + _PATTERN + r" -> ([^\s#]+)"),
-    "tta": re.compile(_NOT_A_HEADER + r"([^\s#]+) -> " + _PATTERN),
+    "bta": re.compile(_PATTERN + r" -> ([^\s#]+)"),
+    "tta": re.compile(r"([^\s#]+) -> " + _PATTERN),
 }
 _OUTER_COMMA_RE = re.compile(r",(?![^{]*\})")  # brace depth zero, in a brace-flat body
 
@@ -79,77 +82,33 @@ def _parse_pattern(text: str, lineno: int, col0: int) -> tuple[str, tuple[str, .
     return sym, tuple(_split_args(body, lineno, col0 + open_at + 1))
 
 
-class _Decls:
-    def __init__(self) -> None:
-        self.alphabet: RankedAlphabet | None = None
-        self.arities: dict[str, int] = {}
-        self.states: set[str] | None = None
-        self.marked: list[str] | None = None  # final (bta) or initial (tta)
-
-
-def _check_symbol(sym: str, args: tuple[str, ...], d: _Decls, lineno: int, col: int) -> None:
-    assert d.states is not None
-    want = d.arities.get(sym)
-    if want != len(args):
-        if want is None:
-            raise ParseError(f"unknown symbol {sym!r}", lineno, col)
-        raise ParseError(
-            f"symbol {sym!r} has arity {want}, got {len(args)} arguments", lineno, col
-        )
-    if not d.states.issuperset(args):
-        q = next(q for q in args if q not in d.states)
-        raise ParseError(f"undeclared state {q!r}", lineno, col)
-
-
 def _words(line: str) -> list[tuple[int, str]]:
     """The words after a declaration line's keyword, with their columns."""
     return [(m.start() + 1, m[0]) for m in _WORD_RE.finditer(line)][1:]
 
 
-def parse_automaton(text: str) -> Bta | Tta:
-    """Parse an automaton file; raises ParseError with line/column on failure.
-
-    Each rule is checked once, here.  A tta line is stored reversed, so both
-    headers fill one rule dict and build the automaton unchecked.  After the
-    first rule line, a line in canonical form is read by one regex match and
-    a few lookups; any other line, or one that fails a check, takes the
-    general route, which words every error.
-    """
+def _declarations(
+    lines: Iterator[tuple[int, str]], lastline: int
+) -> tuple[str, RankedAlphabet, set[str], list[str]]:
+    """Read the header and the alphabet, states and final (or initial) lines,
+    in any order, from lines, stopping after the last of the three."""
     kind: str | None = None
-    d = _Decls()
-    rules: dict[tuple[str, tuple[str, ...]], frozenset[str]] = {}
-    rule_re = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if rule_re is not None:
-            m = rule_re.fullmatch(raw)
-            if m is not None:
-                sym, body, q = m.groups() if bottom_up else m.group(2, 3, 1)
-                if not body:
-                    args: tuple[str, ...] = ()
-                elif "{" in body:
-                    args = tuple(_OUTER_COMMA_RE.split(body))
-                else:
-                    args = tuple(body.split(","))
-                if arities.get(sym) == len(args) and q in one and states.issuperset(args):
-                    key = (sym, args)
-                    got = rules.get(key)
-                    rules[key] = one[q] if got is None else got | one[q]
-                    continue
+    alphabet: RankedAlphabet | None = None
+    states: set[str] | None = None
+    marked: list[str] | None = None
+    for lineno, raw in lines:
         line = raw.partition("#")[0].rstrip()
         if not line:
             continue
         words = line.split()
         head = words[0]
-
         if kind is None:
             if head not in ("bta", "tta") or len(words) != 1:
                 raise ParseError("missing header: the first line must be 'bta' or 'tta'", lineno, 1)
-            kind = head
+            kind, want = head, "final" if head == "bta" else "initial"
             continue
-
         if head == "alphabet":
-            if d.alphabet is not None:
+            if alphabet is not None:
                 raise ParseError("duplicate alphabet line", lineno, 1)
             entries: dict[str, int] = {}
             for col, w in _words(line):
@@ -161,80 +120,107 @@ def parse_automaton(text: str) -> Bta | Tta:
                     raise ParseError(f"duplicate alphabet entry {name!r}", lineno, col)
                 entries[name] = arity
             try:
-                d.alphabet = RankedAlphabet(entries)
-                d.arities = entries
+                alphabet = RankedAlphabet(entries)
             except ValueError as e:
                 raise ParseError(str(e), lineno, 1) from None
-            continue
-
-        if head == "states":
-            if d.states is not None:
+        elif head == "states":
+            if states is not None:
                 raise ParseError("duplicate states line", lineno, 1)
             for col, q in _words(line):
                 if not is_state_name(q):
                     raise ParseError(f"illegal state name {q!r}", lineno, col)
-            d.states = set(words[1:])
-            one = {q: frozenset((q,)) for q in d.states}  # shared one-target sets
-            continue
-
-        if head in ("final", "initial"):
-            want = "final" if kind == "bta" else "initial"
+            states = set(words[1:])
+        elif head in ("final", "initial"):
             if head != want:
                 raise ParseError(f"a {kind} file declares '{want}', not {head!r}", lineno, 1)
-            if d.marked is not None:
+            if marked is not None:
                 raise ParseError(f"duplicate {head} line", lineno, 1)
-            d.marked = words[1:]
-            continue
-
-        # Anything else must be a transition line.
-        if "->" not in line:
+            marked = words[1:]
+        elif "->" not in line:
             raise ParseError(f"expected a transition line, got {line.strip()!r}", lineno, 1)
-        if d.alphabet is None or d.states is None or d.marked is None:
-            raise ParseError(
-                "transitions must come after the alphabet, states, and "
-                + ("final" if kind == "bta" else "initial")
-                + " lines",
-                lineno,
-                1,
-            )
-        # The declarations are complete: later lines may take the fast path.
-        rule_re, arities, states, bottom_up = _RULE_RE[kind], d.arities, d.states, kind == "bta"
-        lhs, _, rhs = line.partition("->")
-        lhs, rhs = lhs.strip(), rhs.strip()
-        if not lhs or not rhs:
-            raise ParseError("malformed transition, expected 'lhs -> rhs'", lineno, 1)
-        lhs_col, rhs_col = len(line) - len(line.lstrip()) + 1, len(line) - len(rhs) + 1
-        if kind == "bta":
-            sym, args = _parse_pattern(lhs, lineno, lhs_col)
-            _check_symbol(sym, args, d, lineno, lhs_col)
-            if rhs not in d.states:
-                raise ParseError(f"undeclared state {rhs!r}", lineno, rhs_col)
-            q = rhs
         else:
-            if lhs not in d.states:
-                raise ParseError(f"undeclared state {lhs!r}", lineno, lhs_col)
-            sym, args = _parse_pattern(rhs, lineno, rhs_col)
-            _check_symbol(sym, args, d, lineno, rhs_col)
-            q = lhs
+            raise ParseError(
+                f"transitions must come after the alphabet, states, and {want} lines", lineno, 1
+            )
+        if alphabet is not None and states is not None and marked is not None:
+            return kind, alphabet, states, marked
+    if kind is None:
+        raise ParseError("missing header: the first line must be 'bta' or 'tta'", 1, 1)
+    missing = "alphabet" if alphabet is None else "states" if states is None else want
+    raise ParseError(f"missing {missing} line", lastline, 1)
+
+
+def _rule(
+    line: str, lineno: int, bottom_up: bool, arities: dict[str, int], states: set[str]
+) -> tuple[str, tuple[str, ...], str]:
+    """Read a rule line in any layout into (symbol, arguments, state), or
+    raise a worded ParseError about the first fault from the left."""
+    if "->" not in line:
+        raise ParseError(f"expected a transition line, got {line.strip()!r}", lineno, 1)
+    lhs, _, rhs = line.partition("->")
+    lhs, rhs = lhs.strip(), rhs.strip()
+    if not lhs or not rhs:
+        raise ParseError("malformed transition, expected 'lhs -> rhs'", lineno, 1)
+    lhs_col, rhs_col = len(line) - len(line.lstrip()) + 1, len(line) - len(rhs) + 1
+    if bottom_up:
+        pattern, col, q, q_col = lhs, lhs_col, rhs, rhs_col
+    elif lhs not in states:
+        raise ParseError(f"undeclared state {lhs!r}", lineno, lhs_col)
+    else:
+        pattern, col, q, q_col = rhs, rhs_col, lhs, lhs_col
+    sym, args = _parse_pattern(pattern, lineno, col)
+    arity = arities.get(sym)
+    if arity is None:
+        raise ParseError(f"unknown symbol {sym!r}", lineno, col)
+    if arity != len(args):
+        raise ParseError(f"symbol {sym!r} has arity {arity}, got {len(args)} arguments", lineno, col)
+    for name, at in [*((a, col) for a in args), (q, q_col)]:
+        if name not in states:
+            raise ParseError(f"undeclared state {name!r}", lineno, at)
+    return sym, args, q
+
+
+def parse_automaton(text: str) -> Bta | Tta:
+    """Parse an automaton file; raises ParseError with line/column on failure.
+
+    The header and the three declaration lines come first; every later line
+    is a rule line, whatever its first word, so states and symbols may be
+    named after the keywords.  Each rule is checked once, here.  A tta line
+    is stored reversed, so both headers fill one rule dict and build the
+    automaton unchecked.  A rule line in canonical form is read by one regex
+    match and a few lookups; any other line, or one that fails a check, goes
+    to _rule, which words every error.
+    """
+    lastline = text.count("\n") + 1
+    lines = enumerate(text.splitlines(), start=1)
+    kind, alphabet, states, marked = _declarations(lines, lastline)
+    rule_re, bottom_up, arities = _RULE_RE[kind], kind == "bta", alphabet.entries
+    one = {q: frozenset((q,)) for q in states}  # shared one-target sets
+    rules: dict[tuple[str, tuple[str, ...]], frozenset[str]] = {}
+    for lineno, raw in lines:
+        m = rule_re.fullmatch(raw)
+        if m is not None:
+            sym, body, q = m.groups() if bottom_up else m.group(2, 3, 1)
+            if not body:
+                args: tuple[str, ...] = ()
+            elif "{" in body:
+                args = tuple(_OUTER_COMMA_RE.split(body))
+            else:
+                args = tuple(body.split(","))
+        if m is None or arities.get(sym) != len(args) or q not in one or not states.issuperset(args):
+            line = raw.partition("#")[0].rstrip()
+            if not line:
+                continue
+            sym, args, q = _rule(line, lineno, bottom_up, arities, states)
         key = (sym, args)
         got = rules.get(key)
         rules[key] = one[q] if got is None else got | one[q]
 
-    if kind is None:
-        raise ParseError("missing header: the first line must be 'bta' or 'tta'", 1, 1)
-    lastline = text.count("\n") + 1
-    if d.alphabet is None:
-        raise ParseError("missing alphabet line", lastline, 1)
-    if d.states is None:
-        raise ParseError("missing states line", lastline, 1)
-    if d.marked is None:
-        raise ParseError("missing final line" if kind == "bta" else "missing initial line", lastline, 1)
-    for q in d.marked:
-        if q not in d.states:
-            raise ParseError(f"undeclared state {q!r} in {'final' if kind == 'bta' else 'initial'} line", lastline, 1)
-
-    a = Bta._of(d.alphabet, frozenset(d.states), rules, frozenset(d.marked))
-    return a if kind == "bta" else reverse_bta(a)
+    for q in marked:
+        if q not in states:
+            raise ParseError(f"undeclared state {q!r} in {'final' if bottom_up else 'initial'} line", lastline, 1)
+    a = Bta._of(alphabet, frozenset(states), rules, frozenset(marked))
+    return a if bottom_up else reverse_bta(a)
 
 
 def serialize_automaton(a: Bta | Tta) -> str:

@@ -250,8 +250,11 @@ def isomorphic(a: Bta, b: Bta) -> bool:
     arguments of a mapped state's only production for a symbol.  When
     nothing more is forced it branches on the first unmapped state in sorted
     order, over the unused states of b with the same profile, and a conflict
-    backtracks to the last branch.  A complete mapping is accepted only if it
-    carries every rule of a to a rule of b.  Deterministic, fully reachable
+    backtracks to the last branch.  A complete mapping is a renaming: force
+    checks each rule once the last of its argument and target states is
+    mapped, so every rule of a goes into a rule of b, and the equal counts
+    of rule keys and transitions make each image exact (the target-count
+    test in force only prunes the search).  Deterministic, fully reachable
     automata and co-deterministic ones are mapped without branching.
     """
     if a.alphabet != b.alphabet:
@@ -329,10 +332,7 @@ def isomorphic(a: Bta, b: Bta) -> bool:
             while order[i] in mapping:
                 i += 1
             branches.append((len(trail), i, iter(candidates[profile_a[order[i]]])))
-        elif ok and all(
-            image(sym, args) == frozenset(map(mapping.__getitem__, targets))
-            for (sym, args), targets in a.delta.items()
-        ):
+        elif ok:
             return True
         if not branches:
             return False

@@ -332,19 +332,14 @@ def _enumerate_raw(entries: Mapping[str, int], max_height: int, budget: int) -> 
     out: list[Tree] = []
     lo = 0  # out[lo:] holds the trees of the greatest height so far
     for h in range(1, max_height + 1):
-        if h == 1:
-            level = [Tree(n) for n in names if entries[n] == 0]
-        else:
-            level = []
-            for n in names:
-                for combo in fresh_tuples(lo, len(out), entries[n]):
-                    level.append(Tree(n, [out[i] for i in combo]))
-                    if len(out) + len(level) > budget:
-                        raise BudgetError(
-                            f"tree enumeration exceeded the budget of {budget} items"
-                        )
-        if len(out) + len(level) > budget:
-            raise BudgetError(f"tree enumeration exceeded the budget of {budget} items")
+        level: list[Tree] = []
+        for n in names:
+            k = entries[n]
+            # A nullary symbol has one argument tuple, the empty one, at height 1.
+            for combo in fresh_tuples(lo, len(out), k) if k else [()] if h == 1 else ():
+                level.append(Tree(n, [out[i] for i in combo]))
+                if len(out) + len(level) > budget:
+                    raise BudgetError(f"tree enumeration exceeded the budget of {budget} items")
         lo = len(out)
         out.extend(level)
     return tuple(out)
