@@ -21,7 +21,7 @@ from .automata import (
     wpre,
 )
 from .oracle import _group
-from .minimize import _refine, _require_path_closed
+from .minimize import _blocks, _refine, _require_path_closed
 from .trees import (
     DEFAULT_ENUM_BUDGET,
     Tree,
@@ -29,11 +29,7 @@ from .trees import (
     enumerate_trees,
     pivot,
 )
-from .transforms import (
-    DEFAULT_STATE_BUDGET,
-    subset_construction,
-    subset_name,
-)
+from .transforms import DEFAULT_STATE_BUDGET, _Subsets, subset_name
 
 Spine = tuple[tuple[str, int], ...]
 
@@ -100,16 +96,21 @@ def gen_det_u_witness(
     the same minimal state m, with q a state in their symmetric difference.
 
     m is the least merged minimal state by name, and s1 and s2 are the two
-    least determinized states by name in its block.
+    least determinized states by name in its block.  The refinement reads
+    the subset construction's numbered tables, so no rule of the
+    determinization is named.
     """
-    det, members = subset_construction(a, budget=budget)
-    merged = [block for block in _refine(det) if len(block) > 1]
+    subsets = _Subsets(a, budget)
+    view = subsets.close()
+    names = view.names
+    merged = [block for block in _blocks(_refine(view)) if len(block) > 1]
     if not merged:
         return None
-    block = min(merged, key=subset_name)
-    s1_name, s2_name = sorted(block)[:2]
-    s1, s2 = members[s1_name], members[s2_name]
-    return (min(s1 ^ s2), subset_name(block), s1, s2)
+    by_name = {subset_name(map(names.__getitem__, block)): block for block in merged}
+    m = min(by_name)
+    i, j = sorted(by_name[m], key=names.__getitem__)[:2]
+    s1, s2 = subsets.pool.order[i], subsets.pool.order[j]
+    return (min(s1 ^ s2), m, s1, s2)
 
 
 def check_gen_det_d(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:

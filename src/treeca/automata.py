@@ -7,6 +7,9 @@ expand to, its initial states are the Bta's final states.  Reversal only
 switches the reading and copies nothing.  Both are treated as immutable.
 The public constructors check every rule and state name; the library builds
 automata from checked ones through the unchecked Bta._of.
+A deterministic Bta also has a numbered view (Numbered), built at most once:
+states as numbers and each symbol's rule targets in one table, which
+minimization and canonical renaming read instead of the named rules.
 Every run is one iterative bottom-up evaluator (_run); wpre folds the spine.
 """
 
@@ -41,7 +44,7 @@ def is_state_name(q: str) -> bool:
 class Bta:
     """A bottom-up tree automaton (alphabet, states, delta, final states)."""
 
-    __slots__ = ("alphabet", "states", "delta", "final", "_down")
+    __slots__ = ("alphabet", "states", "delta", "final", "_down", "_view")
 
     def __init__(
         self,
@@ -76,7 +79,7 @@ class Bta:
                 raise TreecaError(f"transition mentions undeclared states {sorted(bad)}")
             norm[(sym, args)] = targets
         self.alphabet, self.states, self.delta, self.final = alphabet, states, norm, final
-        self._down = None
+        self._down = self._view = None
 
     @classmethod
     def _of(cls, alphabet: RankedAlphabet, states: frozenset[str],
@@ -86,8 +89,18 @@ class Bta:
         nonempty frozenset targets."""
         a = object.__new__(cls)
         a.alphabet, a.states, a.delta, a.final = alphabet, states, delta, final
-        a._down = None
+        a._down = a._view = None
         return a
+
+    @property
+    def numbered(self) -> Numbered | None:
+        """The numbered view of a deterministic automaton; None when some rule
+        has two targets.  Built at most once, states numbered in sorted order,
+        unless the construction that made the automaton handed its own view
+        over (Numbered.named)."""
+        if self._view is None:
+            self._view = _number(self) or False
+        return self._view or None
 
     @property
     def initial_states(self) -> frozenset[str]:
@@ -114,6 +127,60 @@ class Bta:
             f"Bta(states={len(self.states)}, rules={sum(len(v) for v in self.delta.values())}, "
             f"final={len(self.final)})"
         )
+
+
+class Numbered:
+    """A deterministic automaton over state numbers 0..n-1.
+
+    names[i] is the name of state i and final holds the numbers of the final
+    states.  tables maps each symbol of arity k to its rules' targets: the
+    rule with argument numbers i1..ik sits at index i1*n^(k-1) + ... + ik.
+    A total automaton's tables are lists of n^k targets, the size of its
+    delta; a partial one's are dicts holding only the rules it has.
+    """
+
+    __slots__ = ("alphabet", "names", "tables", "final", "total")
+
+    def __init__(self, alphabet: RankedAlphabet, names: list[str],
+                 tables: dict[str, list[int] | dict[int, int]],
+                 final: frozenset[int], total: bool):
+        self.alphabet, self.names, self.tables = alphabet, names, tables
+        self.final, self.total = final, total
+
+    def named(self) -> Bta:
+        """The automaton of a total view under its state names, keeping the
+        view: the table entries come in the order of the argument tuples."""
+        names = self.names
+        one = [frozenset((q,)) for q in names]
+        delta: dict[BtaKey, frozenset[str]] = {}
+        for sym, table in self.tables.items():
+            args = itertools.product(names, repeat=self.alphabet.arity(sym))
+            delta.update(zip(zip(itertools.repeat(sym), args), map(one.__getitem__, table)))
+        final = frozenset(map(names.__getitem__, self.final))
+        a = Bta._of(self.alphabet, frozenset(names), delta, final)
+        a._view = self
+        return a
+
+
+def _number(a: Bta) -> Numbered | None:
+    """The view that Bta.numbered caches, or None when a is not deterministic."""
+    names = sorted(a.states)
+    index = {q: i for i, q in enumerate(names)}
+    n = len(names)
+    arities = a.alphabet.entries
+    total = len(a.delta) == sum(n**k for k in arities.values())
+    tables: dict[str, list[int] | dict[int, int]] = {
+        sym: [0] * n**k if total else {} for sym, k in arities.items()
+    }
+    for (sym, args), targets in a.delta.items():
+        if len(targets) > 1:
+            return None
+        j = 0
+        for q in args:
+            j = j * n + index[q]
+        for t in targets:
+            tables[sym][j] = index[t]
+    return Numbered(a.alphabet, names, tables, frozenset(map(index.__getitem__, a.final)), total)
 
 
 class Tta:

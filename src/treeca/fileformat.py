@@ -14,8 +14,10 @@ ignored, one transition per line, and duplicate left-hand sides merge into
 the target set.  Synthesized state names such as {q0,q1} are legal tokens:
 argument lists split on commas only at brace depth zero.
 serialize_automaton emits the canonical form (sorted alphabet, states, and
-transitions), so serialize(parse(x)) is a fixpoint, and the parser reads a
-rule line in exactly that form with one regex match.
+transitions), so serialize(parse(x)) is a fixpoint.  The parser splits a
+rule line at " -> " and "(" and accepts it when the lookups that follow
+succeed: a declared symbol with that many arguments and declared states,
+which no line with a comment or stray whitespace can pass.
 """
 
 from __future__ import annotations
@@ -30,16 +32,10 @@ from .trees import RankedAlphabet
 _ALPHA_ENTRY_RE = re.compile(r"([A-Za-z0-9_]+)/(\d+)$")
 _WORD_RE = re.compile(r"\S+")
 
-# A rule line as serialize_automaton writes it: no comment, no whitespace but
-# one space each side of the arrow, and brace-flat arguments.  The groups are
-# the symbol, the argument body (None without parentheses) and the state, in
-# line order.
-_PATTERN = r"([A-Za-z0-9_]+)(?:\(([^\s#{}]*(?:\{[^\s#{}]*\}[^\s#{}]*)*)\))?"
-_RULE_RE = {
-    "bta": re.compile(_PATTERN + r" -> ([^\s#]+)"),
-    "tta": re.compile(r"([^\s#]+) -> " + _PATTERN),
-}
-_OUTER_COMMA_RE = re.compile(r",(?![^{]*\})")  # brace depth zero, in a brace-flat body
+# A comma at brace depth zero in a brace-flat body.  In a nested body it may
+# split inside braces, but then some piece has unbalanced braces, so it is
+# no declared state and the line goes to _rule.
+_OUTER_COMMA_RE = re.compile(r",(?![^{]*\})")
 
 
 def _split_args(body: str, lineno: int, col0: int) -> list[str]:
@@ -91,11 +87,14 @@ def _declarations(
     lines: Iterator[tuple[int, str]], lastline: int
 ) -> tuple[str, RankedAlphabet, set[str], list[str]]:
     """Read the header and the alphabet, states and final (or initial) lines,
-    in any order, from lines, stopping after the last of the three."""
+    in any order, from lines, stopping after the last of the three.  Each
+    final (or initial) state must be declared; an undeclared one is reported
+    where it stands."""
     kind: str | None = None
     alphabet: RankedAlphabet | None = None
     states: set[str] | None = None
-    marked: list[str] | None = None
+    marked: list[tuple[int, str]] | None = None  # words of the final or initial line
+    marked_at = 0
     for lineno, raw in lines:
         line = raw.partition("#")[0].rstrip()
         if not line:
@@ -135,7 +134,7 @@ def _declarations(
                 raise ParseError(f"a {kind} file declares '{want}', not {head!r}", lineno, 1)
             if marked is not None:
                 raise ParseError(f"duplicate {head} line", lineno, 1)
-            marked = words[1:]
+            marked, marked_at = _words(line), lineno
         elif "->" not in line:
             raise ParseError(f"expected a transition line, got {line.strip()!r}", lineno, 1)
         else:
@@ -143,7 +142,10 @@ def _declarations(
                 f"transitions must come after the alphabet, states, and {want} lines", lineno, 1
             )
         if alphabet is not None and states is not None and marked is not None:
-            return kind, alphabet, states, marked
+            for col, q in marked:
+                if q not in states:
+                    raise ParseError(f"undeclared state {q!r} in {want} line", marked_at, col)
+            return kind, alphabet, states, [q for _, q in marked]
     if kind is None:
         raise ParseError("missing header: the first line must be 'bta' or 'tta'", 1, 1)
     missing = "alphabet" if alphabet is None else "states" if states is None else want
@@ -187,27 +189,33 @@ def parse_automaton(text: str) -> Bta | Tta:
     is a rule line, whatever its first word, so states and symbols may be
     named after the keywords.  Each rule is checked once, here.  A tta line
     is stored reversed, so both headers fill one rule dict and build the
-    automaton unchecked.  A rule line in canonical form is read by one regex
-    match and a few lookups; any other line, or one that fails a check, goes
-    to _rule, which words every error.
+    automaton unchecked.  A rule line in canonical form is read by two
+    partitions, a split of the argument body and a few lookups; any other
+    line, or one that fails a lookup, goes to _rule, which words every
+    error.
     """
     lastline = text.count("\n") + 1
     lines = enumerate(text.splitlines(), start=1)
     kind, alphabet, states, marked = _declarations(lines, lastline)
-    rule_re, bottom_up, arities = _RULE_RE[kind], kind == "bta", alphabet.entries
+    bottom_up, arities = kind == "bta", alphabet.entries
     one = {q: frozenset((q,)) for q in states}  # shared one-target sets
     rules: dict[tuple[str, tuple[str, ...]], frozenset[str]] = {}
     for lineno, raw in lines:
-        m = rule_re.fullmatch(raw)
-        if m is not None:
-            sym, body, q = m.groups() if bottom_up else m.group(2, 3, 1)
+        left, _, right = raw.partition(" -> ")
+        pattern, q = (left, right) if bottom_up else (right, left)
+        sym, paren, body = pattern.partition("(")
+        if paren and not body.endswith(")"):
+            args: tuple[str, ...] | None = None
+        else:
+            body = body[:-1]
             if not body:
-                args: tuple[str, ...] = ()
+                args = ()
             elif "{" in body:
                 args = tuple(_OUTER_COMMA_RE.split(body))
             else:
                 args = tuple(body.split(","))
-        if m is None or arities.get(sym) != len(args) or q not in one or not states.issuperset(args):
+        if (args is None or arities.get(sym) != len(args) or q not in one
+                or not states.issuperset(args)):
             line = raw.partition("#")[0].rstrip()
             if not line:
                 continue
@@ -215,10 +223,6 @@ def parse_automaton(text: str) -> Bta | Tta:
         key = (sym, args)
         got = rules.get(key)
         rules[key] = one[q] if got is None else got | one[q]
-
-    for q in marked:
-        if q not in states:
-            raise ParseError(f"undeclared state {q!r} in {'final' if bottom_up else 'initial'} line", lastline, 1)
     a = Bta._of(alphabet, frozenset(states), rules, frozenset(marked))
     return a if bottom_up else reverse_bta(a)
 

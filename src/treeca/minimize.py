@@ -1,9 +1,12 @@
 """Minimization and comparison of tree automata.
 
-Deterministic automata are minimized by Moore-style partition refinement over
-indexed transitions: each state's row lists, once, the targets of the rules
-with the state at each argument position, and two states stay merged only
-while their rows map to the same blocks.
+Deterministic automata are minimized, merged and canonically renamed on
+their numbered view (automata.Numbered): states are numbers and each
+symbol's rule targets sit in one table, so names are built only for the
+automaton returned.  The subset construction hands its view over directly.
+Refinement is Moore-style over indexed transitions: each state's row lists,
+once, the targets of the rules with the state at each argument position,
+and two states stay merged only while their rows map to the same blocks.
 Language equivalence is one breadth-first product walk over the pairs of
 state subsets that trees reach in the two automata, which also finds a
 separating tree of minimal height.  Each side steps through its own subset
@@ -17,6 +20,7 @@ adding every pair the rules force before it branches.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from collections.abc import Iterator
 
@@ -24,6 +28,7 @@ from .automata import (
     EMPTY,
     Bta,
     BtaKey,
+    Numbered,
     is_deterministic,
     reverse_bta,
     trim_empty,
@@ -35,50 +40,35 @@ from .transforms import (
     _Subsets,
     codeterminize,
     complete,
-    determinize,
     subset_name,
 )
 from .trees import Tree, fresh_tuples
 
 
-def _refine(c: Bta) -> tuple[frozenset[str], ...]:
-    """Blocks of the coarsest congruence of a complete deterministic automaton
-    that separates final from non-final states, sorted by their members.
+def _refine(v: Numbered) -> list[int]:
+    """The block of each state of a total deterministic automaton under its
+    coarsest congruence that separates final from non-final states; blocks
+    are numbered in the order of their least state number.
 
-    States are numbered in sorted order and each gets a row, built once: its
-    own number, then for every symbol, argument position i and combination of
+    Each state gets a row, built once from the view's tables: its own
+    number, then for every symbol, argument position i and combination of
     the other arguments in lexicographic order, the target of that rule.  A
     Moore round maps every row through the current block numbers and numbers
     the distinct results in state order; the rounds stop when the block
     count stops growing.  The rows hold k ints per rule of arity k.
     """
-    states = sorted(c.states)
-    n = len(states)
-    index = {q: i for i, q in enumerate(states)}
-    # tables[sym][j] is the target index of the rule whose argument indices
-    # spell j in base n, most significant first.
-    tables = {
-        sym: [0] * n ** c.alphabet.arity(sym)
-        for sym in c.alphabet.symbols
-        if c.alphabet.arity(sym) > 0
-    }
-    for (sym, args), targets in c.delta.items():
-        if args:
-            j = 0
-            for q in args:
-                j = j * n + index[q]
-            tables[sym][j] = index[next(iter(targets))]
+    n = len(v.names)
     # With q at position i, each prefix of arguments before i selects one
     # contiguous slice of the table: the targets over every suffix after i.
     rows = [[q] for q in range(n)]
-    for sym, table in tables.items():
-        k = c.alphabet.arity(sym)
+    for sym, table in v.tables.items():
+        k = v.alphabet.arity(sym)
         for i in range(k):
             step = n ** (k - 1 - i)
             for q, row in enumerate(rows):
                 for base in range(q * step, len(table), n * step):
                     row += table[base : base + step]
-    block = [1 if q in c.final else 0 for q in states]
+    block = [1 if q in v.final else 0 for q in range(n)]
     nblocks = len(set(block))
     while True:
         fresh: dict[tuple[int, ...], int] = {}
@@ -87,12 +77,16 @@ def _refine(c: Bta) -> tuple[frozenset[str], ...]:
             for row in rows
         ]
         if len(fresh) == nblocks:
-            break
+            return block
         nblocks = len(fresh)
-    members: dict[int, set[str]] = {}
-    for q, b in zip(states, block):
-        members.setdefault(b, set()).add(q)
-    return tuple(sorted((frozenset(m) for m in members.values()), key=sorted))
+
+
+def _blocks(block: list[int]) -> list[list[int]]:
+    """The members of each block of a refinement, in state order."""
+    members: list[list[int]] = [[] for _ in range(max(block, default=-1) + 1)]
+    for q, b in enumerate(block):
+        members[b].append(q)
+    return members
 
 
 def minimize_dbta(d: Bta) -> Bta:
@@ -104,30 +98,36 @@ def minimize_dbta(d: Bta) -> Bta:
     """
     if not is_deterministic(d):
         raise NotDeterministicError("minimize_dbta requires a deterministic automaton")
-    return _merge_classes(trim_unreachable(complete(d)))
+    return _merge_classes(trim_unreachable(complete(d)).numbered)
 
 
-def _merge_classes(c: Bta) -> Bta:
-    """c merged along its coarsest congruence, classes named after their
-    members.  c must be deterministic, total and fully reachable, as every
-    determinization is."""
-    name_of = {q: subset_name(block) for block in _refine(c) for q in block}
-    named = {q: frozenset((name,)) for q, name in name_of.items()}
-    # Rules whose arguments merge blockwise have targets in one block.
-    delta = {
-        (sym, tuple(map(name_of.__getitem__, args))): named[next(iter(targets))]
-        for (sym, args), targets in c.delta.items()
-    }
-    final = frozenset(name_of[q] for q in c.final)
-    return Bta._of(c.alphabet, frozenset(name_of.values()), delta, final)
+def _merge_classes(v: Numbered) -> Bta:
+    """The automaton of view v merged along its coarsest congruence, classes
+    named after their members.  v must be total and fully reachable, as
+    every determinization is.  Rules whose arguments merge blockwise have
+    targets in one block, so each merged rule is read off the rule between
+    the least members of its argument blocks."""
+    block = _refine(v)
+    members = _blocks(block)
+    n, first = len(v.names), [m[0] for m in members]
+    tables: dict[str, list[int] | dict[int, int]] = {}
+    for sym, table in v.tables.items():
+        k = v.alphabet.arity(sym)
+        offsets = [[q * n ** (k - 1 - i) for q in first] for i in range(k)]
+        tables[sym] = [block[table[sum(at)]] for at in itertools.product(*offsets)]
+    names = [subset_name(map(v.names.__getitem__, m)) for m in members]
+    final = frozenset(block[q] for q in v.final)
+    return Numbered(v.alphabet, names, tables, final, True).named()
 
 
 def minimize_bta(
     a: Bta, *, strip_dead: bool = False, budget: int = DEFAULT_STATE_BUDGET
 ) -> Bta:
     """Determinize and minimize.  With strip_dead the rejecting sink class is
-    removed, giving a partial automaton for the same language."""
-    m = _merge_classes(determinize(a, budget=budget))
+    removed, giving a partial automaton for the same language.  The subset
+    construction hands its numbered table straight to the merge, so only
+    the minimal automaton gets names."""
+    m = _merge_classes(_Subsets(a, budget).close())
     return trim_empty(m) if strip_dead else m
 
 
@@ -169,7 +169,7 @@ def min_codbta(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
     automaton, unminimized, whose subset construction the path-closedness
     check has already begun."""
     sa = _require_path_closed(a, budget, "co-deterministic minimization")[1]
-    return codeterminize(sa.close()[0], pretrim=False, budget=budget)
+    return codeterminize(sa.close().named(), pretrim=False, budget=budget)
 
 
 def brzozowski(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
@@ -181,7 +181,7 @@ def brzozowski(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
     bottom-up again, is its co-determinization, so the result is the
     determinized co-determinization the path-closedness check walked.
     """
-    return _require_path_closed(a, budget, "double-reversal minimization")[2].close()[0]
+    return _require_path_closed(a, budget, "double-reversal minimization")[2].close().named()
 
 
 def canonical_form(d: Bta) -> Bta:
@@ -190,40 +190,79 @@ def canonical_form(d: Bta) -> Bta:
     States are numbered by a breadth-first walk that takes nullary symbols in
     sorted order and then, layer by layer, every symbol in sorted order with
     argument tuples in lexicographic index order; a repeat keeps its first
-    number.  The walk only sees reachable states, so unreachable ones are
-    dropped.  Two deterministic, fully reachable automata are isomorphic iff
-    their canonical forms are equal.
+    number.  Each rule is renamed as the walk meets it, so unreachable states
+    and their rules are dropped.  The walk reads the numbered view: a total
+    one by looking every fresh tuple up in its tables, a partial one by
+    listing the rules each state is an argument of, so memory stays linear
+    in the rules.  Two deterministic, fully reachable automata are
+    isomorphic iff their canonical forms are equal.
     """
-    if not is_deterministic(d):
+    v = d.numbered
+    if v is None:
         raise NotDeterministicError("canonical_form requires a deterministic automaton")
-    delta = d.delta
-    arities = [(sym, d.alphabet.arity(sym)) for sym in d.alphabet.symbols]
-    found = [q for sym in d.alphabet.nullary for q in delta.get((sym, ()), ())]
-    order: list[str] = []
-    names: dict[str, str] = {}
+    n, tables, total = len(v.names), v.tables, v.total
+    symbols = v.alphabet.symbols
+    arities = [(s, v.alphabet.arity(sym), tables[sym]) for s, sym in enumerate(symbols)]
+    number = [-1] * n  # each state's canonical number, -1 until the walk meets it
+    order: list[int] = []  # the states by canonical number
+
+    # fresh(m): the rules with the m-th state as an argument and only earlier
+    # ones besides, as (symbol rank, canonical arguments, target), in walk order.
+    if total:
+        def fresh(m: int) -> list[tuple[int, tuple[int, ...], int]]:
+            found = []
+            for s, k, table in arities:
+                for combo in fresh_tuples(m, m + 1, k):
+                    j = 0
+                    for c in combo:
+                        j = j * n + order[c]
+                    found.append((s, combo, table[j]))
+            return found
+    else:
+        # Per state, the rules it is an argument of, decoded from the tables.
+        uses: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
+        for s, k, table in arities:
+            for j, t in table.items() if k else ():
+                digits = []
+                for _ in range(k):
+                    j, q = divmod(j, n)
+                    digits.append(q)
+                args = tuple(reversed(digits))
+                for q in set(args):
+                    uses[q].append((s, args, t))
+
+        def fresh(m: int) -> list[tuple[int, tuple[int, ...], int]]:
+            found = []
+            for s, args, t in uses[order[m]]:
+                combo = tuple(map(number.__getitem__, args))
+                if min(combo) >= 0 and max(combo) == m:
+                    found.append((s, combo, t))
+            return sorted(found)
+
+    found = [
+        (s, (), table[0] if total else table.get(0)) for s, k, table in arities if not k
+    ]
+    names: list[str] = []
+    one: list[frozenset[str]] = []
+    delta: dict[BtaKey, frozenset[str]] = {}
     m = 0
     while True:
-        for q in found:
-            if q not in names:
-                names[q] = str(len(order))
-                order.append(q)
+        for s, combo, t in found:
+            if t is None:
+                continue
+            c = number[t]
+            if c < 0:
+                c = number[t] = len(order)
+                order.append(t)
+                names.append(str(c))
+                one.append(frozenset(names[-1:]))
+            delta[(symbols[s], tuple(map(names.__getitem__, combo)))] = one[c]
         if m == len(order):
             break
-        # The rules with the m-th state as an argument and only earlier ones besides.
-        found = [
-            q
-            for sym, k in arities
-            for combo in fresh_tuples(m, m + 1, k)
-            for q in delta.get((sym, tuple(map(order.__getitem__, combo))), ())
-        ]
+        found = fresh(m)
         m += 1
-    renamed = {
-        (sym, tuple(map(names.__getitem__, args))): frozenset(map(names.__getitem__, targets))
-        for (sym, args), targets in delta.items()
-        if all(q in names for q in args)
-    }
-    final = frozenset(names[q] for q in d.final if q in names)
-    return Bta._of(d.alphabet, frozenset(names.values()), renamed, final)
+    final = frozenset(names[number[q]] for q in v.final if number[q] >= 0)
+    return Bta._of(v.alphabet, frozenset(names), delta, final)
 
 
 def _profiles(a: Bta) -> tuple[dict[str, dict[str, list[tuple[str, ...]]]], dict[str, tuple]]:

@@ -9,12 +9,14 @@ raise BudgetError when the cap is hit.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from functools import reduce
 from operator import and_, getitem
 
 from .automata import (
     EMPTY,
     Bta,
+    Numbered,
     Tta,
     accepts,
     is_deterministic,
@@ -30,7 +32,7 @@ DEFAULT_STATE_BUDGET = 2**16
 _SINK = "__dead"  # the state complete adds, renamed on a clash
 
 
-def subset_name(members: frozenset[str]) -> str:
+def subset_name(members: Iterable[str]) -> str:
     """Canonical printable name for a set of states."""
     return "{" + ",".join(sorted(members)) + "}"
 
@@ -70,7 +72,9 @@ class _Subsets:
     The rules that fire on an argument tuple of subsets are then the AND of
     k masks, and the union of their targets is interned once per (symbol,
     mask).  step computes one transition, so a walk builds only the subsets
-    it reaches; close runs the discovery loop to the full determinization.
+    it reaches; close runs the discovery loop to the full determinization
+    and returns it as a numbered view over subset ids, which refinement
+    reads as it is and Numbered.named names for determinize.
     """
 
     def __init__(self, a: Bta, budget: int):
@@ -124,27 +128,30 @@ class _Subsets:
             target = memo[fired] = self._intern(frozenset(acc))
         return target
 
-    def close(self) -> tuple[Bta, dict[str, frozenset[str]]]:
-        """The determinization, every subset named, and the map from names
-        to subsets: each subset m in turn is combined with the ones before."""
+    def close(self) -> Numbered:
+        """The determinization as a numbered view, states in discovery order
+        and named after their subsets: each subset m in turn is combined with
+        the ones before, then the tables are read off in argument order."""
         order = self.pool.order
-        raw = {(sym, ()): target for sym, target in self.leaves.items()}
+        raw: dict[str, dict[tuple[int, ...], int]] = {sym: {} for sym in self.index}
         step = self.step
         m = 0
         while m < len(order):
             for sym, (_, _, cols, _) in self.index.items():
+                got = raw[sym]
                 for combo in fresh_tuples(m, m + 1, len(cols)):
-                    raw[(sym, combo)] = step(sym, combo)
+                    got[combo] = step(sym, combo)
             m += 1
-        names = [subset_name(s) for s in order]
-        singletons = [frozenset((name,)) for name in names]
-        delta = {
-            (sym, tuple(map(names.__getitem__, combo))): singletons[target]
-            for (sym, combo), target in raw.items()
+        n = len(order)
+        tables: dict[str, list[int] | dict[int, int]] = {
+            sym: [target] for sym, target in self.leaves.items()
         }
-        final = frozenset(names[i] for i, s in enumerate(order) if s & self.a.final)
-        det = Bta._of(self.a.alphabet, frozenset(names), delta, final)
-        return det, dict(zip(names, order))
+        for sym, got in raw.items():
+            combos = itertools.product(range(n), repeat=self.a.alphabet.arity(sym))
+            tables[sym] = list(map(got.__getitem__, combos))
+        names = [subset_name(s) for s in order]
+        final = frozenset(i for i, s in enumerate(order) if s & self.a.final)
+        return Numbered(self.a.alphabet, names, tables, final, True)
 
 
 def subset_construction(
@@ -155,7 +162,9 @@ def subset_construction(
     The result is deterministic and total over its states, and accepts
     exactly the language of a; see _Subsets for how it is computed.
     """
-    return _Subsets(a, budget).close()
+    subsets = _Subsets(a, budget)
+    view = subsets.close()
+    return view.named(), dict(zip(view.names, subsets.pool.order))
 
 
 def determinize(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:

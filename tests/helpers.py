@@ -17,12 +17,14 @@ from treeca import (
     DEFAULT_STATE_BUDGET,
     Bta,
     BudgetError,
+    NotDeterministicError,
     NotPathClosedError,
     RankedAlphabet,
     Tree,
     Tta,
     canonical_form,
     codeterminize,
+    complete,
     determinize,
     equivalent,
     is_codeterministic,
@@ -35,6 +37,7 @@ from treeca import (
     reachable_states,
     reverse_bta,
     reverse_tta,
+    subset_construction,
     subset_name,
     trim_empty,
     trim_unreachable,
@@ -707,3 +710,142 @@ def tta_determinize_direct(t: Tta, *, budget: int = DEFAULT_STATE_BUDGET) -> Tta
         )
     built = Tta(t0.alphabet, names, delta, {names[0]})
     return reverse_bta(trim_empty(reverse_tta(built)))
+
+
+# === The named routes the numbered view replaced ==================================
+# The refinement, merge and canonical renaming as they ran on state names,
+# renumbering the automaton at each step; kept as references for the routes
+# that read Bta.numbered and the subset construction's numbered tables.
+
+def refine_by_names(c: Bta) -> tuple[frozenset[str], ...]:
+    """Blocks of the coarsest congruence of a complete deterministic automaton
+    that separates final from non-final states, sorted by their members.
+
+    States are numbered in sorted order and each gets a row, built once: its
+    own number, then for every symbol, argument position i and combination of
+    the other arguments in lexicographic order, the target of that rule.  A
+    Moore round maps every row through the current block numbers and numbers
+    the distinct results in state order; the rounds stop when the block
+    count stops growing.  The rows hold k ints per rule of arity k.
+    """
+    states = sorted(c.states)
+    n = len(states)
+    index = {q: i for i, q in enumerate(states)}
+    # tables[sym][j] is the target index of the rule whose argument indices
+    # spell j in base n, most significant first.
+    tables = {
+        sym: [0] * n ** c.alphabet.arity(sym)
+        for sym in c.alphabet.symbols
+        if c.alphabet.arity(sym) > 0
+    }
+    for (sym, args), targets in c.delta.items():
+        if args:
+            j = 0
+            for q in args:
+                j = j * n + index[q]
+            tables[sym][j] = index[next(iter(targets))]
+    # With q at position i, each prefix of arguments before i selects one
+    # contiguous slice of the table: the targets over every suffix after i.
+    rows = [[q] for q in range(n)]
+    for sym, table in tables.items():
+        k = c.alphabet.arity(sym)
+        for i in range(k):
+            step = n ** (k - 1 - i)
+            for q, row in enumerate(rows):
+                for base in range(q * step, len(table), n * step):
+                    row += table[base : base + step]
+    block = [1 if q in c.final else 0 for q in states]
+    nblocks = len(set(block))
+    while True:
+        fresh: dict[tuple[int, ...], int] = {}
+        block = [
+            fresh.setdefault(tuple(map(block.__getitem__, row)), len(fresh))
+            for row in rows
+        ]
+        if len(fresh) == nblocks:
+            break
+        nblocks = len(fresh)
+    members: dict[int, set[str]] = {}
+    for q, b in zip(states, block):
+        members.setdefault(b, set()).add(q)
+    return tuple(sorted((frozenset(m) for m in members.values()), key=sorted))
+
+
+def merge_classes_by_names(c: Bta) -> Bta:
+    """c merged along its coarsest congruence, classes named after their
+    members.  c must be deterministic, total and fully reachable, as every
+    determinization is."""
+    name_of = {q: subset_name(block) for block in refine_by_names(c) for q in block}
+    named = {q: frozenset((name,)) for q, name in name_of.items()}
+    # Rules whose arguments merge blockwise have targets in one block.
+    delta = {
+        (sym, tuple(map(name_of.__getitem__, args))): named[next(iter(targets))]
+        for (sym, args), targets in c.delta.items()
+    }
+    final = frozenset(name_of[q] for q in c.final)
+    return Bta._of(c.alphabet, frozenset(name_of.values()), delta, final)
+
+
+def canonical_form_by_names(d: Bta) -> Bta:
+    """Rename the reachable part of a deterministic automaton to "0".."n-1".
+
+    States are numbered by a breadth-first walk that takes nullary symbols in
+    sorted order and then, layer by layer, every symbol in sorted order with
+    argument tuples in lexicographic index order; a repeat keeps its first
+    number.  The walk only sees reachable states, so unreachable ones are
+    dropped.  Two deterministic, fully reachable automata are isomorphic iff
+    their canonical forms are equal.
+    """
+    if not is_deterministic(d):
+        raise NotDeterministicError("canonical_form requires a deterministic automaton")
+    delta = d.delta
+    arities = [(sym, d.alphabet.arity(sym)) for sym in d.alphabet.symbols]
+    found = [q for sym in d.alphabet.nullary for q in delta.get((sym, ()), ())]
+    order: list[str] = []
+    names: dict[str, str] = {}
+    m = 0
+    while True:
+        for q in found:
+            if q not in names:
+                names[q] = str(len(order))
+                order.append(q)
+        if m == len(order):
+            break
+        # The rules with the m-th state as an argument and only earlier ones besides.
+        found = [
+            q
+            for sym, k in arities
+            for combo in fresh_tuples(m, m + 1, k)
+            for q in delta.get((sym, tuple(map(order.__getitem__, combo))), ())
+        ]
+        m += 1
+    renamed = {
+        (sym, tuple(map(names.__getitem__, args))): frozenset(map(names.__getitem__, targets))
+        for (sym, args), targets in delta.items()
+        if all(q in names for q in args)
+    }
+    final = frozenset(names[q] for q in d.final if q in names)
+    return Bta._of(d.alphabet, frozenset(names.values()), renamed, final)
+
+
+def minimize_dbta_by_names(d: Bta) -> Bta:
+    if not is_deterministic(d):
+        raise NotDeterministicError("minimize_dbta requires a deterministic automaton")
+    return merge_classes_by_names(trim_unreachable(complete(d)))
+
+
+def minimize_bta_by_names(a: Bta, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
+    return merge_classes_by_names(determinize(a, budget=budget))
+
+
+def gen_det_u_witness_by_names(
+    a: Bta, budget: int = DEFAULT_STATE_BUDGET
+) -> tuple[str, str, frozenset[str], frozenset[str]] | None:
+    det, members = subset_construction(a, budget=budget)
+    merged = [block for block in refine_by_names(det) if len(block) > 1]
+    if not merged:
+        return None
+    block = min(merged, key=subset_name)
+    s1_name, s2_name = sorted(block)[:2]
+    s1, s2 = members[s1_name], members[s2_name]
+    return (min(s1 ^ s2), subset_name(block), s1, s2)

@@ -1,19 +1,23 @@
 """Inputs far deeper than the interpreter's recursion limit: a unary chain
-5000 deep through the command line and through the tree and run code, and an
-automaton whose states form a 5000-long chain through isomorphism."""
+5000 deep through the command line and through the tree and run code, and
+automata whose states form a 5000-long chain through isomorphism and
+canonical renaming."""
 
 from __future__ import annotations
 
 import sys
+import time
 from collections.abc import Callable
 
 import pytest
 
 from treeca import (
     HOLE,
+    Bta,
     NotWellRankedError,
     Tree,
     accepts,
+    canonical_form,
     check_well_ranked,
     format_term,
     is_context,
@@ -187,3 +191,20 @@ def test_walks_address_only_what_they_report():
 
 def test_path_language_of_a_chain_is_its_one_path():
     assert path_language(chain(Tree("a"))) == {("g", 1) * DEPTH + ("a",)}
+
+
+def test_canonical_form_of_a_long_partial_chain_reads_only_its_rules():
+    """DEPTH states strung by f(q,q), named against the walk order.  Looking
+    up every fresh argument pair would take DEPTH^2 lookups; the walk over
+    the rules each state is an argument of takes DEPTH, and the view holds
+    only those rules."""
+    alphabet = parse_automaton(PARITY).alphabet
+    states = [f"q{DEPTH - i}" for i in range(DEPTH)]
+    rules = {("a", ()): {states[0]}} | {("f", (q, q)): {r} for q, r in zip(states, states[1:])}
+    a = Bta(alphabet, states, rules, [states[-1]])
+    start = time.perf_counter()
+    c = canonical_form(a)
+    assert time.perf_counter() - start < 5
+    assert len(c.states) == len(c.delta) == DEPTH
+    assert c.delta[("f", ("0", "0"))] == {"1"} and c.final == {str(DEPTH - 1)}
+    assert not a.numbered.total and len(a.numbered.tables["f"]) == DEPTH - 1

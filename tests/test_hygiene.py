@@ -3,9 +3,10 @@ library module imports is used in that module, and every private
 module-level function or class is used somewhere in the package, so deleting
 a route cannot leave dead imports or helpers behind.  Only the public entry
 points call the checking constructors, so no rule is checked twice; only
-minimization determinizes in full, the rule-mask step of the subset
-construction is written once, no recursion grows with the input, and the
-command line starts without modules it does not need."""
+minimization determinizes in full, only the numbered view maps state names
+to numbers, the rule-mask step of the subset construction is written once,
+no recursion grows with the input, and the command line starts without
+modules it does not need."""
 
 from __future__ import annotations
 
@@ -65,15 +66,16 @@ def test_every_private_helper_is_used():
 
 def _calls_by_scope(node: ast.AST, names: set[str], scope: tuple[str, ...] = ()):
     """The scopes (dotted class and function names) of the calls under node
-    to a function named in names."""
+    to a function or method named in names."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             yield from _calls_by_scope(child, names, scope + (child.name,))
             continue
-        if (
-            isinstance(child, ast.Call)
-            and isinstance(child.func, ast.Name)
+        if isinstance(child, ast.Call) and (
+            isinstance(child.func, ast.Name)
             and child.func.id in names
+            or isinstance(child.func, ast.Attribute)
+            and child.func.attr in names
         ):
             yield ".".join(scope) or "<module>"
         yield from _calls_by_scope(child, names, scope)
@@ -135,10 +137,50 @@ def test_only_the_public_entry_points_call_the_checking_constructors():
 
 def test_verdicts_determinize_nothing_in_full():
     # Equivalence and path-closedness step through transforms._Subsets as far
-    # as their product walk reaches; only minimization needs the whole table.
-    tree = ast.parse((SRC / "minimize.py").read_text(encoding="utf-8"))
-    callers = set(_calls_by_scope(tree, {"determinize", "subset_construction"}))
-    assert callers == {"minimize_bta"}
+    # as their product walk reaches; only the minimizers and the minimality
+    # check run its discovery loop to the whole table (_Subsets.close).
+    full = {"determinize", "subset_construction", "close"}
+    callers = {
+        f"{name}:{scope}"
+        for name in ("minimize.py", "analysis.py")
+        for scope in _calls_by_scope(ast.parse((SRC / name).read_text(encoding="utf-8")), full)
+    }
+    assert callers == {
+        "minimize.py:minimize_bta",
+        "minimize.py:min_codbta",
+        "minimize.py:brzozowski",
+        "analysis.py:gen_det_u_witness",
+    }
+
+
+def _index_dicts(tree: ast.AST) -> list[int]:
+    """The lines of the dict comprehensions under tree that map items to
+    their positions, {q: i for i, q in enumerate(...)}."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.DictComp) or len(node.generators) != 1:
+            continue
+        gen = node.generators[0]
+        if (
+            isinstance(gen.iter, ast.Call)
+            and isinstance(gen.iter.func, ast.Name)
+            and gen.iter.func.id == "enumerate"
+            and isinstance(gen.target, ast.Tuple)
+            and isinstance(gen.target.elts[0], ast.Name)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == gen.target.elts[0].id
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", ["minimize.py", "analysis.py"])
+def test_minimization_numbers_states_only_in_the_view(name):
+    # Refinement, merging and canonical renaming read the numbered view that
+    # automata.Bta.numbered builds once, or the subset construction's own
+    # numbered tables; none numbers state names again.
+    assert _index_dicts(ast.parse((SRC / name).read_text(encoding="utf-8"))) == []
+    assert _index_dicts(ast.parse((SRC / "automata.py").read_text(encoding="utf-8")))
 
 
 def _is_low_bit(node: ast.AST) -> bool:

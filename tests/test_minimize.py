@@ -4,6 +4,7 @@ and language equivalence."""
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -23,6 +24,7 @@ from treeca import (
     determinize,
     enumerate_trees,
     equivalent,
+    gen_det_u_witness,
     is_codeterministic,
     is_deterministic,
     is_path_closed,
@@ -38,11 +40,13 @@ from treeca import (
     separating_tree,
     serialize_automaton,
     subset_construction,
+    subset_name,
     trim_unreachable,
     tta_determinize,
 )
 
-from treeca.minimize import _path_closed_constructions, _refine
+from treeca import automata
+from treeca.minimize import _blocks, _path_closed_constructions, _refine
 
 from helpers import (
     AB,
@@ -51,9 +55,13 @@ from helpers import (
     MONO,
     TERN,
     accept_all_bta,
+    canonical_form_by_names,
     cycles_bta,
     drop_one_rule,
+    gen_det_u_witness_by_names,
     isomorphic_by_routes,
+    minimize_bta_by_names,
+    minimize_dbta_by_names,
     path_closed_by_determinization,
     random_bta,
     random_path_closed_bta,
@@ -93,17 +101,28 @@ def downward_languages(d: Bta, height: int) -> dict[str, frozenset]:
 
 # === Refinement ===================================================================
 
+def named_blocks(v) -> tuple[frozenset[str], ...]:
+    """The blocks _refine finds on view v, as sets of state names sorted by
+    their members."""
+    blocks = (frozenset(map(v.names.__getitem__, m)) for m in _blocks(_refine(v)))
+    return tuple(sorted(blocks, key=sorted))
+
+
 def test_row_refinement_matches_the_product_signatures():
-    """The same blocks on the determinized and on the completed, trimmed
-    determinized automata of 250 seeded draws up to arity 3."""
-    merged = 0
+    """The same blocks on the numbered views of 250 seeded draws up to arity
+    3: the subset construction's own view of the determinization, the view
+    a fresh copy of it numbers in sorted order, and the view of a completed,
+    trimmed copy missing one rule."""
+    merged = reordered = 0
     for a in seeded_draws(250):
         d = determinize(a)
-        for c in (d, trim_unreachable(complete(d))):
-            blocks = _refine(c)
+        reordered += d.numbered.names != sorted(d.states)
+        copy = Bta(d.alphabet, d.states, d.delta, d.final)
+        for c in (d, copy, trim_unreachable(complete(drop_one_rule(d)))):
+            blocks = named_blocks(c.numbered)
             assert blocks == refine_by_products(c)
             merged += len(blocks) < len(c.states)
-    assert merged > 100
+    assert merged > 300 and reordered > 100
 
 
 # === minimize_dbta / minimize_bta =================================================
@@ -251,6 +270,90 @@ def test_path_closed_constructions_are_built_once(subset_pools, and1):
         subset_pools.clear()
         build(and1)
         assert len(subset_pools) == constructions, build.__name__
+
+
+# === The numbered view against the named routes ==================================
+
+def drop_every_fifth_rule(a: Bta) -> Bta:
+    """a without every fifth of its rules in sorted order."""
+    kept = {key: a.delta[key] for i, key in enumerate(sorted(a.delta)) if i % 5 != 2}
+    return Bta(a.alphabet, a.states, kept, a.final)
+
+
+def view_inputs() -> list[Bta]:
+    """seeded_draws(250), their determinizations and minimizations (whose
+    names nest braces), copies with rules dropped so completion adds a sink,
+    and the zero-state and rule-free automata."""
+    out = [Bta(AB, [], {}, []), Bta(ABG, ["p", "q"], {}, ["q"]), Bta(TERN, ["p"], {}, [])]
+    for a in seeded_draws(250):
+        d, m = determinize(a), minimize_bta(a)
+        out += [a, d, drop_one_rule(d), drop_every_fifth_rule(d), m, drop_every_fifth_rule(m)]
+    return out
+
+
+def result_of(f, *args):
+    """f's result, serialized when it is an automaton, or its error."""
+    try:
+        got = f(*args)
+    except TreecaError as e:
+        return type(e), str(e)
+    return serialize_automaton(got) if isinstance(got, Bta) else got
+
+
+def test_numbered_routes_give_the_named_routes_results():
+    routes = [
+        (canonical_form, canonical_form_by_names),
+        (minimize_dbta, minimize_dbta_by_names),
+        (minimize_bta, minimize_bta_by_names),
+        (gen_det_u_witness, gen_det_u_witness_by_names),
+    ]
+    raised = witnesses = 0
+    for a in view_inputs():
+        for new, old in routes:
+            got = result_of(new, a)
+            assert got == result_of(old, a), (new.__name__, serialize_automaton(a))
+            raised += isinstance(got, tuple) and got[0] is NotDeterministicError
+            witnesses += new is gen_det_u_witness and got is not None
+    assert raised > 200 and witnesses > 200
+
+
+def test_numbered_routes_build_the_same_subsets_under_a_budget(subset_pools):
+    """The same BudgetError or result for every budget up to the subset
+    count, and the same subsets in the same order."""
+    routes = [
+        (minimize_bta, minimize_bta_by_names),
+        (gen_det_u_witness, gen_det_u_witness_by_names),
+    ]
+    for a in seeded_draws(40):
+        for budget in range(1, len(determinize(a).states) + 2):
+            for new, old in routes:
+                subset_pools.clear()
+                got = result_of(lambda b: new(b, budget=budget), a)
+                built = [pool.order for pool in subset_pools]
+                subset_pools.clear()
+                assert got == result_of(lambda b: old(b, budget=budget), a)
+                assert built == [pool.order for pool in subset_pools]
+
+
+def test_the_view_is_built_once_and_decides_determinism(abc, bool2):
+    copies = [Bta(a.alphabet, a.states, a.delta, a.final) for a in (abc, bool2)]
+    with mock.patch.object(automata, "_number", wraps=automata._number) as spy:
+        for a in copies * 2:
+            a.numbered
+    assert spy.call_count == 2
+    nondet, det = copies
+    assert nondet.numbered is None
+    assert det.numbered.total and det.numbered.names == sorted(det.states)
+    # A determinization keeps the subset construction's view, in discovery order.
+    d = determinize(abc)
+    assert d.numbered.names == [subset_name(s) for s in subset_construction(abc)[1].values()]
+
+
+def test_a_partial_view_holds_only_the_rules():
+    d = drop_every_fifth_rule(determinize(seeded_draws(10)[9]))
+    view = d.numbered
+    assert not view.total
+    assert sum(map(len, view.tables.values())) == len(d.delta)
 
 
 # === canonical_form ===============================================================
