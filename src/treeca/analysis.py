@@ -14,11 +14,11 @@ from .automata import (
     Bta,
     _check_states,
     _leaves,
+    _restrict,
     _run,
     _spine_fold,
     reachable_states,
     trim_unreachable,
-    wpre,
 )
 from .oracle import _group
 from .minimize import _blocks, _refine, _require_path_closed
@@ -55,14 +55,15 @@ def pre_context(a: Bta, x: Tree, s: Iterable[str] | None = None) -> frozenset[st
     spine position of every rule whose target set meets the running set.
     """
     seed = a.final if s is None else _check_states(a, s)
-    if reachable_states(a) != a.states:
+    reach = reachable_states(a)
+    if reach != a.states:
         warnings.warn(
             "pre_context removes unreachable states before computing",
             stacklevel=2,
         )
-        a = trim_unreachable(a)
-        seed &= a.states
-    return _spine_fold(a, x, seed)[1]
+        a = _restrict(a, reach)
+        seed &= reach
+    return _spine_fold(a, x, seed, pivot(x))[1]
 
 
 def root_to_pivot_equiv(
@@ -71,9 +72,11 @@ def root_to_pivot_equiv(
     """True iff x and y have equal spines and their weak preimages of s are
     both empty or both nonempty."""
     seed = a.final if s is None else _check_states(a, s)
-    if spine_of(x) != spine_of(y):
+    spine = spine_of(x)
+    if spine != spine_of(y):
         return False
-    return bool(wpre(a, x, seed)) == bool(wpre(a, y, seed))
+    at = tuple(i for _, i in spine)
+    return bool(_spine_fold(a, x, seed, at)[0]) == bool(_spine_fold(a, y, seed, at)[0])
 
 
 def check_gen_det_u(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
@@ -149,4 +152,4 @@ def bta_congruence_down(
     """
     a1 = trim_unreachable(a)
     contexts = enumerate_contexts(a.alphabet, max_height, budget)
-    return _group(contexts, lambda x: _spine_fold(a1, x, a1.final)[1])
+    return _group(contexts, lambda x: _spine_fold(a1, x, a1.final, pivot(x))[1])

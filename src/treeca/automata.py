@@ -20,7 +20,7 @@ import re
 from typing import Iterable, Mapping
 
 from .errors import NotWellRankedError, TreecaError
-from .trees import HOLE, RankedAlphabet, Tree, pivot
+from .trees import HOLE, Address, RankedAlphabet, Tree, pivot
 
 EMPTY: frozenset[str] = frozenset()
 
@@ -350,8 +350,8 @@ def seeded_post(a: Bta, x: Tree, q: str) -> frozenset[str]:
     return _run(a, x, {**_leaves(a), HOLE: frozenset({q})})
 
 
-def _spine_fold(a: Bta, x: Tree, s: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
-    """Fold the root-to-pivot spine of context x downward from the root set s.
+def _spine_fold(a: Bta, x: Tree, s: frozenset[str], at: Address) -> tuple[frozenset, frozenset]:
+    """Fold the spine of context x down to its hole at address at from the root set s.
 
     Each step (f, i) keeps argument i of every f-production of a state in the
     running set.  Requiring the other arguments to lie in the states of the
@@ -362,7 +362,7 @@ def _spine_fold(a: Bta, x: Tree, s: frozenset[str]) -> tuple[frozenset[str], fro
     down = reverse_bta(a).delta
     weak = strong = s
     node = x
-    for i in pivot(x):
+    for i in at:
         kids = node.children
         if node.label not in a.alphabet or a.alphabet.arity(node.label) != len(kids):
             raise NotWellRankedError(f"context is not well ranked at symbol {node.label!r}")
@@ -383,7 +383,7 @@ def _spine_fold(a: Bta, x: Tree, s: frozenset[str]) -> tuple[frozenset[str], fro
 
 def wpre(a: Bta, x: Tree, s: Iterable[str]) -> frozenset[str]:
     """States q whose seeded run on x can reach a root state inside s."""
-    return _spine_fold(a, x, _check_states(a, s))[0]
+    return _spine_fold(a, x, _check_states(a, s), pivot(x))[0]
 
 
 def reachable_states(a: Bta) -> frozenset[str]:

@@ -30,6 +30,11 @@ def _group(items: Iterable[Tree], key: Callable[[Tree], Hashable]) -> dict:
     return {k: tuple(members) for k, members in groups.items()}
 
 
+def _classes(items: Iterable[Tree], key: Callable[[Tree], Hashable]) -> tuple[tuple, ...]:
+    """items grouped by key, the groups ordered by their first member."""
+    return tuple(sorted(_group(items, key).values(), key=lambda c: c[0]))
+
+
 def _acceptor(a: Bta) -> Callable[[Tree], bool]:
     """Acceptance by a, with one memo shared by every tree it is asked about."""
     leaves, memo = _leaves(a), {}
@@ -60,8 +65,7 @@ def nerode_classes_up(
     contexts = enumerate_contexts(a.alphabet, context_height, budget)
     accepted = _acceptor(a)
     pivots = [(x, pivot(x)) for x in contexts]
-    classes = _group(trees, lambda t: tuple(accepted(substitute(x, at, t)) for x, at in pivots))
-    return tuple(sorted(classes.values(), key=lambda c: c[0]))
+    return _classes(trees, lambda t: tuple(accepted(substitute(x, at, t)) for x, at in pivots))
 
 
 def nerode_classes_down(
@@ -84,8 +88,7 @@ def nerode_classes_down(
         at = pivot(x)
         return tuple(accepted(substitute(x, at, t)) for t in trees)
 
-    classes = _group(contexts, bits)
-    return tuple(sorted(classes.values(), key=lambda c: c[0]))
+    return _classes(contexts, bits)
 
 
 def quotient_member_up(a: Bta, x: Tree, t: Tree) -> bool:
@@ -95,4 +98,4 @@ def quotient_member_up(a: Bta, x: Tree, t: Tree) -> bool:
 
 def quotient_member_down(a: Bta, t: Tree, x: Tree) -> bool:
     """True iff tree t fills context x into the language."""
-    return accepts(a, plug(x, t))
+    return quotient_member_up(a, x, t)

@@ -169,7 +169,7 @@ def subset_construction(
 
 def determinize(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
     """The deterministic automaton of reachable state subsets."""
-    return subset_construction(a, budget=budget)[0]
+    return _Subsets(a, budget).close().named()
 
 
 def codeterminize(

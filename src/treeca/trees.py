@@ -29,11 +29,10 @@ DEFAULT_ENUM_BUDGET = 10**6
 Address = tuple[int, ...]
 
 _IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
-_TOKEN_RE = re.compile(
-    rf"(?P<hole>{re.escape(HOLE)})|(?P<punct>[(),])|(?P<ident>{_IDENT_RE.pattern})"
-    r"|(?P<space>\s+)|(?P<bad>.)",
-    re.DOTALL,
-)
+_TOKEN_RE = re.compile(rf"{re.escape(HOLE)}|[(),]|{_IDENT_RE.pattern}")
+# A character that is neither whitespace nor in a token: none of the token
+# characters, or a '<' or '>' that is not half of a hole.
+_BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_(),<>\s]|<(?!>)|(?<!<)>")
 
 
 class RankedAlphabet:
@@ -435,51 +434,44 @@ def format_term(t: Tree) -> str:
     return "".join(parts)
 
 
-def _tokenize_term(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) triples; the kind of punctuation is itself."""
-    tokens: list[tuple[str, str, int]] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind, value = m.lastgroup, m.group()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", line=1, column=m.start() + 1)
-        if kind != "space":
-            tokens.append((value if kind == "punct" else kind, value, m.start()))
-    return tokens
-
-
 def _parse_term(text: str) -> tuple[Tree, int]:
     """The term that text spells out, and the number of holes in it."""
-    tokens = _tokenize_term(text) + [("end", "", len(text))]
-    pos = holes = 0
+    bad = _BAD_CHAR_RE.search(text)  # reported before any grammar error
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}", line=1, column=bad.start() + 1)
+    tokens = _TOKEN_RE.finditer(text)  # what lies between them is whitespace
+    tok = next(tokens, None)  # the next token, None at the end of text
+    holes = 0
     open_terms: list[tuple[str, list[Tree]]] = []  # each '(' still open: symbol, children
     while True:
-        kind, value, at = tokens[pos]
-        pos += 1
-        if kind not in ("ident", "hole"):
-            msg = "unexpected end of term" if kind == "end" else f"expected a symbol, got {value!r}"
-            raise ParseError(msg, line=1, column=at + 1)
-        holes += kind == "hole"
-        if kind == "ident" and tokens[pos][0] == "(":
-            pos += 1
-            if tokens[pos][0] != ")":
-                open_terms.append((value, []))
+        if tok is None or tok[0] in "(),":
+            msg = "unexpected end of term" if tok is None else f"expected a symbol, got {tok[0]!r}"
+            raise ParseError(msg, line=1, column=(tok.start() if tok else len(text)) + 1)
+        label = tok[0]
+        tok = next(tokens, None)
+        if label == HOLE:
+            holes += 1
+        elif tok is not None and tok[0] == "(":
+            tok = next(tokens, None)
+            if tok is None or tok[0] != ")":
+                open_terms.append((label, []))
                 continue
-            pos += 1
-        done = Tree(value)  # a hole token's value is the hole symbol
+            tok = next(tokens, None)
+        done = Tree(label)
         while open_terms:  # hand the finished term to its parent, closing it on ')'
             open_terms[-1][1].append(done)
-            kind, value, at = tokens[pos]
-            pos += 1
-            if kind == ",":
+            if tok is None or tok[0] not in ",)":
+                msg = "unclosed '('" if tok is None else f"expected ',' or ')', got {tok[0]!r}"
+                raise ParseError(msg, line=1, column=(tok.start() if tok else len(text)) + 1)
+            closing = tok[0] == ")"
+            tok = next(tokens, None)
+            if not closing:
                 break
-            if kind != ")":
-                msg = "unclosed '('" if kind == "end" else f"expected ',' or ')', got {value!r}"
-                raise ParseError(msg, line=1, column=at + 1)
             label, children = open_terms.pop()
             done = Tree(label, children)
         else:
-            if tokens[pos][0] != "end":
-                raise ParseError("trailing input after term", line=1, column=tokens[pos][2] + 1)
+            if tok is not None:
+                raise ParseError("trailing input after term", line=1, column=tok.start() + 1)
             return done, holes
 
 

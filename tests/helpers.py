@@ -10,19 +10,23 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
 from treeca import (
     DEFAULT_STATE_BUDGET,
+    HOLE,
     Bta,
     BudgetError,
     NotDeterministicError,
     NotPathClosedError,
+    ParseError,
     RankedAlphabet,
     Tree,
     Tta,
     canonical_form,
+    check_well_ranked,
     codeterminize,
     complete,
     determinize,
@@ -849,3 +853,80 @@ def gen_det_u_witness_by_names(
     s1_name, s2_name = sorted(block)[:2]
     s1, s2 = members[s1_name], members[s2_name]
     return (min(s1 ^ s2), subset_name(block), s1, s2)
+
+
+# === The term reader that read a token list =======================================
+# The tokenizer and reader as they ran before the reader took its tokens
+# straight off the regex; kept as the reference for that reader.
+
+_TOKEN_RE = re.compile(
+    rf"(?P<hole>{re.escape(HOLE)})|(?P<punct>[(),])|(?P<ident>[A-Za-z0-9_]+)"
+    r"|(?P<space>\s+)|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
+def tokenize_term_to_list(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) triples; the kind of punctuation is itself."""
+    tokens: list[tuple[str, str, int]] = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", line=1, column=m.start() + 1)
+        if kind != "space":
+            tokens.append((value if kind == "punct" else kind, value, m.start()))
+    return tokens
+
+
+def read_term_from_token_list(text: str) -> tuple[Tree, int]:
+    """The term that text spells out, and the number of holes in it."""
+    tokens = tokenize_term_to_list(text) + [("end", "", len(text))]
+    pos = holes = 0
+    open_terms: list[tuple[str, list[Tree]]] = []  # each '(' still open: symbol, children
+    while True:
+        kind, value, at = tokens[pos]
+        pos += 1
+        if kind not in ("ident", "hole"):
+            msg = "unexpected end of term" if kind == "end" else f"expected a symbol, got {value!r}"
+            raise ParseError(msg, line=1, column=at + 1)
+        holes += kind == "hole"
+        if kind == "ident" and tokens[pos][0] == "(":
+            pos += 1
+            if tokens[pos][0] != ")":
+                open_terms.append((value, []))
+                continue
+            pos += 1
+        done = Tree(value)  # a hole token's value is the hole symbol
+        while open_terms:  # hand the finished term to its parent, closing it on ')'
+            open_terms[-1][1].append(done)
+            kind, value, at = tokens[pos]
+            pos += 1
+            if kind == ",":
+                break
+            if kind != ")":
+                msg = "unclosed '('" if kind == "end" else f"expected ',' or ')', got {value!r}"
+                raise ParseError(msg, line=1, column=at + 1)
+            label, children = open_terms.pop()
+            done = Tree(label, children)
+        else:
+            if tokens[pos][0] != "end":
+                raise ParseError("trailing input after term", line=1, column=tokens[pos][2] + 1)
+            return done, holes
+
+
+def parse_term_from_token_list(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
+    t, holes = read_term_from_token_list(text)
+    if holes:
+        raise ParseError("holes are not allowed in a plain term", line=1, column=1)
+    if alphabet is not None:
+        check_well_ranked(t, alphabet)
+    return t
+
+
+def parse_context_from_token_list(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
+    t, holes = read_term_from_token_list(text)
+    if holes != 1:
+        raise ParseError(f"a context needs exactly one hole, found {holes}", line=1, column=1)
+    if alphabet is not None:
+        check_well_ranked(t, alphabet, allow_hole=True)
+    return t

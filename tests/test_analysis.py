@@ -6,12 +6,14 @@ from __future__ import annotations
 import itertools
 import random
 import warnings
+from unittest import mock
 
 import pytest
 
 from treeca import (
     Bta,
     NotPathClosedError,
+    NotWellRankedError,
     RankedAlphabet,
     TreecaError,
     accepts,
@@ -37,6 +39,7 @@ from treeca import (
     trim_unreachable,
     wpre,
 )
+from treeca import trees
 
 from helpers import (
     AB,
@@ -88,6 +91,47 @@ def test_root_to_pivot_needs_equal_spines(bool2):
     x = parse_context("or(T,<>)")
     y = parse_context("or(<>,T)")
     assert not root_to_pivot_equiv(bool2, x, y, bool2.final)
+
+
+def test_root_to_pivot_walks_each_context_to_its_hole_once(bool2):
+    """The spines are read off one hole search per context, and both folds
+    follow the hole address the equal spines share."""
+    x = parse_context("or(or(T,F),<>)")
+    y = parse_context("or(or(T,T),<>)")
+    with mock.patch.object(trees, "_holes", wraps=trees._holes) as holes:
+        assert root_to_pivot_equiv(bool2, x, y)
+    assert holes.call_count == 2
+
+
+def test_root_to_pivot_matches_spines_and_weak_preimages():
+    """Verdicts and errors equal those of comparing the spines and then each
+    context's weak preimage, on random draws whose contexts often share a
+    spine and are sometimes ranked over a wider alphabet."""
+    rng = random.Random(7)
+    wide = RankedAlphabet({**ABG.entries, "h": 3})
+
+    def outcome(check, *args):
+        try:
+            return check(*args)
+        except TreecaError as exc:
+            return type(exc), str(exc)
+
+    def by_spines_and_wpre(a, x, y, s):
+        seed = a.final if s is None else frozenset(s)
+        if spine_of(x) != spine_of(y):
+            return False
+        return bool(wpre(a, x, seed)) == bool(wpre(a, y, seed))
+
+    verdicts = set()
+    for a in seeded_draws(40):
+        for _ in range(10):
+            x = random_context(rng, rng.choice((a.alphabet, wide)), 3)
+            y = x if rng.random() < 0.3 else random_context(rng, a.alphabet, 3)
+            s = None if rng.random() < 0.5 else {q for q in a.states if rng.random() < 0.5}
+            got = outcome(root_to_pivot_equiv, a, x, y, s)
+            assert got == outcome(by_spines_and_wpre, a, x, y, s)
+            verdicts.add(got if isinstance(got, bool) else got[0])
+    assert verdicts == {True, False, NotWellRankedError}
 
 
 # === pre ==========================================================================

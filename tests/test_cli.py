@@ -9,6 +9,7 @@ text that parses back to the same machine the library produces.
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -34,6 +35,7 @@ from treeca import (
     reachable_states,
     serialize_automaton,
 )
+from treeca import analysis, automata, cli
 from treeca.cli import main
 
 
@@ -260,6 +262,19 @@ def test_pre_notes_the_trim_in_one_line(capsys, tmp_path, bool2):
         assert (code, out, err) == (0, "q0 q1\n", PRE_NOTE)
     code, out, err = run(capsys, "pre", fx("bool2.bta"), "-c", "or(T,<>)")
     assert (code, out, err) == (0, "q0 q1\n", "")
+
+
+def test_pre_finds_the_reachable_states_once(capsys, tmp_path, bool2):
+    """The note comes from the library's warning; neither pre_context nor
+    the command line computes the reachable states again."""
+    path = tmp_path / "bool2z.bta"
+    path.write_text(serialize_automaton(with_unreachable_state(bool2)))
+    counted = mock.Mock(wraps=automata.reachable_states)
+    with mock.patch.object(automata, "reachable_states", counted), \
+            mock.patch.object(analysis, "reachable_states", counted), \
+            mock.patch.object(cli, "reachable_states", counted):
+        assert run(capsys, "pre", str(path), "-c", "or(T,<>)") == (0, "q0 q1\n", PRE_NOTE)
+    assert counted.call_count == 1
 
 
 def test_check_brz_d_notes_nothing_when_it_fails(capsys, tmp_path, bool2):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from treeca import (
     ParseError,
     RankedAlphabet,
     Tree,
+    TreecaError,
     check_well_ranked,
     enumerate_contexts,
     enumerate_trees,
@@ -34,9 +38,17 @@ from treeca import (
     subtree,
     substitute,
 )
-from treeca.trees import _context_cache, _enumerate_raw, _tree_cache, fresh_tuples
+from treeca.trees import _context_cache, _enumerate_raw, _parse_term, _tree_cache, fresh_tuples
 
-from helpers import AB, BOOL
+from helpers import (
+    AB,
+    ABG,
+    BOOL,
+    TERN,
+    parse_context_from_token_list,
+    parse_term_from_token_list,
+    read_term_from_token_list,
+)
 
 
 # === Strategies ===================================================================
@@ -328,6 +340,114 @@ def test_parse_errors_carry_positions():
         parse_term("and(T,F)", AB)  # not well ranked for this alphabet
     with pytest.raises(NotWellRankedError):
         parse_term("and(T)", BOOL)
+
+
+@pytest.mark.parametrize(
+    "text, column, message",
+    [
+        # A character no token holds outranks the misplaced ',' before it.
+        ("f(,x)$", 6, "unexpected character '$'"),
+        ("f(a", 4, "unclosed '('"),
+        ("", 1, "unexpected end of term"),
+        # The reader's fault outranks the context's hole count.
+        ("f(<>)(", 6, "trailing input after term"),
+    ],
+)
+def test_reader_faults_come_in_a_fixed_order(text, column, message):
+    for parse in (parse_term, parse_context):
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        assert (caught.value.line, caught.value.column) == (1, column)
+        assert str(caught.value) == f"line 1, column {column}: {message}"
+
+
+def _outcome(read, *args):
+    """What read returns, or the type, message, line and column it raises."""
+    try:
+        return "returned", read(*args)
+    except TreecaError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+# Each reader route next to the token-list reader it must agree with, and
+# whether it takes the input's alphabet.
+READER_ROUTES = [
+    (_parse_term, read_term_from_token_list, False),
+    (parse_term, parse_term_from_token_list, False),
+    (parse_term, parse_term_from_token_list, True),
+    (parse_context, parse_context_from_token_list, False),
+    (parse_context, parse_context_from_token_list, True),
+]
+
+# Characters a mutation inserts: every token character, ASCII and Unicode
+# spaces, characters no token holds ('$', 'é'), and symbols of the alphabets.
+MUTATION_CHARS = "(),<>  \t\nabfghT_9$é\u00a0"
+
+
+def _mutated_terms(seed: int, count: int) -> dict[str, RankedAlphabet]:
+    """count distinct texts, each a term or context of height <= 3 with up
+    to three random edits (a character inserted or deleted, or a slice
+    repeated in place), mapped to the alphabet it was drawn over."""
+    rng = random.Random(seed)
+    sources = [
+        (list(map(format_term, enumerate_items(alphabet, h))), alphabet)
+        for alphabet in (AB, ABG, BOOL, TERN)
+        for enumerate_items in (enumerate_trees, enumerate_contexts)
+        for h in (1, 2, 3)
+    ]
+    out: dict[str, RankedAlphabet] = {}
+    while len(out) < count:
+        texts, alphabet = rng.choice(sources)
+        text = rng.choice(texts)
+        for _ in range(rng.randrange(4)):
+            i = rng.randrange(len(text) + 1)
+            edit = rng.randrange(3)
+            if edit == 0:
+                text = text[:i] + rng.choice(MUTATION_CHARS) + text[i:]
+            elif edit == 1:
+                text = text[:i] + text[i + 1 :]
+            else:
+                j = rng.randrange(i, len(text) + 1)
+                text = text[:j] + text[i:j] + text[j:]
+        out.setdefault(text, alphabet)
+    return out
+
+
+def _term_test_inputs() -> list[str]:
+    """Every string literal the test files hand to parse_term or parse_context."""
+    literal = re.compile(r"parse_(?:term|context)\(\s*\"([^\"\\]*)\"")
+    tests = Path(__file__).parent.glob("test_*.py")
+    return sorted({m[1] for path in tests for m in literal.finditer(path.read_text())})
+
+
+def test_reader_agrees_with_the_token_list_reader():
+    """Same tree and hole count, or the same error type, message, line and
+    column, on every route for 100k distinct seeded mutated terms and the
+    term tests' own inputs."""
+    fixed = _term_test_inputs()
+    assert len(fixed) > 40
+    inputs = [*_mutated_terms(15, 100_000).items(), *((text, BOOL) for text in fixed)]
+    faults = set()
+    for text, alphabet in inputs:
+        for read, reference, ranked in READER_ROUTES:
+            args = (text, alphabet) if ranked else (text,)
+            got = _outcome(read, *args)
+            assert got == _outcome(reference, *args), (text, read.__name__, ranked)
+            if got[0] != "returned":
+                faults.add(re.sub(r"'[^']*'|at \S+|\d+", "_", got[1].split(": ", 1)[-1]))
+    # The inputs reach every fault the reader and the rank check report.
+    assert faults == {
+        "unexpected character _",
+        "expected a symbol, got _",
+        "unexpected end of term",
+        "unclosed _",
+        "expected _ or _, got _",
+        "trailing input after term",
+        "holes are not allowed in a plain term",
+        "a context needs exactly one hole, found _",
+        "unknown symbol _ _",
+        "symbol _ _ has _ children, expected _",
+    }
 
 
 @settings(deadline=None, max_examples=80)
