@@ -1,4 +1,5 @@
-"""Shared builders, random generators, and independent oracles for the tests.
+"""Shared builders, random generators, independent oracles, and the one
+reference per construction that the tests compare the library against.
 
 Everything random takes an explicit random.Random so the suites are
 reproducible; everything oracle-like is written directly against the
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 from treeca import (
@@ -24,21 +25,19 @@ from treeca import (
     ParseError,
     RankedAlphabet,
     Tree,
+    TreecaError,
     Tta,
-    canonical_form,
     check_well_ranked,
     codeterminize,
     complete,
     determinize,
     equivalent,
-    is_codeterministic,
     is_deterministic,
     isomorphic,
     iter_nodes,
     minimize_dbta,
     parse_automaton,
     puncture,
-    reachable_states,
     reverse_bta,
     reverse_tta,
     subset_construction,
@@ -71,6 +70,33 @@ def rename_states(a: Bta, prefix: str = "s_") -> Bta:
         for (sym, args), targets in a.delta.items()
     }
     return Bta(a.alphabet, new.values(), delta, {new[q] for q in a.final})
+
+
+# === Comparing a route with its reference ========================================
+
+# The type, message, line and column of a TreecaError; line and column are
+# None for errors that carry no position.
+Raised = namedtuple("Raised", "type message line column")
+
+
+def outcome(f, *args, **kwargs):
+    """What f returns on the arguments, or the Raised of its TreecaError."""
+    try:
+        return f(*args, **kwargs)
+    except TreecaError as e:
+        return Raised(type(e), str(e), getattr(e, "line", None), getattr(e, "column", None))
+
+
+def assert_routes_agree(route, reference, inputs) -> list:
+    """route and reference return equal results, or raise the same error with
+    the same message and position, on every tuple of arguments in inputs;
+    route's outcomes in input order."""
+    got = []
+    for args in inputs:
+        out = outcome(route, *args)
+        assert out == outcome(reference, *args), (route.__name__, args)
+        got.append(out)
+    return got
 
 
 # === Random automata =============================================================
@@ -163,11 +189,7 @@ def random_context(rng: random.Random, alphabet: RankedAlphabet, max_height: int
     return puncture(t, addr)
 
 
-def nonempty(a: Bta) -> bool:
-    return bool(trim_unreachable(a).final)
-
-
-# === Hand-built automata used by several suites ==================================
+# === Hand-built automata and variations used by several suites ===================
 
 def split_state_bta() -> Bta:
     """A boolean evaluator with the true state split in two: T() lands in q1a,
@@ -214,6 +236,68 @@ def accept_all_bta(alphabet: RankedAlphabet = AB) -> Bta:
         (sym, ("u",) * alphabet.arity(sym)): {"u"} for sym in alphabet.symbols
     }
     return Bta(alphabet, {"u"}, delta, {"u"})
+
+
+def drop_one_rule(a: Bta) -> Bta:
+    """a without its least rule; a itself when it has none."""
+    if not a.delta:
+        return a
+    dropped = min(a.delta)
+    delta = {key: targets for key, targets in a.delta.items() if key != dropped}
+    return Bta(a.alphabet, a.states, delta, a.final)
+
+
+def regular_bta(rng: random.Random, n: int) -> Bta:
+    """n states over a/0 g/1: a reaches every state, g takes each state to
+    two states, and each state is the target of two g rules.  Every state has
+    the same finality, argument occurrences and productions per symbol, and
+    no rule has a single target, so an isomorphism search must branch on
+    every state and often backtrack."""
+    states = [f"q{i}" for i in range(n)]
+    first, second = rng.sample(range(n), n), rng.sample(range(n), n)
+    while any(i == j for i, j in zip(first, second)):
+        second = rng.sample(range(n), n)
+    delta = {("a", ()): set(states)}
+    for q, i, j in zip(states, first, second):
+        delta[("g", (q,))] = {states[i], states[j]}
+    return Bta(RankedAlphabet({"a": 0, "g": 1}), states, delta, ())
+
+
+def cycles_bta(lengths: list[int]) -> Bta:
+    """Disjoint g-cycles of the given lengths over a/0 g/1, with no a rule and
+    no final state: every state has the same profile, every rule a single
+    target, and a cycle maps onto any cycle whose length divides its own."""
+    states, delta = [], {}
+    for n in lengths:
+        cycle = [f"c{len(states) + i}" for i in range(n)]
+        states += cycle
+        for i, q in enumerate(cycle):
+            delta[("g", (q,))] = {cycle[(i + 1) % n]}
+    return Bta(RankedAlphabet({"a": 0, "g": 1}), states, delta, ())
+
+
+def shuffle_states(a: Bta, rng: random.Random) -> Bta:
+    """A structurally identical copy with the states renamed "p0".."p{n-1}"
+    in a random order, so that sorting no longer lines them up."""
+    names = [f"p{i}" for i in range(len(a.states))]
+    rng.shuffle(names)
+    new = dict(zip(sorted(a.states), names))
+    delta = {
+        (sym, tuple(new[q] for q in args)): {new[t] for t in targets}
+        for (sym, args), targets in a.delta.items()
+    }
+    return Bta(a.alphabet, new.values(), delta, {new[q] for q in a.final})
+
+
+def swap_two_targets(a: Bta) -> Bta:
+    """a with the target sets of its two least rules of one symbol that differ
+    swapped; a itself when no symbol has two such rules.  Every state keeps
+    its finality, argument occurrences and number of productions per symbol."""
+    for k1, k2 in itertools.combinations(sorted(a.delta), 2):
+        if k1[0] == k2[0] and a.delta[k1] != a.delta[k2]:
+            delta = {**a.delta, k1: a.delta[k2], k2: a.delta[k1]}
+            return Bta(a.alphabet, a.states, delta, a.final)
+    return a
 
 
 # === Independent oracles ==========================================================
@@ -271,7 +355,10 @@ def path_language_upto(a: Bta, max_height: int) -> frozenset[tuple]:
     return frozenset(out)
 
 
-# === Literal definitions of the indexed constructions ==============================
+# === Literal definitions ==========================================================
+# One reference per construction, written from its definition and not through
+# the library route it checks; the README's Testing section names the test
+# that compares each route with its reference.
 
 def productions_by_copy(a: Bta) -> dict[str, frozenset[tuple[str, tuple[str, ...]]]]:
     """The rules of a read top-down, copied rule by rule: each state with
@@ -380,7 +467,9 @@ def gen_det_d_by_isomorphism(a: Bta) -> bool:
     a1 = trim_unreachable(a)
     c = codeterminize(a1, pretrim=False)
     if not equivalent(a1, c):
-        raise NotPathClosedError("the downward condition requires a path-closed language")
+        raise NotPathClosedError(
+            "the downward determinization check requires a path-closed language"
+        )
     return isomorphic(c, codeterminize(determinize(a1), pretrim=False))
 
 
@@ -430,68 +519,6 @@ def path_closed_by_determinization(a: Bta, budget: int = DEFAULT_STATE_BUDGET) -
     return separating_tree_by_determinization(a1, c, budget) is None
 
 
-def drop_one_rule(a: Bta) -> Bta:
-    """a without its least rule; a itself when it has none."""
-    if not a.delta:
-        return a
-    dropped = min(a.delta)
-    delta = {key: targets for key, targets in a.delta.items() if key != dropped}
-    return Bta(a.alphabet, a.states, delta, a.final)
-
-
-def regular_bta(rng: random.Random, n: int) -> Bta:
-    """n states over a/0 g/1: a reaches every state, g takes each state to
-    two states, and each state is the target of two g rules.  Every state has
-    the same finality, argument occurrences and productions per symbol, and
-    no rule has a single target, so an isomorphism search must branch on
-    every state and often backtrack."""
-    states = [f"q{i}" for i in range(n)]
-    first, second = rng.sample(range(n), n), rng.sample(range(n), n)
-    while any(i == j for i, j in zip(first, second)):
-        second = rng.sample(range(n), n)
-    delta = {("a", ()): set(states)}
-    for q, i, j in zip(states, first, second):
-        delta[("g", (q,))] = {states[i], states[j]}
-    return Bta(RankedAlphabet({"a": 0, "g": 1}), states, delta, ())
-
-
-def cycles_bta(lengths: list[int]) -> Bta:
-    """Disjoint g-cycles of the given lengths over a/0 g/1, with no a rule and
-    no final state: every state has the same profile, every rule a single
-    target, and a cycle maps onto any cycle whose length divides its own."""
-    states, delta = [], {}
-    for n in lengths:
-        cycle = [f"c{len(states) + i}" for i in range(n)]
-        states += cycle
-        for i, q in enumerate(cycle):
-            delta[("g", (q,))] = {cycle[(i + 1) % n]}
-    return Bta(RankedAlphabet({"a": 0, "g": 1}), states, delta, ())
-
-
-def shuffle_states(a: Bta, rng: random.Random) -> Bta:
-    """A structurally identical copy with the states renamed "p0".."p{n-1}"
-    in a random order, so that sorting no longer lines them up."""
-    names = [f"p{i}" for i in range(len(a.states))]
-    rng.shuffle(names)
-    new = dict(zip(sorted(a.states), names))
-    delta = {
-        (sym, tuple(new[q] for q in args)): {new[t] for t in targets}
-        for (sym, args), targets in a.delta.items()
-    }
-    return Bta(a.alphabet, new.values(), delta, {new[q] for q in a.final})
-
-
-def swap_two_targets(a: Bta) -> Bta:
-    """a with the target sets of its two least rules of one symbol that differ
-    swapped; a itself when no symbol has two such rules.  Every state keeps
-    its finality, argument occurrences and number of productions per symbol."""
-    for k1, k2 in itertools.combinations(sorted(a.delta), 2):
-        if k1[0] == k2[0] and a.delta[k1] != a.delta[k2]:
-            delta = {**a.delta, k1: a.delta[k2], k2: a.delta[k1]}
-            return Bta(a.alphabet, a.states, delta, a.final)
-    return a
-
-
 def _signatures_by_occurrence(a: Bta) -> dict[str, tuple]:
     occ: dict[str, Counter] = {q: Counter() for q in a.states}
     for (sym, args), targets in a.delta.items():
@@ -516,7 +543,14 @@ def _mapped_rules_consistent(a: Bta, b: Bta, mapping: dict[str, str]) -> bool:
     return True
 
 
-def _backtracking_iso(a: Bta, b: Bta) -> bool:
+def isomorphic_by_search(a: Bta, b: Bta) -> bool:
+    """Isomorphism as defined: some one-to-one renaming of the states of a
+    turns it into b, over the same alphabet.  A recursive backtracking search
+    maps the states in sorted order, each onto an unused state of b with the
+    same local signature, and prunes a mapping as soon as a rule whose
+    arguments are all mapped has no image of the same size in b."""
+    if a.alphabet != b.alphabet or len(a.states) != len(b.states) or len(a.delta) != len(b.delta):
+        return False
     siga = _signatures_by_occurrence(a)
     sigb = _signatures_by_occurrence(b)
     if Counter(siga.values()) != Counter(sigb.values()):
@@ -550,62 +584,6 @@ def _backtracking_iso(a: Bta, b: Bta) -> bool:
         return False
 
     return extend(0)
-
-
-def _codet_canonical_by_walk(a: Bta) -> Bta | None:
-    """Canonical renaming by a downward walk from the single final state;
-    None when the walk does not cover every state."""
-    down = reverse_bta(a).delta
-    order: list[str] = []
-    seen: set[str] = set()
-    found, m = list(a.final), 0
-    while True:
-        for q in found:
-            if q not in seen:
-                seen.add(q)
-                order.append(q)
-        if m == len(order):
-            break
-        # Codeterministic: one argument tuple per symbol, so sorting orders by symbol.
-        found = [q for _, args in sorted(down.get(order[m], ())) for q in args]
-        m += 1
-    if len(order) != len(a.states):
-        return None
-    names = {q: str(i) for i, q in enumerate(order)}
-    delta = {
-        (sym, tuple(names[q] for q in args)): {names[q] for q in targets}
-        for (sym, args), targets in a.delta.items()
-    }
-    return Bta(a.alphabet, names.values(), delta, {names[q] for q in a.final})
-
-
-def isomorphic_by_routes(a: Bta, b: Bta) -> bool:
-    """Isomorphism by three routes: canonical forms for deterministic, fully
-    reachable pairs, canonical downward walks for co-deterministic pairs
-    they cover, and a recursive backtracking search pruned by local state
-    signatures for everything else."""
-    if a.alphabet != b.alphabet:
-        return False
-    if (
-        len(a.states) != len(b.states)
-        or len(a.final) != len(b.final)
-        or len(a.delta) != len(b.delta)
-        or sum(len(v) for v in a.delta.values()) != sum(len(v) for v in b.delta.values())
-    ):
-        return False
-    if (
-        is_deterministic(a)
-        and is_deterministic(b)
-        and reachable_states(a) == a.states
-        and reachable_states(b) == b.states
-    ):
-        return canonical_form(a) == canonical_form(b)
-    if is_codeterministic(a) and is_codeterministic(b):
-        ca = _codet_canonical_by_walk(a)
-        cb = _codet_canonical_by_walk(b)
-        if ca is not None and cb is not None:
-            return ca == cb
-    return _backtracking_iso(a, b)
 
 
 def subset_construction_by_product(
@@ -716,70 +694,16 @@ def tta_determinize_direct(t: Tta, *, budget: int = DEFAULT_STATE_BUDGET) -> Tta
     return reverse_bta(trim_empty(reverse_tta(built)))
 
 
-# === The named routes the numbered view replaced ==================================
-# The refinement, merge and canonical renaming as they ran on state names,
-# renumbering the automaton at each step; kept as references for the routes
-# that read Bta.numbered and the subset construction's numbered tables.
-
-def refine_by_names(c: Bta) -> tuple[frozenset[str], ...]:
-    """Blocks of the coarsest congruence of a complete deterministic automaton
-    that separates final from non-final states, sorted by their members.
-
-    States are numbered in sorted order and each gets a row, built once: its
-    own number, then for every symbol, argument position i and combination of
-    the other arguments in lexicographic order, the target of that rule.  A
-    Moore round maps every row through the current block numbers and numbers
-    the distinct results in state order; the rounds stop when the block
-    count stops growing.  The rows hold k ints per rule of arity k.
-    """
-    states = sorted(c.states)
-    n = len(states)
-    index = {q: i for i, q in enumerate(states)}
-    # tables[sym][j] is the target index of the rule whose argument indices
-    # spell j in base n, most significant first.
-    tables = {
-        sym: [0] * n ** c.alphabet.arity(sym)
-        for sym in c.alphabet.symbols
-        if c.alphabet.arity(sym) > 0
-    }
-    for (sym, args), targets in c.delta.items():
-        if args:
-            j = 0
-            for q in args:
-                j = j * n + index[q]
-            tables[sym][j] = index[next(iter(targets))]
-    # With q at position i, each prefix of arguments before i selects one
-    # contiguous slice of the table: the targets over every suffix after i.
-    rows = [[q] for q in range(n)]
-    for sym, table in tables.items():
-        k = c.alphabet.arity(sym)
-        for i in range(k):
-            step = n ** (k - 1 - i)
-            for q, row in enumerate(rows):
-                for base in range(q * step, len(table), n * step):
-                    row += table[base : base + step]
-    block = [1 if q in c.final else 0 for q in states]
-    nblocks = len(set(block))
-    while True:
-        fresh: dict[tuple[int, ...], int] = {}
-        block = [
-            fresh.setdefault(tuple(map(block.__getitem__, row)), len(fresh))
-            for row in rows
-        ]
-        if len(fresh) == nblocks:
-            break
-        nblocks = len(fresh)
-    members: dict[int, set[str]] = {}
-    for q, b in zip(states, block):
-        members.setdefault(b, set()).add(q)
-    return tuple(sorted((frozenset(m) for m in members.values()), key=sorted))
-
+# === Merging and canonical renaming on state names ================================
+# The merge along refine_by_products and the canonical renaming, written on
+# state names: the references for the routes that read Bta.numbered and the
+# subset construction's numbered tables.
 
 def merge_classes_by_names(c: Bta) -> Bta:
     """c merged along its coarsest congruence, classes named after their
     members.  c must be deterministic, total and fully reachable, as every
     determinization is."""
-    name_of = {q: subset_name(block) for block in refine_by_names(c) for q in block}
+    name_of = {q: subset_name(block) for block in refine_by_products(c) for q in block}
     named = {q: frozenset((name,)) for q, name in name_of.items()}
     # Rules whose arguments merge blockwise have targets in one block.
     delta = {
@@ -846,7 +770,7 @@ def gen_det_u_witness_by_names(
     a: Bta, budget: int = DEFAULT_STATE_BUDGET
 ) -> tuple[str, str, frozenset[str], frozenset[str]] | None:
     det, members = subset_construction(a, budget=budget)
-    merged = [block for block in refine_by_names(det) if len(block) > 1]
+    merged = [block for block in refine_by_products(det) if len(block) > 1]
     if not merged:
         return None
     block = min(merged, key=subset_name)
@@ -855,9 +779,10 @@ def gen_det_u_witness_by_names(
     return (min(s1 ^ s2), subset_name(block), s1, s2)
 
 
-# === The term reader that read a token list =======================================
-# The tokenizer and reader as they ran before the reader took its tokens
-# straight off the regex; kept as the reference for that reader.
+# === The term reader on a token list =============================================
+# A reader over a list of tagged tokens with an end sentinel, written apart
+# from trees._parse_term, which reads its tokens straight off a regex: the
+# reference for that reader and the parse_term and parse_context wrappers.
 
 _TOKEN_RE = re.compile(
     rf"(?P<hole>{re.escape(HOLE)})|(?P<punct>[(),])|(?P<ident>[A-Za-z0-9_]+)"
@@ -914,19 +839,27 @@ def read_term_from_token_list(text: str) -> tuple[Tree, int]:
             return done, holes
 
 
-def parse_term_from_token_list(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
-    t, holes = read_term_from_token_list(text)
-    if holes:
-        raise ParseError("holes are not allowed in a plain term", line=1, column=1)
-    if alphabet is not None:
-        check_well_ranked(t, alphabet)
-    return t
+def read_every_way_from_token_list(text: str, alphabet: RankedAlphabet) -> tuple:
+    """The outcomes of _parse_term(text), parse_term(text), parse_term(text,
+    alphabet), parse_context(text) and parse_context(text, alphabet), from
+    one read of the token list."""
+    read = outcome(read_term_from_token_list, text)
+    if isinstance(read, Raised):
+        return (read,) * 5
+    t, holes = read
 
+    def term(ranked: bool) -> Tree:
+        if holes:
+            raise ParseError("holes are not allowed in a plain term", line=1, column=1)
+        if ranked:
+            check_well_ranked(t, alphabet)
+        return t
 
-def parse_context_from_token_list(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
-    t, holes = read_term_from_token_list(text)
-    if holes != 1:
-        raise ParseError(f"a context needs exactly one hole, found {holes}", line=1, column=1)
-    if alphabet is not None:
-        check_well_ranked(t, alphabet, allow_hole=True)
-    return t
+    def context(ranked: bool) -> Tree:
+        if holes != 1:
+            raise ParseError(f"a context needs exactly one hole, found {holes}", line=1, column=1)
+        if ranked:
+            check_well_ranked(t, alphabet, allow_hole=True)
+        return t
+
+    return read, *(outcome(f, ranked) for f in (term, context) for ranked in (False, True))

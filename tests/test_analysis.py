@@ -48,6 +48,7 @@ from helpers import (
     MONO,
     TERN,
     accept_all_bta,
+    assert_routes_agree,
     gen_det_d_by_isomorphism,
     gen_det_u_by_isomorphism,
     path_language_upto,
@@ -316,13 +317,6 @@ def test_gen_det_d_rejects_non_path_closed_input(bool2):
         check_gen_det_d(bool2)
 
 
-def _gen_det_d_outcome(check, a):
-    try:
-        return check(a)
-    except NotPathClosedError:
-        return "not path-closed"
-
-
 def test_gen_det_d_membership_and_isomorphism_checks_agree():
     # The draws of acceptance criterion 3 (seeds 31 and 32) are among these.
     rng706, rng31, rng32 = random.Random(706), random.Random(31), random.Random(32)
@@ -336,12 +330,9 @@ def test_gen_det_d_membership_and_isomorphism_checks_agree():
         *(random_bta(rng31) for _ in range(500)),
         *(random_codbta(rng32) for _ in range(150)),
     ]
-    outcomes = set()
-    for a in draws:
-        expected = _gen_det_d_outcome(gen_det_d_by_isomorphism, a)
-        assert _gen_det_d_outcome(check_gen_det_d, a) == expected
-        outcomes.add(expected)
-    assert outcomes == {False, True, "not path-closed"}
+    outcomes = assert_routes_agree(check_gen_det_d, gen_det_d_by_isomorphism, [(a,) for a in draws])
+    kinds = {got if isinstance(got, bool) else got.type for got in outcomes}
+    assert kinds == {False, True, NotPathClosedError}
 
 
 # === Automaton congruences ========================================================

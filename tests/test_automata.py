@@ -41,7 +41,6 @@ from helpers import (
     BOOL,
     MONO,
     TERN,
-    load_fixture,
     random_bta,
     random_dtta_parts,
     reachable_by_fixpoint,

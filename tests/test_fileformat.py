@@ -29,7 +29,7 @@ from treeca import fileformat
 from treeca.cli import main
 from treeca.automata import is_state_name
 
-from helpers import FIXTURES, drop_one_rule, load_fixture, seeded_draws
+from helpers import FIXTURES, assert_routes_agree, drop_one_rule, load_fixture, seeded_draws
 
 
 # === Round trips ==================================================================
@@ -261,15 +261,6 @@ def test_every_name_the_library_makes_is_readable(abc):
 
 # === The canonical-line fast path against the general route =====================
 
-def outcome(text: str, parse=parse_automaton):
-    """What parse makes of text: the automaton, or the message, line and
-    column of its ParseError."""
-    try:
-        return parse(text)
-    except ParseError as e:
-        return ("ParseError", str(e), e.line, e.column)
-
-
 def parse_by_the_general_route(text: str) -> Bta | Tta:
     """parse_automaton with every rule line read by fileformat._rule."""
     lines = enumerate(text.splitlines(), start=1)
@@ -284,21 +275,14 @@ def parse_by_the_general_route(text: str) -> Bta | Tta:
     return a if kind == "bta" else reverse_bta(a)
 
 
-def assert_routes_agree(text: str) -> None:
+def test_routes_agree_on_fixtures_draws_and_determinizations():
     """Every line read by the fast path, where it applies, or by the general
     route alone gives the same automaton or the same error."""
-    got, want = outcome(text), outcome(text, parse_by_the_general_route)
-    assert type(got) is type(want)
-    assert got == want
-
-
-def test_routes_agree_on_fixtures_draws_and_determinizations():
-    for path in sorted(FIXTURES.iterdir()):
-        assert_routes_agree(path.read_text())
+    texts = [path.read_text() for path in sorted(FIXTURES.iterdir())]
     for a in seeded_draws(40):
         for b in (a, determinize(a)):
-            assert_routes_agree(serialize_automaton(b))
-            assert_routes_agree(serialize_automaton(reverse_bta(b)))
+            texts += [serialize_automaton(b), serialize_automaton(reverse_bta(b))]
+    assert_routes_agree(parse_automaton, parse_by_the_general_route, [(text,) for text in texts])
 
 
 # Declared names: plain, brace-flat, nested, empty braces, parentheses, and
@@ -334,7 +318,8 @@ def test_routes_agree_on_mutated_rule_lines(data, kind):
     lines = data.draw(st.lists(rule_lines(kind), min_size=1, max_size=4))
     marked = "final" if kind == "bta" else "initial"
     first = "a() -> q0" if kind == "bta" else "q0 -> a()"
-    assert_routes_agree(f"{kind}\n{DECLS}{marked} q0\n{first}\n" + "\n".join(lines) + "\n")
+    text = f"{kind}\n{DECLS}{marked} q0\n{first}\n" + "\n".join(lines) + "\n"
+    assert_routes_agree(parse_automaton, parse_by_the_general_route, [(text,)])
 
 
 def test_canonical_rule_lines_skip_the_general_route(abc):
@@ -348,9 +333,9 @@ def test_canonical_rule_lines_skip_the_general_route(abc):
 
 
 def test_an_open_parenthesis_without_a_close_takes_the_general_route():
-    for text in ("bta\nalphabet a/0 f/1\nstates q\nfinal q\na( -> q\n",
-                 "tta\nalphabet a/0 f/1\nstates q\ninitial q\nq -> f(q\n"):
-        assert_routes_agree(text)
+    texts = ["bta\nalphabet a/0 f/1\nstates q\nfinal q\na( -> q\n",
+             "tta\nalphabet a/0 f/1\nstates q\ninitial q\nq -> f(q\n"]
+    assert_routes_agree(parse_automaton, parse_by_the_general_route, [(text,) for text in texts])
     expect_error("bta\nalphabet a/0 f/1\nstates q\nfinal q\na( -> q\n",
                  "expected ')' to close the argument list", 5, 3)
 
@@ -362,5 +347,5 @@ def test_nested_brace_names_read_the_same_by_both_routes(abc):
     for a in [abc, *seeded_draws(30)]:
         for m in (minimize_bta(a), determinize(determinize(a))):
             text = serialize_automaton(m)
-            assert_routes_agree(text)
+            assert_routes_agree(parse_automaton, parse_by_the_general_route, [(text,)])
             assert parse_automaton(text) == m

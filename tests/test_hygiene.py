@@ -1,7 +1,9 @@
 """Source hygiene checked with the standard library alone: every name a
-library module imports is used in that module, and every private
-module-level function or class is used somewhere in the package, so deleting
-a route cannot leave dead imports or helpers behind.  Only the public entry
+library or test module imports is used in that module, every private
+module-level function or class is used somewhere in the package, and every
+function of tests/helpers.py somewhere in the tests, so deleting a route
+cannot leave dead imports or helpers behind.  Every source file parses under
+the oldest supported grammar, Python 3.10.  Only the public entry
 points call the checking constructors, so no rule is checked twice; only
 minimization determinizes in full, only the numbered view maps state names
 to numbers, the rule-mask step of the subset construction is written once,
@@ -18,8 +20,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "treeca"
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "treeca"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def _names_used(node: ast.AST) -> set[str]:
@@ -31,7 +36,7 @@ def _names_used(node: ast.AST) -> set[str]:
     }
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported: set[str] = set()
@@ -45,23 +50,44 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-def test_every_private_helper_is_used():
-    # A definition's own body does not count as a use, so a helper that only
-    # calls itself is still reported.
+def _unused_definitions(paths: list[Path], checked) -> list[str]:
+    """The module-level functions and classes in paths for which
+    checked(path, name) holds and that nothing in paths uses.  A
+    definition's own body does not count as a use, so a helper that only
+    calls itself is still reported."""
     defined: dict[str, str] = {}
     used: set[str] = set()
-    for path in sorted(SRC.glob("*.py")):
+    for path in paths:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             name = getattr(stmt, "name", "")
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and (
-                name.startswith("_") and not name.startswith("__")
-            ):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and checked(path, name):
                 defined[name] = path.name
                 used |= _names_used(stmt) - {name}
             else:
                 used |= _names_used(stmt)
-    unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+    return sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+
+
+def test_every_private_helper_is_used():
+    unused = _unused_definitions(
+        sorted(SRC.glob("*.py")),
+        lambda path, name: name.startswith("_") and not name.startswith("__"),
+    )
     assert not unused, f"private helpers nothing in the package uses: {unused}"
+
+
+def test_every_test_helper_is_used():
+    unused = _unused_definitions(TEST_MODULES, lambda path, name: path.name == "helpers.py")
+    assert not unused, f"test helpers no test uses: {unused}"
+
+
+def test_every_source_file_parses_under_the_oldest_supported_grammar():
+    # pyproject.toml requires Python 3.10 or newer, and the interpreter that
+    # runs the suite may be newer, so the parse names the grammar version.
+    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(paths) > 30
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def _calls_by_scope(node: ast.AST, names: set[str], scope: tuple[str, ...] = ()):

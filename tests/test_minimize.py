@@ -14,6 +14,7 @@ from treeca import (
     BudgetError,
     NotDeterministicError,
     NotPathClosedError,
+    RankedAlphabet,
     TreecaError,
     accepts,
     brzozowski,
@@ -34,7 +35,6 @@ from treeca import (
     minimize_bta,
     minimize_dbta,
     parse_term,
-    post_tree,
     reverse_bta,
     reverse_tta,
     separating_tree,
@@ -54,14 +54,17 @@ from helpers import (
     BOOL,
     MONO,
     TERN,
+    Raised,
     accept_all_bta,
+    assert_routes_agree,
     canonical_form_by_names,
     cycles_bta,
     drop_one_rule,
     gen_det_u_witness_by_names,
-    isomorphic_by_routes,
+    isomorphic_by_search,
     minimize_bta_by_names,
     minimize_dbta_by_names,
+    outcome,
     path_closed_by_determinization,
     random_bta,
     random_path_closed_bta,
@@ -291,30 +294,22 @@ def view_inputs() -> list[Bta]:
     return out
 
 
-def result_of(f, *args):
-    """f's result, serialized when it is an automaton, or its error."""
-    try:
-        got = f(*args)
-    except TreecaError as e:
-        return type(e), str(e)
-    return serialize_automaton(got) if isinstance(got, Bta) else got
-
-
 def test_numbered_routes_give_the_named_routes_results():
-    routes = [
+    inputs = [(a,) for a in view_inputs()]
+    deterministic_only = [
         (canonical_form, canonical_form_by_names),
         (minimize_dbta, minimize_dbta_by_names),
-        (minimize_bta, minimize_bta_by_names),
-        (gen_det_u_witness, gen_det_u_witness_by_names),
     ]
-    raised = witnesses = 0
-    for a in view_inputs():
-        for new, old in routes:
-            got = result_of(new, a)
-            assert got == result_of(old, a), (new.__name__, serialize_automaton(a))
-            raised += isinstance(got, tuple) and got[0] is NotDeterministicError
-            witnesses += new is gen_det_u_witness and got is not None
-    assert raised > 200 and witnesses > 200
+    raised = [
+        got.type
+        for new, old in deterministic_only
+        for got in assert_routes_agree(new, old, inputs)
+        if isinstance(got, Raised)
+    ]
+    assert_routes_agree(minimize_bta, minimize_bta_by_names, inputs)
+    witnesses = assert_routes_agree(gen_det_u_witness, gen_det_u_witness_by_names, inputs)
+    assert len(raised) > 200 and set(raised) == {NotDeterministicError}
+    assert sum(w is not None for w in witnesses) > 200
 
 
 def test_numbered_routes_build_the_same_subsets_under_a_budget(subset_pools):
@@ -328,10 +323,10 @@ def test_numbered_routes_build_the_same_subsets_under_a_budget(subset_pools):
         for budget in range(1, len(determinize(a).states) + 2):
             for new, old in routes:
                 subset_pools.clear()
-                got = result_of(lambda b: new(b, budget=budget), a)
+                got = outcome(new, a, budget=budget)
                 built = [pool.order for pool in subset_pools]
                 subset_pools.clear()
-                assert got == result_of(lambda b: old(b, budget=budget), a)
+                assert got == outcome(old, a, budget=budget)
                 assert built == [pool.order for pool in subset_pools]
 
 
@@ -424,15 +419,23 @@ def test_isomorphic_distinguishes_near_identical_automata(abc):
     assert not isomorphic(abc, tweaked)
 
 
-def test_the_search_gives_the_verdicts_of_the_three_routes():
-    """Each draw against a copy with one rule dropped and against the next
-    draw; its determinization against its minimization; and the draw, its
+def one_rule_over(alphabet: RankedAlphabet) -> Bta:
+    """The automaton whose one state q is final and reached by b()."""
+    return Bta(alphabet, ["q"], {("b", ()): ["q"]}, ["q"])
+
+
+def test_isomorphic_gives_the_verdicts_of_the_search():
+    """Two one-rule automata that only their alphabets tell apart; each draw
+    against a copy with one rule dropped and against the next draw; its
+    determinization against its minimization; and the draw, its
     determinization, co-determinization and minimization each against a copy
     with the states renamed in random order, and against such a copy with
     two targets swapped (same counts and state profiles, often not
     isomorphic)."""
+    alphabets_apart = (one_rule_over(TERN), one_rule_over(AB))
+    assert not isomorphic_by_search(*alphabets_apart)
+    verdicts = assert_routes_agree(isomorphic, isomorphic_by_search, [alphabets_apart])
     draws = seeded_draws(250)
-    verdicts = []
     for i, a in enumerate(draws):
         rng = random.Random(i)
         d, c, m = determinize(a), codeterminize(a), minimize_bta(a)
@@ -441,26 +444,21 @@ def test_the_search_gives_the_verdicts_of_the_three_routes():
             pairs += [(x, shuffle_states(x, rng)), (x, shuffle_states(swap_two_targets(x), rng))]
         if i + 1 < len(draws):
             pairs.append((a, draws[i + 1]))
-        for x, y in pairs:
-            want = isomorphic_by_routes(x, y)
-            assert isomorphic(x, y) == want, (i, x, y)
-            verdicts.append(want)
-    assert len(verdicts) == 2749
+        verdicts += assert_routes_agree(isomorphic, isomorphic_by_search, pairs)
+    assert len(verdicts) == 2750
     assert 0 < sum(verdicts) < len(verdicts)
 
 
-def test_the_search_backtracks_to_the_verdicts_of_the_three_routes():
+def test_isomorphic_backtracks_to_the_verdicts_of_the_search():
     """Automata whose states all look alike, so that only branching and
     backtracking find a renaming: each against a shuffled copy and against
     another such automaton."""
     rng = random.Random(11)
-    verdicts = []
+    pairs = []
     for _ in range(50):
         a = regular_bta(rng, 6)
-        for b in (shuffle_states(a, rng), regular_bta(rng, 6)):
-            want = isomorphic_by_routes(a, b)
-            assert isomorphic(a, b) == want, (a, b)
-            verdicts.append(want)
+        pairs += [(a, shuffle_states(a, rng)), (a, regular_bta(rng, 6))]
+    verdicts = assert_routes_agree(isomorphic, isomorphic_by_search, pairs)
     assert 0 < sum(verdicts) < len(verdicts)
 
 
@@ -536,13 +534,6 @@ def test_equivalent_matches_bounded_language_equality():
 
 # === the lazy product walk ========================================================
 
-def _outcome(walk, a: Bta, b: Bta, budget: int):
-    try:
-        return walk(a, b, budget=budget)
-    except BudgetError:
-        return BudgetError
-
-
 def test_walk_matches_the_walk_over_full_determinizations(subset_pools):
     """Same verdicts and witnesses as determinizing both sides first, on 250
     seeded draws against themselves, their co-determinizations and a copy
@@ -557,9 +548,9 @@ def test_walk_matches_the_walk_over_full_determinizations(subset_pools):
             assert w == separating_tree_by_determinization(a, b)
             assert built <= len(determinize(a).states) + len(determinize(b).states)
             for budget in (2, 3, 5, 8):
-                want = _outcome(separating_tree_by_determinization, a, b, budget)
-                if want is not BudgetError:
-                    assert _outcome(separating_tree, a, b, budget) == want
+                want = outcome(separating_tree_by_determinization, a, b, budget=budget)
+                if not isinstance(want, Raised):
+                    assert separating_tree(a, b, budget=budget) == want
 
 
 def test_path_closedness_matches_the_walk_over_full_determinizations():

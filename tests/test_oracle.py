@@ -3,7 +3,6 @@ congruence classes, and quotient membership."""
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest

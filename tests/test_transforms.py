@@ -37,12 +37,12 @@ from treeca import (
 from helpers import (
     AB,
     BOOL,
+    assert_routes_agree,
     is_total_by_product,
     load_fixture,
     productions_by_copy,
     random_bta,
     random_dtta,
-    random_path_closed_bta,
     reverse_bta_by_copy,
     reverse_tta_by_copy,
     run_tta_directly,
@@ -304,15 +304,10 @@ def all_tta_fixtures():
 
 
 def test_both_topdown_determinizations_agree_structurally():
-    for t in all_tta_fixtures():
-        assert tta_determinize(t) == tta_determinize_direct(t)
     rng = random.Random(505)
-    for _ in range(40):
-        t = random_dtta(rng)
-        assert tta_determinize(t) == tta_determinize_direct(t)
-    for _ in range(25):
-        t = reverse_bta(random_bta(rng))
-        assert tta_determinize(t) == tta_determinize_direct(t)
+    ttas = all_tta_fixtures() + [random_dtta(rng) for _ in range(40)]
+    ttas += [reverse_bta(random_bta(rng)) for _ in range(25)]
+    assert_routes_agree(tta_determinize, tta_determinize_direct, [(t,) for t in ttas])
 
 
 def test_topdown_determinization_output_is_deterministic():

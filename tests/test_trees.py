@@ -19,7 +19,6 @@ from treeca import (
     ParseError,
     RankedAlphabet,
     Tree,
-    TreecaError,
     check_well_ranked,
     enumerate_contexts,
     enumerate_trees,
@@ -45,9 +44,10 @@ from helpers import (
     ABG,
     BOOL,
     TERN,
-    parse_context_from_token_list,
-    parse_term_from_token_list,
-    read_term_from_token_list,
+    Raised,
+    assert_routes_agree,
+    outcome,
+    read_every_way_from_token_list,
 )
 
 
@@ -361,23 +361,17 @@ def test_reader_faults_come_in_a_fixed_order(text, column, message):
         assert str(caught.value) == f"line 1, column {column}: {message}"
 
 
-def _outcome(read, *args):
-    """What read returns, or the type, message, line and column it raises."""
-    try:
-        return "returned", read(*args)
-    except TreecaError as exc:
-        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+def read_every_way(text: str, alphabet: RankedAlphabet) -> tuple:
+    """The outcomes of the five reader routes: _parse_term, and parse_term
+    and parse_context each without and with the alphabet."""
+    return (
+        outcome(_parse_term, text),
+        outcome(parse_term, text),
+        outcome(parse_term, text, alphabet),
+        outcome(parse_context, text),
+        outcome(parse_context, text, alphabet),
+    )
 
-
-# Each reader route next to the token-list reader it must agree with, and
-# whether it takes the input's alphabet.
-READER_ROUTES = [
-    (_parse_term, read_term_from_token_list, False),
-    (parse_term, parse_term_from_token_list, False),
-    (parse_term, parse_term_from_token_list, True),
-    (parse_context, parse_context_from_token_list, False),
-    (parse_context, parse_context_from_token_list, True),
-]
 
 # Characters a mutation inserts: every token character, ASCII and Unicode
 # spaces, characters no token holds ('$', 'é'), and symbols of the alphabets.
@@ -389,6 +383,7 @@ def _mutated_terms(seed: int, count: int) -> dict[str, RankedAlphabet]:
     to three random edits (a character inserted or deleted, or a slice
     repeated in place), mapped to the alphabet it was drawn over."""
     rng = random.Random(seed)
+    choice, randrange = rng.choice, rng.randrange  # bound once for about 270k draws
     sources = [
         (list(map(format_term, enumerate_items(alphabet, h))), alphabet)
         for alphabet in (AB, ABG, BOOL, TERN)
@@ -397,17 +392,17 @@ def _mutated_terms(seed: int, count: int) -> dict[str, RankedAlphabet]:
     ]
     out: dict[str, RankedAlphabet] = {}
     while len(out) < count:
-        texts, alphabet = rng.choice(sources)
-        text = rng.choice(texts)
-        for _ in range(rng.randrange(4)):
-            i = rng.randrange(len(text) + 1)
-            edit = rng.randrange(3)
+        texts, alphabet = choice(sources)
+        text = choice(texts)
+        for _ in range(randrange(4)):
+            i = randrange(len(text) + 1)
+            edit = randrange(3)
             if edit == 0:
-                text = text[:i] + rng.choice(MUTATION_CHARS) + text[i:]
+                text = text[:i] + choice(MUTATION_CHARS) + text[i:]
             elif edit == 1:
                 text = text[:i] + text[i + 1 :]
             else:
-                j = rng.randrange(i, len(text) + 1)
+                j = randrange(i, len(text) + 1)
                 text = text[:j] + text[i:j] + text[j:]
         out.setdefault(text, alphabet)
     return out
@@ -427,14 +422,11 @@ def test_reader_agrees_with_the_token_list_reader():
     fixed = _term_test_inputs()
     assert len(fixed) > 40
     inputs = [*_mutated_terms(15, 100_000).items(), *((text, BOOL) for text in fixed)]
-    faults = set()
-    for text, alphabet in inputs:
-        for read, reference, ranked in READER_ROUTES:
-            args = (text, alphabet) if ranked else (text,)
-            got = _outcome(read, *args)
-            assert got == _outcome(reference, *args), (text, read.__name__, ranked)
-            if got[0] != "returned":
-                faults.add(re.sub(r"'[^']*'|at \S+|\d+", "_", got[1].split(": ", 1)[-1]))
+    messages = set()
+    for args in inputs:  # one at a time, so that no text's trees outlive its check
+        (routes,) = assert_routes_agree(read_every_way, read_every_way_from_token_list, [args])
+        messages.update(got.message for got in routes if isinstance(got, Raised))
+    faults = {re.sub(r"'[^']*'|at \S+|\d+", "_", m.split(": ", 1)[-1]) for m in messages}
     # The inputs reach every fault the reader and the rank check report.
     assert faults == {
         "unexpected character _",
