@@ -127,10 +127,15 @@ def check_gen_det_d(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     The path-closedness walk that finds no separating tree has met every
     one of them.
     """
-    c, _, sc = _require_path_closed(a, budget, "the downward determinization check")
+    return _check_gen_det_d(a, budget)[0]
+
+
+def _check_gen_det_d(a: Bta, budget: int) -> tuple[bool, bool]:
+    """The verdict of check_gen_det_d, and whether its trim removed states of a."""
+    c, sa, sc = _require_path_closed(a, budget, "the downward determinization check")
     subsets = sc.pool.order
     vectors = {frozenset(i for i, s in enumerate(subsets) if q in s) for q in c.states}
-    return len(vectors) == len(c.states)
+    return len(vectors) == len(c.states), sa.a is not a
 
 
 def bta_congruence_up(

@@ -15,14 +15,14 @@ from pathlib import Path
 from typing import Callable, Iterable, NoReturn
 
 from .analysis import (
+    _check_gen_det_d,
     bta_congruence_down,
     bta_congruence_up,
-    check_gen_det_d,
     gen_det_u_witness,
     pre_context,
     root_to_pivot_equiv,
 )
-from .automata import Bta, Tta, accepts, post_tree, reachable_states, wpre
+from .automata import Bta, Tta, accepts, post_tree, wpre
 from .errors import TreecaError
 from .fileformat import parse_automaton, serialize_automaton
 from .minimize import (
@@ -235,8 +235,8 @@ def _cmd_check_brz_u(args: argparse.Namespace) -> int:
 
 def _cmd_check_brz_d(args: argparse.Namespace) -> int:
     a = _load_bta(args.automaton)
-    minimal = check_gen_det_d(a, budget=args.budget)
-    if reachable_states(a) != a.states:
+    minimal, trimmed = _check_gen_det_d(a, args.budget)
+    if trimmed:
         print("note: unreachable states are removed before checking", file=sys.stderr)
     return _verdict(
         minimal,

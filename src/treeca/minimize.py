@@ -38,7 +38,7 @@ from .errors import NotDeterministicError, NotPathClosedError, TreecaError
 from .transforms import (
     DEFAULT_STATE_BUDGET,
     _Subsets,
-    codeterminize,
+    _codeterminize,
     complete,
     subset_name,
 )
@@ -142,7 +142,7 @@ def _path_closed_constructions(a: Bta, budget: int) -> tuple[Bta, _Subsets, _Sub
     pair.
     """
     a1 = trim_unreachable(a)
-    c = codeterminize(a1, pretrim=False, budget=budget)
+    c = _codeterminize(a1, budget)
     sa, sc = _Subsets(a1, budget), _Subsets(c, budget)
     if _product_walk(sa, sc) is not None:
         return None
@@ -169,7 +169,7 @@ def min_codbta(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
     automaton, unminimized, whose subset construction the path-closedness
     check has already begun."""
     sa = _require_path_closed(a, budget, "co-deterministic minimization")[1]
-    return codeterminize(sa.close().named(), pretrim=False, budget=budget)
+    return _codeterminize(sa.close().named(), budget)
 
 
 def brzozowski(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:

@@ -177,17 +177,29 @@ def codeterminize(
 ) -> Bta:
     """Co-determinize a: one final state, one argument tuple per state and symbol.
 
+    The result accepts a superset of the language of a, with equality
+    exactly on the path-closed languages.  Unreachable states would distort
+    the argument tuples, so they are removed first by default, which leaves
+    no state with an empty upward language (see _codeterminize); with
+    pretrim=False such states are removed from the result instead.
+    """
+    if pretrim:
+        return _codeterminize(trim_unreachable(a), budget)
+    return trim_empty(_codeterminize(a, budget))
+
+
+def _codeterminize(a0: Bta, budget: int) -> Bta:
+    """The co-determinization of a0, untrimmed.
+
     Subsets are discovered downward from the final set.  For a discovered
     subset R and symbol f, the argument tuple collects, position by position,
     the argument states of all f-rules that target a member of R; no f-rule is
     emitted for R when no such rule exists, and a nullary f-rule targets R
-    when it targets a member.  States with an empty upward language are then
-    removed.  The result accepts a superset of the language of a, with
-    equality exactly on the path-closed languages; unreachable states are
-    removed first by default since they would otherwise distort the argument
-    tuples.
+    when it targets a member.  When every state of a0 is reachable, so is
+    every subset but an empty final one (by induction on height, a tree that
+    reaches a member reaches the subset), and each was found from the final
+    subset: nothing is left for trim_empty to remove.
     """
-    a0 = trim_unreachable(a) if pretrim else a
     down = reverse_bta(a0).delta
     pool = _SubsetPool(budget)
     pool.intern(a0.final)
@@ -214,8 +226,7 @@ def codeterminize(
         key = (sym, tuple(names[j] for j in combo))
         delta.setdefault(key, set()).add(names[target])
     frozen = {key: frozenset(targets) for key, targets in delta.items()}
-    built = Bta._of(a0.alphabet, frozenset(names), frozen, frozenset({names[0]}))
-    return trim_empty(built)
+    return Bta._of(a0.alphabet, frozenset(names), frozen, frozenset({names[0]}))
 
 
 def tta_accepts(t: Tta, tree: Tree) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import total_ordering
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     AddressError,
@@ -344,58 +344,42 @@ def _enumerate_raw(entries: Mapping[str, int], max_height: int, budget: int) -> 
     return tuple(out)
 
 
-def _counts_upto(items: tuple[Tree, ...], max_height: int) -> list[int]:
-    """Per height h up to max_height, how many items have height <= h; the
-    items come in canonical order, so those are a prefix."""
-    counts = [0] * (max_height + 1)
-    for t in items:
-        counts[t.height] += 1
-    return list(itertools.accumulate(counts))
+# (alphabet, contexts or trees, height) -> (items, size of the raw enumeration)
+_memo: dict[tuple[RankedAlphabet, bool, int], tuple[tuple[Tree, ...], int]] = {}
 
 
-# One entry per alphabet: the items at the greatest height asked for so far,
-# and per height the prefix counts of the raw enumeration (which the budget
-# applies to) and of the items; a smaller height takes a prefix.
-_Cache = dict[RankedAlphabet, tuple[tuple[Tree, ...], list[int], list[int]]]
-_tree_cache: _Cache = {}
-_context_cache: _Cache = {}
-
-
-def _cached_enumeration(
-    cache: _Cache,
-    alphabet: RankedAlphabet,
-    entries: Mapping[str, int],
-    max_height: int,
-    budget: int,
-    keep: Callable[[tuple[Tree, ...]], tuple[Tree, ...]],
+def _enumeration(
+    alphabet: RankedAlphabet, contexts: bool, max_height: int, budget: int
 ) -> tuple[Tree, ...]:
-    """keep of the enumeration over entries up to max_height, served from
-    the alphabet's cache entry when that reaches max_height; a hit is held
-    to the same budget as a fresh enumeration."""
+    """The trees, or the contexts, of height <= max_height, enumerated once
+    per height.  The budget caps the raw enumeration, every tree over the
+    alphabet (with the hole, for contexts), on a hit as on a miss: a miss
+    stops early over budget and stores nothing, and a hit compares the
+    stored size with its own budget and returns the stored tuple itself."""
     if max_height < 1:
         raise BudgetError("max_height must be at least 1")
     if budget < 1:
         raise BudgetError("budget must be positive")
-    cached = cache.get(alphabet)
-    if cached is None or max_height >= len(cached[1]):
+    key = (alphabet, contexts, max_height)
+    got = _memo.get(key)
+    if got is None:
+        entries = alphabet.entries
+        if contexts:
+            entries[HOLE] = 0
         raw = _enumerate_raw(entries, max_height, budget)
-        items = keep(raw)
-        raw_counts = _counts_upto(raw, max_height)
-        counts = raw_counts if items is raw else _counts_upto(items, max_height)
-        cached = cache[alphabet] = (items, raw_counts, counts)
-    items, raw_counts, counts = cached
-    if raw_counts[max_height] > budget:
+        items = tuple(t for t in raw if _holes(t)[0] == 1) if contexts else raw
+        got = _memo[key] = (items, len(raw))
+    items, raw_size = got
+    if raw_size > budget:
         raise BudgetError(f"tree enumeration exceeded the budget of {budget} items")
-    return items[: counts[max_height]]
+    return items
 
 
 def enumerate_trees(
     alphabet: RankedAlphabet, max_height: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> tuple[Tree, ...]:
     """All well-ranked trees of height <= max_height in canonical order."""
-    return _cached_enumeration(
-        _tree_cache, alphabet, alphabet.entries, max_height, budget, lambda raw: raw
-    )
+    return _enumeration(alphabet, False, max_height, budget)
 
 
 def enumerate_contexts(
@@ -405,14 +389,9 @@ def enumerate_contexts(
 
     Enumerates trees over the alphabet extended with the hole and keeps the
     one-hole ones, so the order is inherited from enumerate_trees.  The budget
-    applies to the raw enumeration.
+    applies to the raw enumeration (see _enumeration).
     """
-    entries = alphabet.entries
-    entries[HOLE] = 0
-    return _cached_enumeration(
-        _context_cache, alphabet, entries, max_height, budget,
-        lambda raw: tuple(t for t in raw if _holes(t)[0] == 1),
-    )
+    return _enumeration(alphabet, True, max_height, budget)
 
 
 def format_term(t: Tree) -> str:

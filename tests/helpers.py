@@ -13,6 +13,7 @@ import itertools
 import random
 import re
 from collections import Counter, namedtuple
+from collections.abc import Mapping
 from pathlib import Path
 
 from treeca import (
@@ -62,14 +63,26 @@ def load_fixture(name: str) -> Bta | Tta:
     return parse_automaton((FIXTURES / name).read_text())
 
 
-def rename_states(a: Bta, prefix: str = "s_") -> Bta:
-    """A structurally identical copy with every state renamed."""
-    new = {q: prefix + q.replace("{", "L").replace("}", "R").replace(",", "_") for q in a.states}
+def rename_states(a: Bta, new: Mapping[str, str]) -> Bta:
+    """A structurally identical copy with each state q renamed new[q]."""
     delta = {
         (sym, tuple(new[q] for q in args)): {new[t] for t in targets}
         for (sym, args), targets in a.delta.items()
     }
     return Bta(a.alphabet, new.values(), delta, {new[q] for q in a.final})
+
+
+def prefixed_names(a: Bta) -> dict[str, str]:
+    """Each state prefixed with "s_", its braces and commas spelt as letters."""
+    return {q: "s_" + q.replace("{", "L").replace("}", "R").replace(",", "_") for q in a.states}
+
+
+def shuffled_names(a: Bta, rng: random.Random) -> dict[str, str]:
+    """The states renamed "p0".."p{n-1}" in a random order, so that sorting
+    no longer lines them up."""
+    names = [f"p{i}" for i in range(len(a.states))]
+    rng.shuffle(names)
+    return dict(zip(sorted(a.states), names))
 
 
 # === Comparing a route with its reference ========================================
@@ -274,19 +287,6 @@ def cycles_bta(lengths: list[int]) -> Bta:
         for i, q in enumerate(cycle):
             delta[("g", (q,))] = {cycle[(i + 1) % n]}
     return Bta(RankedAlphabet({"a": 0, "g": 1}), states, delta, ())
-
-
-def shuffle_states(a: Bta, rng: random.Random) -> Bta:
-    """A structurally identical copy with the states renamed "p0".."p{n-1}"
-    in a random order, so that sorting no longer lines them up."""
-    names = [f"p{i}" for i in range(len(a.states))]
-    rng.shuffle(names)
-    new = dict(zip(sorted(a.states), names))
-    delta = {
-        (sym, tuple(new[q] for q in args)): {new[t] for t in targets}
-        for (sym, args), targets in a.delta.items()
-    }
-    return Bta(a.alphabet, new.values(), delta, {new[q] for q in a.final})
 
 
 def swap_two_targets(a: Bta) -> Bta:

@@ -35,7 +35,7 @@ from treeca import (
     reachable_states,
     serialize_automaton,
 )
-from treeca import analysis, automata, cli
+from treeca import analysis, automata
 from treeca.cli import main
 
 
@@ -271,8 +271,7 @@ def test_pre_finds_the_reachable_states_once(capsys, tmp_path, bool2):
     path.write_text(serialize_automaton(with_unreachable_state(bool2)))
     counted = mock.Mock(wraps=automata.reachable_states)
     with mock.patch.object(automata, "reachable_states", counted), \
-            mock.patch.object(analysis, "reachable_states", counted), \
-            mock.patch.object(cli, "reachable_states", counted):
+            mock.patch.object(analysis, "reachable_states", counted):
         assert run(capsys, "pre", str(path), "-c", "or(T,<>)") == (0, "q0 q1\n", PRE_NOTE)
     assert counted.call_count == 1
 
@@ -336,12 +335,35 @@ def test_check_brz_u_witness_names_the_merged_subsets(capsys, tmp_path):
 
 
 def test_check_brz_d_notes_the_trim_and_rejects_non_path_closed(capsys):
-    code, out, err = run(capsys, "check-brz-d", fx("star.bta"))
+    """The note comes from the trim the check itself made, so the reachable
+    states are computed once."""
+    counted = mock.Mock(wraps=automata.reachable_states)
+    with mock.patch.object(automata, "reachable_states", counted), \
+            mock.patch.object(analysis, "reachable_states", counted):
+        code, out, err = run(capsys, "check-brz-d", fx("star.bta"))
     assert (code, out) == (0, "co-determinization is minimal\n")
     assert err == "note: unreachable states are removed before checking\n"
+    assert counted.call_count == 1
     code, _, err = run(capsys, "check-brz-d", fx("bool2.bta"))
     assert code == 2
     assert "path-closed" in err
+
+
+@pytest.mark.parametrize("verb, name, calls", [
+    ("codeterminize", "star.bta", 0),
+    ("codeterminize --no-pretrim", "star.bta", 1),
+    ("tdeterminize", "bool2r.tta", 0),
+    ("is-path-closed", "star.bta", 0),
+    ("brzozowski", "star.bta", 0),
+    ("min-codet", "star.bta", 0),
+    ("check-brz-d", "star.bta", 0),
+])
+def test_co_determinizing_verbs_trim_empty_states_only_without_pretrim(capsys, verb, name, calls):
+    """A co-determinization of a trimmed automaton has no state to drop, so
+    only --no-pretrim asks for the states with a nonempty upward language."""
+    with mock.patch.object(automata, "useful_states", wraps=automata.useful_states) as counted:
+        assert run(capsys, *verb.split(), fx(name))[0] == 0
+    assert counted.call_count == calls
 
 
 # === Class and enumeration verbs ===

@@ -3,12 +3,12 @@ library or test module imports is used in that module, every private
 module-level function or class is used somewhere in the package, and every
 function of tests/helpers.py somewhere in the tests, so deleting a route
 cannot leave dead imports or helpers behind.  Every source file parses under
-the oldest supported grammar, Python 3.10.  Only the public entry
-points call the checking constructors, so no rule is checked twice; only
-minimization determinizes in full, only the numbered view maps state names
-to numbers, the rule-mask step of the subset construction is written once,
-no recursion grows with the input, and the command line starts without
-modules it does not need."""
+the oldest supported grammar, Python 3.10, starred subscripts included.
+Only the public entry points call the checking constructors, so no rule is
+checked twice; only minimization determinizes in full, only the numbered
+view maps state names to numbers, the rule-mask step of the subset
+construction is written once, no recursion grows with the input, and the
+command line starts without modules it does not need."""
 
 from __future__ import annotations
 
@@ -81,13 +81,44 @@ def test_every_test_helper_is_used():
     assert not unused, f"test helpers no test uses: {unused}"
 
 
+def _parse_as_3_10(source: str, filename: str = "<probe>") -> ast.Module:
+    """source parsed under the Python 3.10 grammar, SyntaxError otherwise.
+
+    On a newer interpreter, ast.parse with feature_version=(3, 10) rejects
+    most newer syntax but lets through the starred forms of Python 3.11: a
+    starred item in a subscript, x[*a] or x[1, *a], and a starred *args
+    annotation, def f(*args: *Ts).  The walk rejects those too, and with
+    them the rare x[(1, *a)], which 3.10 reads but which gives the same tree.
+    """
+    tree = ast.parse(source, filename, feature_version=(3, 10))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            items = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        elif isinstance(node, ast.arguments) and node.vararg:
+            items = [node.vararg.annotation]
+        else:
+            continue
+        for item in items:
+            if isinstance(item, ast.Starred):
+                where = (filename, item.lineno, item.col_offset + 1, None)
+                raise SyntaxError("a starred subscript or *args annotation needs Python 3.11", where)
+    return tree
+
+
 def test_every_source_file_parses_under_the_oldest_supported_grammar():
     # pyproject.toml requires Python 3.10 or newer, and the interpreter that
     # runs the suite may be newer, so the parse names the grammar version.
     paths = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
     assert len(paths) > 30
     for path in paths:
-        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+        _parse_as_3_10(path.read_text(encoding="utf-8"), str(path))
+
+
+@pytest.mark.parametrize("probe", ["x[*a]", "x[1, *a]", "def f(*args: *Ts): pass"])
+def test_the_grammar_guard_rejects_the_starred_forms_of_python_3_11(probe):
+    with pytest.raises(SyntaxError):
+        _parse_as_3_10(probe)
+    _parse_as_3_10(probe.replace("*", ""))  # the same without the star is 3.10
 
 
 def _calls_by_scope(node: ast.AST, names: set[str], scope: tuple[str, ...] = ()):

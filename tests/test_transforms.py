@@ -34,15 +34,20 @@ from treeca import (
     tta_determinize,
 )
 
+from treeca.transforms import _codeterminize
+
 from helpers import (
     AB,
+    ABG,
     BOOL,
+    MONO,
     assert_routes_agree,
     is_total_by_product,
     load_fixture,
     productions_by_copy,
     random_bta,
     random_dtta,
+    random_path_closed_bta,
     reverse_bta_by_copy,
     reverse_tta_by_copy,
     run_tta_directly,
@@ -201,6 +206,26 @@ def test_pretrim_flag_reproduces_the_star_automaton_gap(star):
     strict = codeterminize(star)
     assert not accepts(strict, t)
     assert language_upto(strict, 3) == language_upto(star, 3)
+
+
+def test_the_closing_trim_removes_nothing_after_a_trim():
+    """Co-determinizing a trimmed automaton, or a determinization, leaves no
+    state for trim_empty to drop, so neither the pretrimming codeterminize
+    nor the path-closed constructions run it."""
+    rng = random.Random(505)
+    draws = seeded_draws(250) + [
+        draw(rng, alphabet)
+        for alphabet in (AB, ABG, BOOL, MONO)
+        for draw in (random_bta, random_path_closed_bta) * 25
+    ]
+    untrimmed_drops = 0
+    for a in draws:
+        for x in (trim_unreachable(a), determinize(a)):
+            c = _codeterminize(x, DEFAULT_STATE_BUDGET)
+            assert trim_empty(c) is c
+        c = _codeterminize(a, DEFAULT_STATE_BUDGET)
+        untrimmed_drops += trim_empty(c) is not c
+    assert untrimmed_drops  # on an untrimmed input the trim does drop states
 
 
 # === reverse ======================================================================

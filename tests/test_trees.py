@@ -37,7 +37,7 @@ from treeca import (
     subtree,
     substitute,
 )
-from treeca.trees import _context_cache, _enumerate_raw, _parse_term, _tree_cache, fresh_tuples
+from treeca.trees import _enumerate_raw, _memo, _parse_term, fresh_tuples
 
 from helpers import (
     AB,
@@ -286,20 +286,21 @@ def test_budgets_below_one_are_rejected_on_cold_and_warm_caches():
             assert enum(alphabet, 2)
 
 
-def test_enumeration_caches_keep_one_prefix_per_alphabet():
-    """Heights asked in any order give the fresh enumeration; the cache keeps
-    only the greatest height per alphabet, and a smaller height served from
-    it is held to its budget."""
+def test_enumeration_memo_keeps_one_entry_per_height():
+    """Heights asked in any order give the fresh enumeration; the memo keeps
+    one entry per kind and height asked, a hit returns the stored tuple, and
+    a hit is held to its budget."""
     alphabet = RankedAlphabet({"c": 0, "v": 1, "x": 2})  # cached by no other test
     with_hole = {**alphabet.entries, HOLE: 0}
     for h in (2, 4, 1, 3, 4, 2):
         assert enumerate_trees(alphabet, h) == _enumerate_raw(alphabet.entries, h, 10**6)
         raw = _enumerate_raw(with_hole, h, 10**6)
         assert enumerate_contexts(alphabet, h) == tuple(t for t in raw if is_context(t))
-    for cache in (_tree_cache, _context_cache):
-        items, raw_counts, counts = cache[alphabet]
-        assert max(t.height for t in items) == 4
-        assert len(raw_counts) == len(counts) == 5  # prefix counts for heights 0..4
+    assert sorted(key[1:] for key in _memo if key[0] == alphabet) == [
+        (contexts, h) for contexts in (False, True) for h in (1, 2, 3, 4)
+    ]
+    for contexts, enum in ((False, enumerate_trees), (True, enumerate_contexts)):
+        assert enum(alphabet, 3) is _memo[alphabet, contexts, 3][0]
     n = len(_enumerate_raw(alphabet.entries, 2, 10**6))
     raw_n = len(_enumerate_raw(with_hole, 2, 10**6))
     with pytest.raises(BudgetError):
