@@ -1,176 +1,50 @@
 """Ranked tree automata: bottom-up and top-down, with determinization,
 co-determinization, congruence-based and double-reversal minimization,
-path-closedness, and a brute-force oracle layer for bounded checks."""
+path-closedness, and a brute-force oracle layer for bounded checks.
 
-from .analysis import (
-    Spine,
-    bta_congruence_down,
-    bta_congruence_up,
-    check_gen_det_d,
-    check_gen_det_u,
-    gen_det_u_witness,
-    pre_context,
-    root_to_pivot_equiv,
-    spine_of,
-)
-from .automata import (
-    Bta,
-    Tta,
-    accepts,
-    is_codeterministic,
-    is_deterministic,
-    post_tree,
-    reachable_states,
-    reverse_bta,
-    reverse_tta,
-    seeded_post,
-    trim_empty,
-    trim_unreachable,
-    useful_states,
-    wpre,
-)
-from .errors import (
-    AddressError,
-    BudgetError,
-    MalformedContextError,
-    NotDeterministicError,
-    NotPathClosedError,
-    NotWellRankedError,
-    ParseError,
-    TreecaError,
-)
-from .fileformat import parse_automaton, serialize_automaton
-from .minimize import (
-    brzozowski,
-    canonical_form,
-    equivalent,
-    is_path_closed,
-    isomorphic,
-    min_codbta,
-    minimize_bta,
-    minimize_dbta,
-    separating_tree,
-)
-from .oracle import (
-    language_upto,
-    nerode_classes_down,
-    nerode_classes_up,
-    quotient_member_down,
-    quotient_member_up,
-)
-from .transforms import (
-    DEFAULT_STATE_BUDGET,
-    codeterminize,
-    complete,
-    determinize,
-    subset_construction,
-    subset_name,
-    tta_accepts,
-    tta_determinize,
-)
-from .trees import (
-    DEFAULT_ENUM_BUDGET,
-    HOLE,
-    RankedAlphabet,
-    Tree,
-    check_well_ranked,
-    enumerate_contexts,
-    enumerate_trees,
-    format_address,
-    format_path,
-    format_term,
-    hole_height,
-    is_context,
-    is_well_ranked,
-    iter_nodes,
-    parse_context,
-    parse_term,
-    path_language,
-    pivot,
-    plug,
-    puncture,
-    subtree,
-    substitute,
-)
+Importing the package loads none of its modules.  Each public name is read
+from the module that defines it on first use (PEP 562), and is then kept in
+the package's namespace, so a command line run loads only what it calls.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AddressError",
-    "Bta",
-    "BudgetError",
-    "DEFAULT_ENUM_BUDGET",
-    "DEFAULT_STATE_BUDGET",
-    "HOLE",
-    "MalformedContextError",
-    "NotDeterministicError",
-    "NotPathClosedError",
-    "NotWellRankedError",
-    "ParseError",
-    "RankedAlphabet",
-    "Spine",
-    "TreecaError",
-    "Tree",
-    "Tta",
-    "accepts",
-    "brzozowski",
-    "bta_congruence_down",
-    "bta_congruence_up",
-    "canonical_form",
-    "check_gen_det_d",
-    "check_gen_det_u",
-    "check_well_ranked",
-    "codeterminize",
-    "complete",
-    "determinize",
-    "enumerate_contexts",
-    "enumerate_trees",
-    "equivalent",
-    "format_address",
-    "format_path",
-    "format_term",
-    "gen_det_u_witness",
-    "hole_height",
-    "is_codeterministic",
-    "is_context",
-    "is_deterministic",
-    "is_path_closed",
-    "is_well_ranked",
-    "isomorphic",
-    "iter_nodes",
-    "language_upto",
-    "min_codbta",
-    "minimize_bta",
-    "minimize_dbta",
-    "nerode_classes_down",
-    "nerode_classes_up",
-    "parse_automaton",
-    "parse_context",
-    "parse_term",
-    "path_language",
-    "pivot",
-    "plug",
-    "post_tree",
-    "pre_context",
-    "puncture",
-    "quotient_member_down",
-    "quotient_member_up",
-    "reachable_states",
-    "reverse_bta",
-    "reverse_tta",
-    "root_to_pivot_equiv",
-    "seeded_post",
-    "separating_tree",
-    "serialize_automaton",
-    "spine_of",
-    "subset_construction",
-    "subset_name",
-    "substitute",
-    "subtree",
-    "trim_empty",
-    "trim_unreachable",
-    "tta_accepts",
-    "tta_determinize",
-    "useful_states",
-    "wpre",
-]
+# the public names of each module
+_EXPORTS = {
+    "analysis": """Spine bta_congruence_down bta_congruence_up check_gen_det_d
+        check_gen_det_u gen_det_u_witness pre_context root_to_pivot_equiv spine_of""",
+    "automata": """Bta Tta accepts is_codeterministic is_deterministic post_tree
+        reachable_states reverse_bta reverse_tta seeded_post trim_empty
+        trim_unreachable useful_states wpre""",
+    "errors": """DEFAULT_STATE_BUDGET AddressError BudgetError MalformedContextError
+        NotDeterministicError NotPathClosedError NotWellRankedError ParseError
+        TreecaError""",
+    "fileformat": "parse_automaton serialize_automaton",
+    "minimize": """brzozowski canonical_form equivalent is_path_closed isomorphic
+        min_codbta minimize_bta minimize_dbta separating_tree""",
+    "oracle": """language_upto nerode_classes_down nerode_classes_up
+        quotient_member_down quotient_member_up""",
+    "transforms": """codeterminize complete determinize subset_construction
+        subset_name tta_accepts tta_determinize""",
+    "trees": """DEFAULT_ENUM_BUDGET HOLE RankedAlphabet Tree check_well_ranked
+        enumerate_contexts enumerate_trees format_address format_path format_term
+        hole_height is_context is_well_ranked iter_nodes parse_context parse_term
+        path_language pivot plug puncture subtree substitute""",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))

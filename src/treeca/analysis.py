@@ -20,6 +20,7 @@ from .automata import (
     reachable_states,
     trim_unreachable,
 )
+from .errors import DEFAULT_STATE_BUDGET
 from .oracle import _group
 from .minimize import _blocks, _refine, _require_path_closed
 from .trees import (
@@ -29,7 +30,7 @@ from .trees import (
     enumerate_trees,
     pivot,
 )
-from .transforms import DEFAULT_STATE_BUDGET, _Subsets, subset_name
+from .transforms import _Subsets, subset_name
 
 Spine = tuple[tuple[str, int], ...]
 

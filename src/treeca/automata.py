@@ -418,13 +418,17 @@ def reachable_states(a: Bta) -> frozenset[str]:
 
 
 def useful_states(a: Bta) -> frozenset[str]:
-    """States with a nonempty upward language (some context climbs to a final root).
+    """States with a nonempty upward language (some context climbs to a final root)."""
+    return _climb(a, reachable_states(a))
+
+
+def _climb(a: Bta, reach: frozenset[str]) -> frozenset[str]:
+    """The states with a nonempty upward language, given the reachable ones.
 
     A state climbs through a rule only if every sibling position is realizable
     by an actual tree, so sibling arguments must be reachable.  A worklist
     down the productions from the final states.
     """
-    reach = reachable_states(a)
     down = reverse_bta(a).delta
     useful: set[str] = set()
     todo = list(a.final)

@@ -11,40 +11,13 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from importlib import import_module
 from pathlib import Path
 from typing import Callable, Iterable, NoReturn
 
-from .analysis import (
-    _check_gen_det_d,
-    bta_congruence_down,
-    bta_congruence_up,
-    gen_det_u_witness,
-    pre_context,
-    root_to_pivot_equiv,
-)
-from .automata import Bta, Tta, accepts, post_tree, wpre
-from .errors import TreecaError
+from .automata import Bta, Tta, accepts, post_tree, reverse_bta, reverse_tta, wpre
+from .errors import DEFAULT_STATE_BUDGET, TreecaError
 from .fileformat import parse_automaton, serialize_automaton
-from .minimize import (
-    brzozowski,
-    canonical_form,
-    is_path_closed,
-    isomorphic,
-    min_codbta,
-    minimize_bta,
-    separating_tree,
-)
-from .oracle import language_upto, nerode_classes_down, nerode_classes_up
-from .transforms import (
-    DEFAULT_STATE_BUDGET,
-    codeterminize,
-    complete,
-    determinize,
-    reverse_bta,
-    reverse_tta,
-    subset_name,
-    tta_determinize,
-)
 from .trees import (
     DEFAULT_ENUM_BUDGET,
     enumerate_contexts,
@@ -53,6 +26,42 @@ from .trees import (
     parse_context,
     parse_term,
 )
+
+
+def _later(module: str, name: str) -> Callable:
+    """A stand-in for treeca.<module>.<name> that imports the module when it
+    is first called, so a command loads only the modules its verb runs.
+    Every verb needs the four modules imported above to read its file.  The
+    stand-ins stay module-level names of treeca.cli, so a caller that
+    rebinds one of them (a tracer, a test's mock) still sees every call."""
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    return call
+
+
+_check_gen_det_d = _later("analysis", "_check_gen_det_d")
+bta_congruence_down = _later("analysis", "bta_congruence_down")
+bta_congruence_up = _later("analysis", "bta_congruence_up")
+gen_det_u_witness = _later("analysis", "gen_det_u_witness")
+pre_context = _later("analysis", "pre_context")
+root_to_pivot_equiv = _later("analysis", "root_to_pivot_equiv")
+brzozowski = _later("minimize", "brzozowski")
+canonical_form = _later("minimize", "canonical_form")
+is_path_closed = _later("minimize", "is_path_closed")
+isomorphic = _later("minimize", "isomorphic")
+min_codbta = _later("minimize", "min_codbta")
+minimize_bta = _later("minimize", "minimize_bta")
+separating_tree = _later("minimize", "separating_tree")
+language_upto = _later("oracle", "language_upto")
+nerode_classes_down = _later("oracle", "nerode_classes_down")
+nerode_classes_up = _later("oracle", "nerode_classes_up")
+codeterminize = _later("transforms", "codeterminize")
+complete = _later("transforms", "complete")
+determinize = _later("transforms", "determinize")
+subset_name = _later("transforms", "subset_name")
+tta_determinize = _later("transforms", "tta_determinize")
 
 
 def _load(path: str) -> Bta | Tta:
@@ -299,120 +308,113 @@ class _Parser(argparse.ArgumentParser):
         raise TreecaError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Arguments as (flags..., keyword arguments of add_argument).
+_FILE = ("automaton", {"help": "automaton file"})
+_FILES = (("left", {"help": "first automaton file"}),
+          ("right", {"help": "second automaton file"}))
+_OUTPUT = ("-o", "--output", {"help": "write the result here instead of stdout"})
+_TERM = ("-t", "--term", {"required": True, "help": "tree in term syntax"})
+_CONTEXT = ("-c", "--context", {"required": True, "help": "context in term syntax"})
+_STATES = ("--states", {"nargs": "+",
+                        "help": "restrict to these states (default depends on the verb)"})
+
+
+def _budget(default: int) -> tuple:
+    return ("--budget", {"type": int, "default": default,
+                         "help": f"cap on constructed or enumerated items (default {default})"})
+
+
+def _height(flag: str, help_text: str) -> tuple:
+    return (flag, {"type": int, "required": True, "help": help_text})
+
+
+def _switch(flag: str, help_text: str) -> tuple:
+    return (flag, {"action": "store_true", "help": help_text})
+
+
+_STATE_BUDGET = _budget(DEFAULT_STATE_BUDGET)
+_ENUM_BUDGET = _budget(DEFAULT_ENUM_BUDGET)
+
+# (verb, handler, help line, arguments in the order the verb's help lists them)
+_VERBS = (
+    ("determinize", _cmd_determinize, "subset-construct a deterministic automaton",
+     (_FILE, _OUTPUT, _STATE_BUDGET)),
+    ("codeterminize", _cmd_codeterminize, "build the co-deterministic automaton",
+     (_FILE, _OUTPUT, _STATE_BUDGET,
+      _switch("--no-pretrim", "keep unreachable states instead of removing them first"))),
+    ("reverse", _cmd_reverse, "flip between bottom-up and top-down form", (_FILE, _OUTPUT)),
+    ("complete", _cmd_complete, "add a rejecting sink to a deterministic automaton",
+     (_FILE, _OUTPUT)),
+    ("tdeterminize", _cmd_tdeterminize, "determinize a top-down automaton",
+     (_FILE, _OUTPUT, _STATE_BUDGET)),
+    ("minimize", _cmd_minimize, "minimal deterministic automaton",
+     (_FILE, _OUTPUT, _STATE_BUDGET,
+      _switch("--strip-dead", "drop the rejecting sink class from the result"))),
+    ("min-codet", _cmd_min_codet, "minimal co-deterministic automaton (path-closed only)",
+     (_FILE, _OUTPUT, _STATE_BUDGET)),
+    ("brzozowski", _cmd_brzozowski, "double-reversal minimization (path-closed only)",
+     (_FILE, _OUTPUT, _STATE_BUDGET)),
+    ("canonical", _cmd_canonical, "canonical renaming of a deterministic automaton",
+     (_FILE, _OUTPUT)),
+    ("equiv", _cmd_equiv, "decide language equivalence", (*_FILES, _STATE_BUDGET)),
+    ("isomorphic", _cmd_isomorphic, "decide isomorphism", _FILES),
+    ("member", _cmd_member, "decide membership of a tree", (_FILE, _TERM)),
+    ("post", _cmd_post, "states a tree evaluates to", (_FILE, _TERM, _STATES)),
+    ("pre", _cmd_pre, "states a context pulls back from the target set",
+     (_FILE, _CONTEXT, _STATES)),
+    ("wpre", _cmd_wpre, "weak preimage of a context", (_FILE, _CONTEXT, _STATES)),
+    ("rtp-equiv", _cmd_rtp_equiv, "decide root-to-pivot equivalence of two contexts",
+     (_FILE, ("-c", "--context", {"action": "append", "required": True,
+                                  "help": "context in term syntax (give twice)"}), _STATES)),
+    ("is-path-closed", _cmd_is_path_closed, "decide path-closedness of the language",
+     (_FILE, _STATE_BUDGET)),
+    ("check-brz-u", _cmd_check_brz_u, "check that determinization is already minimal",
+     (_FILE, _STATE_BUDGET,
+      _switch("--witness", "on failure, print two merged state subsets"))),
+    ("check-brz-d", _cmd_check_brz_d,
+     "check that co-determinization is already minimal (path-closed only)",
+     (_FILE, _STATE_BUDGET)),
+    ("classes-up", _cmd_classes, "group bounded trees by their state set",
+     (_FILE, _ENUM_BUDGET, _height("--height", "maximum tree height"))),
+    ("classes-down", _cmd_classes, "group bounded contexts by their pre",
+     (_FILE, _ENUM_BUDGET, _height("--height", "maximum context height"))),
+    ("language-upto", _cmd_language_upto, "list accepted trees up to a height",
+     (_FILE, _ENUM_BUDGET, _height("--height", "maximum tree height"))),
+    ("oracle-classes-up", _cmd_oracle_classes, "group bounded trees by observable behavior",
+     (_FILE, _ENUM_BUDGET, _height("--height", "maximum tree height"),
+      _height("--context-height", "maximum height of probing contexts"))),
+    ("oracle-classes-down", _cmd_oracle_classes,
+     "group bounded contexts by observable behavior",
+     (_FILE, _ENUM_BUDGET, _height("--height", "maximum context height"),
+      _height("--tree-height", "maximum height of probing trees"))),
+    ("enumerate", _cmd_enumerate, "list trees or contexts over the alphabet",
+     (_FILE, _ENUM_BUDGET, _height("--height", "maximum height"),
+      _switch("--contexts", "list contexts instead of trees"))),
+)
+
+
+def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subcommand of verb alone when verb names one, else
+    with every subcommand.  A subcommand's help, usage errors and parse do
+    not depend on its siblings, so a command builds only its own verb; the
+    full parser serves -h, no verb and an unknown verb."""
     parser = _Parser(
         prog="treeca",
         description="Transform, minimize, compare, and probe ranked tree automata.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="verb")
-
-    def add(
-        name: str,
-        func: Callable[[argparse.Namespace], int],
-        help_text: str,
-        *,
-        files: int = 1,
-        output: bool = False,
-        budget: int | None = None,
-    ) -> argparse.ArgumentParser:
+    for name, func, help_text, arguments in [v for v in _VERBS if v[0] == verb] or _VERBS:
         p = sub.add_parser(name, help=help_text)
-        if files == 1:
-            p.add_argument("automaton", help="automaton file")
-        else:
-            p.add_argument("left", help="first automaton file")
-            p.add_argument("right", help="second automaton file")
-        if output:
-            p.add_argument("-o", "--output", help="write the result here instead of stdout")
-        if budget is not None:
-            p.add_argument(
-                "--budget",
-                type=int,
-                default=budget,
-                help=f"cap on constructed or enumerated items (default {budget})",
-            )
+        for *flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.set_defaults(func=func)
-        return p
-
-    states_help = "restrict to these states (default depends on the verb)"
-
-    add("determinize", _cmd_determinize, "subset-construct a deterministic automaton",
-        output=True, budget=DEFAULT_STATE_BUDGET)
-    p = add("codeterminize", _cmd_codeterminize, "build the co-deterministic automaton",
-            output=True, budget=DEFAULT_STATE_BUDGET)
-    p.add_argument("--no-pretrim", action="store_true",
-                   help="keep unreachable states instead of removing them first")
-    add("reverse", _cmd_reverse, "flip between bottom-up and top-down form", output=True)
-    add("complete", _cmd_complete, "add a rejecting sink to a deterministic automaton",
-        output=True)
-    add("tdeterminize", _cmd_tdeterminize, "determinize a top-down automaton",
-        output=True, budget=DEFAULT_STATE_BUDGET)
-    p = add("minimize", _cmd_minimize, "minimal deterministic automaton",
-            output=True, budget=DEFAULT_STATE_BUDGET)
-    p.add_argument("--strip-dead", action="store_true",
-                   help="drop the rejecting sink class from the result")
-    add("min-codet", _cmd_min_codet, "minimal co-deterministic automaton (path-closed only)",
-        output=True, budget=DEFAULT_STATE_BUDGET)
-    add("brzozowski", _cmd_brzozowski, "double-reversal minimization (path-closed only)",
-        output=True, budget=DEFAULT_STATE_BUDGET)
-    add("canonical", _cmd_canonical, "canonical renaming of a deterministic automaton",
-        output=True)
-    add("equiv", _cmd_equiv, "decide language equivalence", files=2,
-        budget=DEFAULT_STATE_BUDGET)
-    add("isomorphic", _cmd_isomorphic, "decide isomorphism", files=2)
-    p = add("member", _cmd_member, "decide membership of a tree")
-    p.add_argument("-t", "--term", required=True, help="tree in term syntax")
-    p = add("post", _cmd_post, "states a tree evaluates to")
-    p.add_argument("-t", "--term", required=True, help="tree in term syntax")
-    p.add_argument("--states", nargs="+", help=states_help)
-    p = add("pre", _cmd_pre, "states a context pulls back from the target set")
-    p.add_argument("-c", "--context", required=True, help="context in term syntax")
-    p.add_argument("--states", nargs="+", help=states_help)
-    p = add("wpre", _cmd_wpre, "weak preimage of a context")
-    p.add_argument("-c", "--context", required=True, help="context in term syntax")
-    p.add_argument("--states", nargs="+", help=states_help)
-    p = add("rtp-equiv", _cmd_rtp_equiv, "decide root-to-pivot equivalence of two contexts")
-    p.add_argument("-c", "--context", action="append", required=True,
-                   help="context in term syntax (give twice)")
-    p.add_argument("--states", nargs="+", help=states_help)
-    add("is-path-closed", _cmd_is_path_closed, "decide path-closedness of the language",
-        budget=DEFAULT_STATE_BUDGET)
-    p = add("check-brz-u", _cmd_check_brz_u,
-            "check that determinization is already minimal",
-            budget=DEFAULT_STATE_BUDGET)
-    p.add_argument("--witness", action="store_true",
-                   help="on failure, print two merged state subsets")
-    add("check-brz-d", _cmd_check_brz_d,
-        "check that co-determinization is already minimal (path-closed only)",
-        budget=DEFAULT_STATE_BUDGET)
-    p = add("classes-up", _cmd_classes, "group bounded trees by their state set",
-            budget=DEFAULT_ENUM_BUDGET)
-    p.add_argument("--height", type=int, required=True, help="maximum tree height")
-    p = add("classes-down", _cmd_classes, "group bounded contexts by their pre",
-            budget=DEFAULT_ENUM_BUDGET)
-    p.add_argument("--height", type=int, required=True, help="maximum context height")
-    p = add("language-upto", _cmd_language_upto, "list accepted trees up to a height",
-            budget=DEFAULT_ENUM_BUDGET)
-    p.add_argument("--height", type=int, required=True, help="maximum tree height")
-    p = add("oracle-classes-up", _cmd_oracle_classes,
-            "group bounded trees by observable behavior", budget=DEFAULT_ENUM_BUDGET)
-    p.add_argument("--height", type=int, required=True, help="maximum tree height")
-    p.add_argument("--context-height", type=int, required=True,
-                   help="maximum height of probing contexts")
-    p = add("oracle-classes-down", _cmd_oracle_classes,
-            "group bounded contexts by observable behavior", budget=DEFAULT_ENUM_BUDGET)
-    p.add_argument("--height", type=int, required=True, help="maximum context height")
-    p.add_argument("--tree-height", type=int, required=True,
-                   help="maximum height of probing trees")
-    p = add("enumerate", _cmd_enumerate, "list trees or contexts over the alphabet",
-            budget=DEFAULT_ENUM_BUDGET)
-    p.add_argument("--height", type=int, required=True, help="maximum height")
-    p.add_argument("--contexts", action="store_true", help="list contexts instead of trees")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
     except (TreecaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

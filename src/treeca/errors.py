@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the budget default shared across the package."""
 
 from __future__ import annotations
 
@@ -9,6 +9,9 @@ class TreecaError(Exception):
 
 class BudgetError(TreecaError):
     """An enumeration or subset construction exceeded its item budget."""
+
+
+DEFAULT_STATE_BUDGET = 2**16  # subsets a construction may intern
 
 
 class AddressError(TreecaError):

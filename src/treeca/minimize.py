@@ -29,14 +29,19 @@ from .automata import (
     Bta,
     BtaKey,
     Numbered,
+    _climb,
+    _restrict,
     is_deterministic,
     reverse_bta,
-    trim_empty,
     trim_unreachable,
 )
-from .errors import NotDeterministicError, NotPathClosedError, TreecaError
-from .transforms import (
+from .errors import (
     DEFAULT_STATE_BUDGET,
+    NotDeterministicError,
+    NotPathClosedError,
+    TreecaError,
+)
+from .transforms import (
     _Subsets,
     _codeterminize,
     complete,
@@ -124,11 +129,12 @@ def minimize_bta(
     a: Bta, *, strip_dead: bool = False, budget: int = DEFAULT_STATE_BUDGET
 ) -> Bta:
     """Determinize and minimize.  With strip_dead the rejecting sink class is
-    removed, giving a partial automaton for the same language.  The subset
-    construction hands its numbered table straight to the merge, so only
-    the minimal automaton gets names."""
+    removed, giving a partial automaton for the same language; every state
+    of a determinization is reachable, so only the climb from the final
+    states runs.  The subset construction hands its numbered table straight
+    to the merge, so only the minimal automaton gets names."""
     m = _merge_classes(_Subsets(a, budget).close())
-    return trim_empty(m) if strip_dead else m
+    return _restrict(m, _climb(m, m.states)) if strip_dead else m
 
 
 def _path_closed_constructions(a: Bta, budget: int) -> tuple[Bta, _Subsets, _Subsets] | None:

@@ -25,10 +25,9 @@ from .automata import (
     trim_empty,
     trim_unreachable,
 )
-from .errors import BudgetError, NotDeterministicError
+from .errors import DEFAULT_STATE_BUDGET, BudgetError, NotDeterministicError
 from .trees import Tree, fresh_tuples
 
-DEFAULT_STATE_BUDGET = 2**16
 _SINK = "__dead"  # the state complete adds, renamed on a clash
 
 

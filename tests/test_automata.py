@@ -20,6 +20,7 @@ from treeca import (
     is_codeterministic,
     is_deterministic,
     language_upto,
+    minimize_bta,
     parse_context,
     parse_term,
     plug,
@@ -241,8 +242,11 @@ def test_trims_preserve_the_language():
 def test_trims_return_their_input_exactly_when_nothing_is_dropped():
     kept = dropped = 0
     for a in seeded_draws(250):
-        d = determinize(a)
-        assert trim_unreachable(d) is d  # a determinization is fully reachable
+        d, m = determinize(a), minimize_bta(a)
+        # a determinization is fully reachable, merged or not, so stripping
+        # the dead class needs no reachability pass
+        assert trim_unreachable(d) is d and trim_unreachable(m) is m
+        assert minimize_bta(a, strip_dead=True) == trim_empty(m)
         for x in (a, d, trim_empty(d)):
             for trim, keep in (
                 (trim_unreachable, reachable_states(x)),

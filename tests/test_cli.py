@@ -31,16 +31,41 @@ from treeca import (
     codeterminize,
     determinize,
     format_term,
+    minimize_bta,
     parse_automaton,
     reachable_states,
     serialize_automaton,
+    trim_empty,
 )
-from treeca import analysis, automata
+from treeca import analysis, automata, cli
 from treeca.cli import main
 
 
 def fx(name: str) -> str:
     return str(FIXTURES / name)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def one_verb_parsers_agree_with_the_full_parser():
+    """main builds the parser of its first argument's verb alone; every
+    command these tests run through main must parse to the same namespace
+    with the parser of every verb."""
+    build, full = cli._build_parser, cli._build_parser()
+
+    def checked(verb=None):
+        parser = build(verb)
+        parse = parser.parse_args
+
+        def parse_args(argv):
+            args = parse(argv)
+            assert args == full.parse_args(argv), argv
+            return args
+
+        parser.parse_args = parse_args
+        return parser
+
+    with mock.patch.object(cli, "_build_parser", checked):
+        yield
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -120,6 +145,16 @@ def test_minimize_strip_dead_drops_the_sink_class(capsys):
     code, out, _ = run(capsys, "minimize", fx("and1.bta"), "--strip-dead")
     assert code == 0
     assert len(parse_automaton(out).states) == 1
+
+
+def test_minimize_strip_dead_makes_no_reachability_pass(capsys, abc):
+    """Every state of a determinization is reachable, so stripping the sink
+    class only climbs from the final states."""
+    with mock.patch.object(automata, "reachable_states",
+                           wraps=automata.reachable_states) as counted:
+        got = run(capsys, "minimize", fx("abc.bta"), "--strip-dead")
+    assert counted.call_count == 0
+    assert got == (0, serialize_automaton(trim_empty(minimize_bta(abc))), "")
 
 
 def test_min_codet_and_brzozowski_reject_non_path_closed_input(capsys):
@@ -482,6 +517,26 @@ def test_height_zero_exits_with_2(capsys, verb):
 )
 def test_usage_errors_exit_with_2_and_one_error_line(capsys, argv):
     assert_one_error_line(*run(capsys, *argv))
+
+
+def test_every_verbs_help_is_the_full_parsers(capsys):
+    full = cli._build_parser()
+    for verb, *_ in cli._VERBS:
+        helps = []
+        for parser in (cli._build_parser(verb), full):
+            with pytest.raises(SystemExit):
+                parser.parse_args([verb, "-h"])
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1], verb
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["bogus"], ["member", "f"], ["member", "f", "-t", "a", "--bogus"]]
+)
+def test_usage_errors_read_as_the_full_parsers(capsys, argv):
+    with pytest.raises(TreecaError) as full:
+        cli._build_parser().parse_args(argv)
+    assert run(capsys, *argv) == (2, "", f"error: {full.value}\n")
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])

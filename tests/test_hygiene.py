@@ -7,18 +7,22 @@ the oldest supported grammar, Python 3.10, starred subscripts included.
 Only the public entry points call the checking constructors, so no rule is
 checked twice; only minimization determinizes in full, only the numbered
 view maps state names to numbers, the rule-mask step of the subset
-construction is written once, no recursion grows with the input, and the
-command line starts without modules it does not need."""
+construction is written once, no recursion grows with the input, each
+command loads only the modules its verb runs, and the package exports every
+public name of its modules without importing them."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import treeca
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -263,14 +267,14 @@ def test_the_rule_mask_step_is_written_once():
     assert steps == ["transforms.py"]
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # Every treeca command first imports treeca.cli, and these two modules
-    # would be a large part of that start-up; a fresh interpreter shows what
-    # the import itself adds.
+def _added_modules(statement: str) -> tuple[set[str], str]:
+    """The modules a fresh interpreter adds while it runs statement, and the
+    last line statement prints."""
     probe = (
-        "import sys\n"
+        "import runpy, sys\n"
         "before = set(sys.modules)\n"
-        "import treeca.cli\n"
+        f"{statement}\n"
+        "print()\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     proc = subprocess.run(
@@ -280,6 +284,91 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
         check=True,
     )
-    added = set(proc.stdout.split())
-    assert "treeca.cli" in added
+    *printed, _, added = proc.stdout.split("\n")[:-1]
+    return set(added.split()), printed[-1] if printed else ""
+
+
+def _command(*argv: str) -> str:
+    """A statement that runs `python -m treeca ARGV` and prints its exit status."""
+    return (
+        f"sys.argv = ['treeca', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('treeca', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code)"
+    )
+
+
+READ_A_FILE = {"treeca", "treeca.cli", "treeca.errors", "treeca.trees", "treeca.automata",
+               "treeca.fileformat"}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Every treeca command first imports treeca.cli, and these two modules
+    # would be a large part of that start-up; a fresh interpreter shows what
+    # the import itself adds.
+    added, _ = _added_modules("import treeca.cli")
     assert not added & {"dataclasses", "inspect"}, sorted(added)
+    assert {m for m in added if m.startswith("treeca")} == READ_A_FILE
+
+
+@pytest.mark.parametrize("argv, code, extra", [
+    (["member", "fixtures/bool2.bta", "-t", "and(T,T)"], "0", set()),
+    (["determinize", "fixtures/abc.bta"], "0", {"treeca.transforms"}),
+    (["determinize", "README.md"], "2", set()),
+    (["minimize", "fixtures/abc.bta", "--strip-dead"], "0",
+     {"treeca.minimize", "treeca.transforms"}),
+], ids=["member", "determinize", "determinize-unparsable", "minimize"])
+def test_each_command_loads_only_the_modules_its_verb_runs(argv, code, extra):
+    verb, path, *options = argv
+    added, printed = _added_modules(_command(verb, str(ROOT / path), *options))
+    assert printed == code
+    assert {m for m in added if m.startswith("treeca")} == READ_A_FILE | extra
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    added, _ = _added_modules("import treeca")
+    assert {m for m in added if m.startswith("treeca")} == {"treeca"}
+
+
+# The public names of each module.  The package exports exactly these, each
+# the object its module defines, so a name that moves or is renamed fails
+# here before it fails a user's import.
+PUBLIC = {
+    "analysis": """Spine bta_congruence_down bta_congruence_up check_gen_det_d
+        check_gen_det_u gen_det_u_witness pre_context root_to_pivot_equiv spine_of""",
+    "automata": """Bta Tta accepts is_codeterministic is_deterministic post_tree
+        reachable_states reverse_bta reverse_tta seeded_post trim_empty
+        trim_unreachable useful_states wpre""",
+    "errors": """DEFAULT_STATE_BUDGET AddressError BudgetError MalformedContextError
+        NotDeterministicError NotPathClosedError NotWellRankedError ParseError
+        TreecaError""",
+    "fileformat": "parse_automaton serialize_automaton",
+    "minimize": """brzozowski canonical_form equivalent is_path_closed isomorphic
+        min_codbta minimize_bta minimize_dbta separating_tree""",
+    "oracle": """language_upto nerode_classes_down nerode_classes_up
+        quotient_member_down quotient_member_up""",
+    "transforms": """codeterminize complete determinize subset_construction
+        subset_name tta_accepts tta_determinize""",
+    "trees": """DEFAULT_ENUM_BUDGET HOLE RankedAlphabet Tree check_well_ranked
+        enumerate_contexts enumerate_trees format_address format_path format_term
+        hole_height is_context is_well_ranked iter_nodes parse_context parse_term
+        path_language pivot plug puncture subtree substitute""",
+}
+
+
+def test_the_package_exports_each_public_name_from_its_module():
+    home = {name: module for module, names in PUBLIC.items() for name in names.split()}
+    assert len(home) == 77
+    assert sorted(treeca.__all__) == sorted(home)
+    assert set(dir(treeca)) >= set(home)
+    for name, module in home.items():
+        assert getattr(treeca, name) is getattr(importlib.import_module(f"treeca.{module}"), name)
+    with pytest.raises(AttributeError):
+        treeca.no_such_name
+    _, bound = _added_modules(
+        "namespace = {}\n"
+        "exec('from treeca import *', namespace)\n"
+        "print(' '.join(sorted(namespace)))"
+    )
+    assert set(bound.split()) == set(home) | {"__builtins__"}
