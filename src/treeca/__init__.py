@@ -13,21 +13,22 @@ __version__ = "0.1.0"
 
 # the public names of each module
 _EXPORTS = {
-    "analysis": """Spine bta_congruence_down bta_congruence_up check_gen_det_d
-        check_gen_det_u gen_det_u_witness pre_context root_to_pivot_equiv spine_of""",
+    "analysis": """Spine bta_congruence_down bta_congruence_up pre_context
+        root_to_pivot_equiv spine_of""",
     "automata": """Bta Tta accepts is_codeterministic is_deterministic post_tree
-        reachable_states reverse_bta reverse_tta seeded_post trim_empty
-        trim_unreachable useful_states wpre""",
+        reachable_states reverse_bta reverse_tta seeded_post subset_name
+        trim_empty trim_unreachable useful_states wpre""",
     "errors": """DEFAULT_STATE_BUDGET AddressError BudgetError MalformedContextError
         NotDeterministicError NotPathClosedError NotWellRankedError ParseError
         TreecaError""",
     "fileformat": "parse_automaton serialize_automaton",
-    "minimize": """brzozowski canonical_form equivalent is_path_closed isomorphic
-        min_codbta minimize_bta minimize_dbta separating_tree""",
+    "minimize": """brzozowski canonical_form check_gen_det_d check_gen_det_u
+        equivalent gen_det_u_witness is_path_closed isomorphic min_codbta
+        minimize_bta minimize_dbta separating_tree""",
     "oracle": """language_upto nerode_classes_down nerode_classes_up
         quotient_member_down quotient_member_up""",
     "transforms": """codeterminize complete determinize subset_construction
-        subset_name tta_accepts tta_determinize""",
+        tta_accepts tta_determinize""",
     "trees": """DEFAULT_ENUM_BUDGET HOLE RankedAlphabet Tree check_well_ranked
         enumerate_contexts enumerate_trees format_address format_path format_term
         hole_height is_context is_well_ranked iter_nodes parse_context parse_term

@@ -5,8 +5,9 @@ set: only keys with nonempty target sets are kept.  A Tta holds a Bta and
 reads the same rules top-down: each state maps to the productions it can
 expand to, its initial states are the Bta's final states.  Reversal only
 switches the reading and copies nothing.  Both are treated as immutable.
-The public constructors check every rule and state name; the library builds
-automata from checked ones through the unchecked Bta._of.
+The public constructors check every rule and state name (is_state_name); the
+library builds automata from checked ones through the unchecked Bta._of, and
+names each synthesized state after the states it stands for (subset_name).
 A deterministic Bta also has a numbered view (Numbered), built at most once:
 states as numbers and each symbol's rule targets in one table, which
 minimization and canonical renaming read instead of the named rules.
@@ -39,6 +40,11 @@ def is_state_name(q: str) -> bool:
     while n:
         q, n = _BRACED_RE.subn("", q)
     return not ("{" in q or "}" in q or "," in q)
+
+
+def subset_name(members: Iterable[str]) -> str:
+    """Canonical printable name for a set of states."""
+    return "{" + ",".join(sorted(members)) + "}"
 
 
 class Bta:

@@ -15,7 +15,7 @@ from importlib import import_module
 from pathlib import Path
 from typing import Callable, Iterable, NoReturn
 
-from .automata import Bta, Tta, accepts, post_tree, reverse_bta, reverse_tta, wpre
+from .automata import Bta, Tta, accepts, post_tree, reverse_bta, reverse_tta, subset_name, wpre
 from .errors import DEFAULT_STATE_BUDGET, TreecaError
 from .fileformat import parse_automaton, serialize_automaton
 from .trees import (
@@ -41,14 +41,14 @@ def _later(module: str, name: str) -> Callable:
     return call
 
 
-_check_gen_det_d = _later("analysis", "_check_gen_det_d")
 bta_congruence_down = _later("analysis", "bta_congruence_down")
 bta_congruence_up = _later("analysis", "bta_congruence_up")
-gen_det_u_witness = _later("analysis", "gen_det_u_witness")
 pre_context = _later("analysis", "pre_context")
 root_to_pivot_equiv = _later("analysis", "root_to_pivot_equiv")
+_check_gen_det_d = _later("minimize", "_check_gen_det_d")
 brzozowski = _later("minimize", "brzozowski")
 canonical_form = _later("minimize", "canonical_form")
+gen_det_u_witness = _later("minimize", "gen_det_u_witness")
 is_path_closed = _later("minimize", "is_path_closed")
 isomorphic = _later("minimize", "isomorphic")
 min_codbta = _later("minimize", "min_codbta")
@@ -60,13 +60,12 @@ nerode_classes_up = _later("oracle", "nerode_classes_up")
 codeterminize = _later("transforms", "codeterminize")
 complete = _later("transforms", "complete")
 determinize = _later("transforms", "determinize")
-subset_name = _later("transforms", "subset_name")
 tta_determinize = _later("transforms", "tta_determinize")
 
 
 def _load(path: str) -> Bta | Tta:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise TreecaError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"

@@ -14,8 +14,11 @@ construction (transforms._Subsets) on demand, so a walk that finds a tree
 early builds only what it reached.  Path-closedness is the same walk between
 an automaton and its co-determinization; the co-deterministic and
 double-reversal minimizers close those subset constructions into the full
-determinizations.  Isomorphism is one search that maps states pair by pair,
-adding every pair the rules force before it branches.
+determinizations.  The minimality checks read the same pieces: direct
+determinization is minimal iff refining its subset construction merges
+nothing, and co-determinization iff no two of its states lie in exactly the
+same subsets the path-closedness walk met.  Isomorphism is one search that
+maps states pair by pair, adding every pair the rules force before it branches.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .automata import (
     _restrict,
     is_deterministic,
     reverse_bta,
+    subset_name,
     trim_unreachable,
 )
 from .errors import (
@@ -41,12 +45,7 @@ from .errors import (
     NotPathClosedError,
     TreecaError,
 )
-from .transforms import (
-    _Subsets,
-    _codeterminize,
-    complete,
-    subset_name,
-)
+from .transforms import _Subsets, _codeterminize, complete
 from .trees import Tree, fresh_tuples
 
 
@@ -188,6 +187,65 @@ def brzozowski(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
     determinized co-determinization the path-closedness check walked.
     """
     return _require_path_closed(a, budget, "double-reversal minimization")[2].close().named()
+
+
+def check_gen_det_u(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
+    """True iff determinizing a directly yields the minimal deterministic
+    automaton, i.e. distinct reachable state subsets are never language
+    equivalent.
+
+    The determinization is total and fully reachable, so it is minimal iff
+    its refinement merges no two subsets: the check is gen_det_u_witness
+    finding no witness.
+    """
+    return gen_det_u_witness(a, budget=budget) is None
+
+
+def gen_det_u_witness(
+    a: Bta, *, budget: int = DEFAULT_STATE_BUDGET
+) -> tuple[str, str, frozenset[str], frozenset[str]] | None:
+    """None when determinization is already minimal; otherwise a witness
+    (q, m, s1, s2): two distinct reachable subsets s1 and s2 that merge into
+    the same minimal state m, with q a state in their symmetric difference.
+
+    m is the least merged minimal state by name, and s1 and s2 are the two
+    least determinized states by name in its block.  The refinement reads
+    the subset construction's numbered tables, so no rule of the
+    determinization is named.
+    """
+    subsets = _Subsets(a, budget)
+    view = subsets.close()
+    names = view.names
+    merged = [block for block in _blocks(_refine(view)) if len(block) > 1]
+    if not merged:
+        return None
+    by_name = {subset_name(map(names.__getitem__, block)): block for block in merged}
+    m = min(by_name)
+    i, j = sorted(by_name[m], key=names.__getitem__)[:2]
+    s1, s2 = subsets.pool.order[i], subsets.pool.order[j]
+    return (min(s1 ^ s2), m, s1, s2)
+
+
+def check_gen_det_d(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
+    """True iff co-determinizing the trimmed automaton directly yields the
+    minimal co-deterministic automaton.  Only defined for path-closed
+    languages; anything else is rejected.
+
+    The co-determinization c is reduced, so it is minimal iff no two of its
+    states accept the same trees, i.e. iff no two lie in exactly the same
+    reachable subsets of its determinization (the state sets trees reach).
+    The path-closedness walk that finds no separating tree has met every
+    one of them.
+    """
+    return _check_gen_det_d(a, budget)[0]
+
+
+def _check_gen_det_d(a: Bta, budget: int) -> tuple[bool, bool]:
+    """The verdict of check_gen_det_d, and whether its trim removed states of a."""
+    c, sa, sc = _require_path_closed(a, budget, "the downward determinization check")
+    subsets = sc.pool.order
+    vectors = {frozenset(i for i, s in enumerate(subsets) if q in s) for q in c.states}
+    return len(vectors) == len(c.states), sa.a is not a
 
 
 def canonical_form(d: Bta) -> Bta:

@@ -14,20 +14,13 @@ from .automata import Bta, _leaves, _run, accepts
 from .trees import (
     DEFAULT_ENUM_BUDGET,
     Tree,
+    _group,
     enumerate_contexts,
     enumerate_trees,
     pivot,
     plug,
     substitute,
 )
-
-
-def _group(items: Iterable[Tree], key: Callable[[Tree], Hashable]) -> dict:
-    """items grouped by key; groups and their members keep the order of items."""
-    groups: dict[Hashable, list[Tree]] = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
-    return {k: tuple(members) for k, members in groups.items()}
 
 
 def _classes(items: Iterable[Tree], key: Callable[[Tree], Hashable]) -> tuple[tuple, ...]:

@@ -1,15 +1,14 @@
 """Determinization, co-determinization, and completion.
 
 Synthesized states are named after the subset of original states they stand
-for, "{q0,q1}" with members sorted, so the constructions are reproducible and
-their outputs readable.  All constructions are capped by a state budget and
-raise BudgetError when the cap is hit.
+for, "{q0,q1}" with members sorted (automata.subset_name), so the
+constructions are reproducible and their outputs readable.  All constructions
+are capped by a state budget and raise BudgetError when the cap is hit.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
 from functools import reduce
 from operator import and_, getitem
 
@@ -22,6 +21,7 @@ from .automata import (
     is_deterministic,
     reverse_bta,
     reverse_tta,
+    subset_name,
     trim_empty,
     trim_unreachable,
 )
@@ -29,11 +29,6 @@ from .errors import DEFAULT_STATE_BUDGET, BudgetError, NotDeterministicError
 from .trees import Tree, fresh_tuples
 
 _SINK = "__dead"  # the state complete adds, renamed on a clash
-
-
-def subset_name(members: Iterable[str]) -> str:
-    """Canonical printable name for a set of states."""
-    return "{" + ",".join(sorted(members)) + "}"
 
 
 class _SubsetPool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import total_ordering
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AddressError,
@@ -392,6 +392,14 @@ def enumerate_contexts(
     applies to the raw enumeration (see _enumeration).
     """
     return _enumeration(alphabet, True, max_height, budget)
+
+
+def _group(items: Iterable[Tree], key: Callable[[Tree], Hashable]) -> dict:
+    """items grouped by key; groups and their members keep the order of items."""
+    groups: dict[Hashable, list[Tree]] = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return {k: tuple(members) for k, members in groups.items()}
 
 
 def format_term(t: Tree) -> str:

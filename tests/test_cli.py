@@ -554,7 +554,22 @@ def test_non_utf8_file_exits_with_2_naming_the_path(capsys, tmp_path):
     garbled.write_bytes(b"\xff\xfe")
     code, out, err = run(capsys, "member", str(garbled), "-t", "a")
     assert_one_error_line(code, out, err)
-    assert str(garbled) in err
+    assert err == f"error: {garbled}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+def test_a_byte_order_mark_is_read_past(capsys, tmp_path):
+    """Editors may save UTF-8 with a leading byte-order mark; the file reads
+    as without it, and a bad byte after the mark is counted from the start
+    of the file."""
+    marked = tmp_path / "marked.bta"
+    marked.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "bool2.bta").read_bytes())
+    plain = run(capsys, "determinize", fx("bool2.bta"))
+    assert run(capsys, "determinize", str(marked)) == plain
+    assert plain[0] == 0
+    marked.write_bytes(b"\xef\xbb\xbfbta\n\xff")
+    code, out, err = run(capsys, "member", str(marked), "-t", "a")
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {marked}: not UTF-8 text (invalid start byte at byte 7)\n"
 
 
 FIXTURE_TEXTS = sorted(p.read_text() for p in FIXTURES.iterdir())
@@ -627,7 +642,7 @@ def test_fuzzed_calls_keep_the_exit_contract(capsys, tmp_path, data):
     path = tmp_path / "fuzz.bta"
     path.write_bytes(raw)
     try:
-        parsed = parse_automaton(raw.decode("utf-8"))
+        parsed = parse_automaton(raw.decode("utf-8").removeprefix("\ufeff"))
     except (TreecaError, UnicodeDecodeError):
         parsed = None
     alphabet = BOOL if parsed is None else parsed.alphabet

@@ -210,7 +210,7 @@ def test_verdicts_determinize_nothing_in_full():
         "minimize.py:minimize_bta",
         "minimize.py:min_codbta",
         "minimize.py:brzozowski",
-        "analysis.py:gen_det_u_witness",
+        "minimize.py:gen_det_u_witness",
     }
 
 
@@ -312,13 +312,23 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert {m for m in added if m.startswith("treeca")} == READ_A_FILE
 
 
+CONSTRUCTIONS = {"treeca.minimize", "treeca.transforms"}
+
+
 @pytest.mark.parametrize("argv, code, extra", [
     (["member", "fixtures/bool2.bta", "-t", "and(T,T)"], "0", set()),
     (["determinize", "fixtures/abc.bta"], "0", {"treeca.transforms"}),
     (["determinize", "README.md"], "2", set()),
-    (["minimize", "fixtures/abc.bta", "--strip-dead"], "0",
-     {"treeca.minimize", "treeca.transforms"}),
-], ids=["member", "determinize", "determinize-unparsable", "minimize"])
+    (["minimize", "fixtures/abc.bta", "--strip-dead"], "0", CONSTRUCTIONS),
+    (["pre", "fixtures/bool2.bta", "-c", "or(T,<>)"], "0", {"treeca.analysis"}),
+    (["rtp-equiv", "fixtures/bool2.bta", "-c", "or(T,<>)", "-c", "and(<>,F)"], "1",
+     {"treeca.analysis"}),
+    (["classes-up", "fixtures/bool2.bta", "--height", "2"], "0", {"treeca.analysis"}),
+    (["classes-down", "fixtures/bool2.bta", "--height", "2"], "0", {"treeca.analysis"}),
+    (["check-brz-u", "fixtures/bool2.bta", "--witness"], "0", CONSTRUCTIONS),
+    (["check-brz-d", "fixtures/and1.bta"], "0", CONSTRUCTIONS),
+], ids=["member", "determinize", "determinize-unparsable", "minimize", "pre", "rtp-equiv",
+        "classes-up", "classes-down", "check-brz-u", "check-brz-d"])
 def test_each_command_loads_only_the_modules_its_verb_runs(argv, code, extra):
     verb, path, *options = argv
     added, printed = _added_modules(_command(verb, str(ROOT / path), *options))
@@ -335,21 +345,22 @@ def test_importing_the_package_loads_none_of_its_modules():
 # the object its module defines, so a name that moves or is renamed fails
 # here before it fails a user's import.
 PUBLIC = {
-    "analysis": """Spine bta_congruence_down bta_congruence_up check_gen_det_d
-        check_gen_det_u gen_det_u_witness pre_context root_to_pivot_equiv spine_of""",
+    "analysis": """Spine bta_congruence_down bta_congruence_up pre_context
+        root_to_pivot_equiv spine_of""",
     "automata": """Bta Tta accepts is_codeterministic is_deterministic post_tree
-        reachable_states reverse_bta reverse_tta seeded_post trim_empty
-        trim_unreachable useful_states wpre""",
+        reachable_states reverse_bta reverse_tta seeded_post subset_name
+        trim_empty trim_unreachable useful_states wpre""",
     "errors": """DEFAULT_STATE_BUDGET AddressError BudgetError MalformedContextError
         NotDeterministicError NotPathClosedError NotWellRankedError ParseError
         TreecaError""",
     "fileformat": "parse_automaton serialize_automaton",
-    "minimize": """brzozowski canonical_form equivalent is_path_closed isomorphic
-        min_codbta minimize_bta minimize_dbta separating_tree""",
+    "minimize": """brzozowski canonical_form check_gen_det_d check_gen_det_u
+        equivalent gen_det_u_witness is_path_closed isomorphic min_codbta
+        minimize_bta minimize_dbta separating_tree""",
     "oracle": """language_upto nerode_classes_down nerode_classes_up
         quotient_member_down quotient_member_up""",
     "transforms": """codeterminize complete determinize subset_construction
-        subset_name tta_accepts tta_determinize""",
+        tta_accepts tta_determinize""",
     "trees": """DEFAULT_ENUM_BUDGET HOLE RankedAlphabet Tree check_well_ranked
         enumerate_contexts enumerate_trees format_address format_path format_term
         hole_height is_context is_well_ranked iter_nodes parse_context parse_term
