@@ -17,6 +17,7 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from treeca import (
+    DEFAULT_ENUM_BUDGET,
     DEFAULT_STATE_BUDGET,
     HOLE,
     Bta,
@@ -28,21 +29,26 @@ from treeca import (
     Tree,
     TreecaError,
     Tta,
+    accepts,
     check_well_ranked,
     codeterminize,
     complete,
     determinize,
+    enumerate_contexts,
+    enumerate_trees,
     equivalent,
     is_deterministic,
     isomorphic,
     iter_nodes,
     minimize_dbta,
     parse_automaton,
+    pivot,
     puncture,
     reverse_bta,
     reverse_tta,
     subset_construction,
     subset_name,
+    substitute,
     trim_empty,
     trim_unreachable,
 )
@@ -692,6 +698,42 @@ def tta_determinize_direct(t: Tta, *, budget: int = DEFAULT_STATE_BUDGET) -> Tta
         )
     built = Tta(t0.alphabet, names, delta, {names[0]})
     return reverse_bta(trim_empty(reverse_tta(built)))
+
+
+def _classes_by_key(items, key) -> tuple[tuple[Tree, ...], ...]:
+    """items grouped by equal key, members in item order, the groups ordered
+    by their first member."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return tuple(sorted((tuple(g) for g in groups.values()), key=lambda g: g[0]))
+
+
+def nerode_classes_up_by_plugging(
+    a: Bta, tree_height: int, context_height: int, *, budget: int = DEFAULT_ENUM_BUDGET
+) -> tuple[tuple[Tree, ...], ...]:
+    """Trees grouped by their accept vector over the contexts: each tree is
+    plugged into each context and the result run."""
+    trees = enumerate_trees(a.alphabet, tree_height, budget)
+    contexts = enumerate_contexts(a.alphabet, context_height, budget)
+    pivots = [(x, pivot(x)) for x in contexts]
+    return _classes_by_key(
+        trees, lambda t: tuple(accepts(a, substitute(x, at, t)) for x, at in pivots))
+
+
+def nerode_classes_down_by_plugging(
+    a: Bta, context_height: int, tree_height: int, *, budget: int = DEFAULT_ENUM_BUDGET
+) -> tuple[tuple[Tree, ...], ...]:
+    """Contexts grouped by their accept vector over the trees: each tree is
+    plugged into each context and the result run."""
+    contexts = enumerate_contexts(a.alphabet, context_height, budget)
+    trees = enumerate_trees(a.alphabet, tree_height, budget)
+
+    def bits(x: Tree) -> tuple[bool, ...]:
+        at = pivot(x)
+        return tuple(accepts(a, substitute(x, at, t)) for t in trees)
+
+    return _classes_by_key(contexts, bits)
 
 
 # === Merging and canonical renaming on state names ================================

@@ -327,8 +327,14 @@ CONSTRUCTIONS = {"treeca.minimize", "treeca.transforms"}
     (["classes-down", "fixtures/bool2.bta", "--height", "2"], "0", {"treeca.analysis"}),
     (["check-brz-u", "fixtures/bool2.bta", "--witness"], "0", CONSTRUCTIONS),
     (["check-brz-d", "fixtures/and1.bta"], "0", CONSTRUCTIONS),
+    (["language-upto", "fixtures/and1.bta", "--height", "3"], "0", {"treeca.oracle"}),
+    (["oracle-classes-up", "fixtures/bool2.bta", "--height", "2", "--context-height", "2"], "0",
+     {"treeca.oracle"}),
+    (["oracle-classes-down", "fixtures/bool2.bta", "--height", "2", "--tree-height", "2"], "0",
+     {"treeca.oracle"}),
 ], ids=["member", "determinize", "determinize-unparsable", "minimize", "pre", "rtp-equiv",
-        "classes-up", "classes-down", "check-brz-u", "check-brz-d"])
+        "classes-up", "classes-down", "check-brz-u", "check-brz-d", "language-upto",
+        "oracle-classes-up", "oracle-classes-down"])
 def test_each_command_loads_only_the_modules_its_verb_runs(argv, code, extra):
     verb, path, *options = argv
     added, printed = _added_modules(_command(verb, str(ROOT / path), *options))

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from treeca import oracle
 from treeca import (
     Bta,
     BudgetError,
@@ -20,11 +21,26 @@ from treeca import (
     parse_context,
     parse_term,
     plug,
+    post_tree,
     quotient_member_down,
     quotient_member_up,
+    reachable_states,
 )
 
-from helpers import AB, BOOL, accept_all_bta, random_bta
+from helpers import (
+    AB,
+    ABG,
+    BOOL,
+    MONO,
+    TERN,
+    Raised,
+    accept_all_bta,
+    assert_routes_agree,
+    nerode_classes_down_by_plugging,
+    nerode_classes_up_by_plugging,
+    random_bta,
+    seeded_draws,
+)
 
 
 # === language_upto ================================================================
@@ -136,6 +152,67 @@ def test_nerode_down_bool2_has_three_classes(bool2):
 
 def test_nerode_down_hole_only_is_one_class(bool2):
     assert len(nerode_classes_down(bool2, 1, 2)) == 1
+
+
+# === Both sweeps against plugging =================================================
+
+SWEEP_BUDGET = 100  # small enough that the largest enumerations raise
+
+
+def _budgeted(sweep):
+    def route(a, first_height, second_height):
+        return sweep(a, first_height, second_height, budget=SWEEP_BUDGET)
+
+    route.__name__ = sweep.__name__
+    return route
+
+
+def test_sweeps_give_the_classes_of_plugging_every_tree():
+    """The sweeps through reached state sets against plugging every tree into
+    every context, at every pair of heights up to 3: the same classes in the
+    same order, or the same BudgetError."""
+    rng = random.Random(20)
+    draws = seeded_draws(250)
+    for i in range(200):
+        a = random_bta(rng, (AB, ABG, BOOL, MONO, TERN)[i % 5], 3)
+        draws.append(a if i % 4 else Bta(a.alphabet, a.states, a.delta, set()))
+    # The draws hold what a sweep through state sets must get right: empty
+    # final sets, unreachable states, and partial rules, so trees reaching
+    # no state at all.
+    assert sum(not a.final for a in draws) > 50
+    assert sum(reachable_states(a) != a.states for a in draws) > 50
+    assert sum(
+        any(not post_tree(a, t, a.states) for t in enumerate_trees(a.alphabet, 2)) for a in draws
+    ) > 100
+    inputs = [(a, h1, h2) for a in draws for h1 in (1, 2, 3) for h2 in (1, 2, 3)]
+    got = [
+        out
+        for sweep, reference in (
+            (nerode_classes_up, nerode_classes_up_by_plugging),
+            (nerode_classes_down, nerode_classes_down_by_plugging),
+        )
+        for out in assert_routes_agree(_budgeted(sweep), _budgeted(reference), inputs)
+    ]
+    raised = [out.type for out in got if isinstance(out, Raised)]
+    assert len(got) == 8100 and len(raised) == 2880 and set(raised) == {BudgetError}
+
+
+def test_sweeps_run_each_tree_once_and_each_context_once_per_reached_set(bool2, monkeypatch):
+    """|trees| + k * |contexts| runs, for the k distinct sets the trees reach,
+    where plugging would run |trees| * |contexts| trees."""
+    run, runs = oracle._run, []
+    monkeypatch.setattr(oracle, "_run", lambda *args: runs.append(args[1]) or run(*args))
+
+    def runs_of(sweep, *heights):
+        runs.clear()
+        sweep(bool2, *heights)
+        return len(runs)
+
+    trees = enumerate_trees(BOOL, 2)
+    k = len({post_tree(bool2, t, bool2.states) for t in trees})
+    assert k == 2
+    assert runs_of(nerode_classes_up, 2, 3) == len(trees) + k * len(enumerate_contexts(BOOL, 3))
+    assert runs_of(nerode_classes_down, 2, 2) == len(trees) + k * len(enumerate_contexts(BOOL, 2))
 
 
 # === Quotient membership ==========================================================
