@@ -10,7 +10,9 @@ library builds automata from checked ones through the unchecked Bta._of, and
 names each synthesized state after the states it stands for (subset_name).
 A deterministic Bta also has a numbered view (Numbered), built at most once:
 states as numbers and each symbol's rule targets in one table, which
-minimization and canonical renaming read instead of the named rules.
+minimization, canonical renaming and the writer read instead of the named
+rules.  An automaton made from a view (Numbered.named) names its rules only
+when its delta is first read.
 Every run is one iterative bottom-up evaluator (_run); wpre folds the spine.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import NotWellRankedError, TreecaError
 from .trees import HOLE, Address, RankedAlphabet, Tree, pivot
@@ -50,7 +52,7 @@ def subset_name(members: Iterable[str]) -> str:
 class Bta:
     """A bottom-up tree automaton (alphabet, states, delta, final states)."""
 
-    __slots__ = ("alphabet", "states", "delta", "final", "_down", "_view")
+    __slots__ = ("alphabet", "states", "_delta", "final", "_down", "_view")
 
     def __init__(
         self,
@@ -84,19 +86,29 @@ class Bta:
                 bad = (set(args) | targets) - states
                 raise TreecaError(f"transition mentions undeclared states {sorted(bad)}")
             norm[(sym, args)] = targets
-        self.alphabet, self.states, self.delta, self.final = alphabet, states, norm, final
+        self.alphabet, self.states, self._delta, self.final = alphabet, states, norm, final
         self._down = self._view = None
 
     @classmethod
     def _of(cls, alphabet: RankedAlphabet, states: frozenset[str],
-            delta: dict[BtaKey, frozenset[str]], final: frozenset[str]) -> Bta:
+            delta: dict[BtaKey, frozenset[str]] | None, final: frozenset[str]) -> Bta:
         """An automaton from fields already in normal form, unchecked: frozenset
         states and final, tuple argument keys over declared states, and
-        nonempty frozenset targets."""
+        nonempty frozenset targets.  delta is None only for an automaton that
+        Numbered.named backs with a view."""
         a = object.__new__(cls)
-        a.alphabet, a.states, a.delta, a.final = alphabet, states, delta, final
+        a.alphabet, a.states, a._delta, a.final = alphabet, states, delta, final
         a._down = a._view = None
         return a
+
+    @property
+    def delta(self) -> dict[BtaKey, frozenset[str]]:
+        """The rules: each (symbol, argument states) key with a nonempty
+        target set.  An automaton named from a numbered view builds them
+        from the view the first time they are read (_named_rules)."""
+        if self._delta is None:
+            self._delta = _named_rules(self._view)
+        return self._delta
 
     @property
     def numbered(self) -> Numbered | None:
@@ -153,19 +165,35 @@ class Numbered:
         self.alphabet, self.names, self.tables = alphabet, names, tables
         self.final, self.total = final, total
 
+    def targets(self, sym: str, ids: list[int]) -> Iterator[int]:
+        """The targets of sym's rules whose arguments all lie in ids, in the
+        product order of ids: each rule's table index is the sum of one
+        offset per argument position."""
+        n, k = len(self.names), self.alphabet.arity(sym)
+        offsets = [[q * n ** (k - 1 - i) for q in ids] for i in range(k)]
+        return map(self.tables[sym].__getitem__, map(sum, itertools.product(*offsets)))
+
     def named(self) -> Bta:
         """The automaton of a total view under its state names, keeping the
-        view: the table entries come in the order of the argument tuples."""
-        names = self.names
-        one = [frozenset((q,)) for q in names]
-        delta: dict[BtaKey, frozenset[str]] = {}
-        for sym, table in self.tables.items():
-            args = itertools.product(names, repeat=self.alphabet.arity(sym))
-            delta.update(zip(zip(itertools.repeat(sym), args), map(one.__getitem__, table)))
-        final = frozenset(map(names.__getitem__, self.final))
-        a = Bta._of(self.alphabet, frozenset(names), delta, final)
+        view.  Its rules are named only when something reads its delta, so
+        a construction whose result is only refined, renamed or written
+        never names them."""
+        final = frozenset(map(self.names.__getitem__, self.final))
+        a = Bta._of(self.alphabet, frozenset(self.names), None, final)
         a._view = self
         return a
+
+
+def _named_rules(v: Numbered) -> dict[BtaKey, frozenset[str]]:
+    """The rules of a total view under its state names: the table entries
+    come in the order of the argument tuples."""
+    names = v.names
+    one = [frozenset((q,)) for q in names]
+    delta: dict[BtaKey, frozenset[str]] = {}
+    for sym, table in v.tables.items():
+        args = itertools.product(names, repeat=v.alphabet.arity(sym))
+        delta.update(zip(zip(itertools.repeat(sym), args), map(one.__getitem__, table)))
+    return delta
 
 
 def _number(a: Bta) -> Numbered | None:

@@ -2,8 +2,9 @@
 
 Transformations read an automaton file and write the result to stdout or to
 the file named by -o.  Predicates print a one-line verdict and exit with 0
-when the answer is yes, 1 when it is no; any error exits with 2.  State set
-queries print one sorted, space-separated line.
+when the answer is yes, 1 when it is no; any error, running out of memory
+or the recursion limit included, exits with 2 and one 'error:' line on
+stderr.  State set queries print one sorted, space-separated line.
 """
 
 from __future__ import annotations
@@ -416,8 +417,14 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
     except (TreecaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError:
+        message = "out of memory"
+    except RecursionError:
+        message = "input nested too deeply for the recursion limit"
+    # Printed after the handler, once the failed call's frames are freed.
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -14,19 +14,25 @@ ignored, one transition per line, and duplicate left-hand sides merge into
 the target set.  Synthesized state names such as {q0,q1} are legal tokens:
 argument lists split on commas only at brace depth zero.
 serialize_automaton emits the canonical form (sorted alphabet, states, and
-transitions), so serialize(parse(x)) is a fixpoint.  The parser splits a
-rule line at " -> " and "(" and accepts it when the lookups that follow
-succeed: a declared symbol with that many arguments and declared states,
-which no line with a comment or stray whitespace can pass.
+transitions), so serialize(parse(x)) is a fixpoint.  A bta with a total
+numbered view (automata.Numbered), as every determinization and the total
+results of minimization and canonical renaming have, is written straight
+from the view: with the state names ranked once, each symbol's argument
+tuples in sorted order are the product of the ranks, so no rule is named or
+sorted.  The parser splits a rule line at " -> " and "(" and accepts it
+when the lookups that follow succeed: a declared symbol with that many
+arguments and declared states, which no line with a comment or stray
+whitespace can pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections.abc import Iterator
 
 from .errors import ParseError
-from .automata import Bta, Tta, is_state_name, reverse_bta, reverse_tta
+from .automata import Bta, Numbered, Tta, is_state_name, reverse_bta, reverse_tta
 from .trees import RankedAlphabet
 
 _ALPHA_ENTRY_RE = re.compile(r"([A-Za-z0-9_]+)/(\d+)$")
@@ -231,7 +237,9 @@ def serialize_automaton(a: Bta | Tta) -> str:
     """Render an automaton in canonical form: sorted alphabet, states, transitions.
 
     Both headers write the same (symbol, arguments, state) rules: a bta
-    sorted by symbol, a tta by state.
+    sorted by symbol, a tta by state.  A bta with a total numbered view is
+    written from the view (_view_rules), in that same order with no sort;
+    any other automaton has its rules listed and sorted.
     """
     bottom_up = isinstance(a, Bta)
     b = a if bottom_up else reverse_tta(a)
@@ -241,10 +249,39 @@ def serialize_automaton(a: Bta | Tta) -> str:
         ("states " + " ".join(sorted(b.states))).rstrip(),
         (("final " if bottom_up else "initial ") + " ".join(sorted(b.final))).rstrip(),
     ]
-    rules = [(sym, args, q) for (sym, args), targets in b.delta.items() for q in targets]
-    if bottom_up:
-        out += [f"{sym}({','.join(args)}) -> {q}" for sym, args, q in sorted(rules)]
+    view = _total_view(b) if bottom_up else None
+    if view is not None:
+        out += _view_rules(view)
     else:
-        rules.sort(key=lambda r: (r[2], r[0], r[1]))
-        out += [f"{q} -> {sym}({','.join(args)})" for sym, args, q in rules]
+        rules = [(sym, args, q) for (sym, args), targets in b.delta.items() for q in targets]
+        if bottom_up:
+            out += [f"{sym}({','.join(args)}) -> {q}" for sym, args, q in sorted(rules)]
+        else:
+            rules.sort(key=lambda r: (r[2], r[0], r[1]))
+            out += [f"{q} -> {sym}({','.join(args)})" for sym, args, q in rules]
     return "\n".join(out) + "\n"
+
+
+def _total_view(a: Bta) -> Numbered | None:
+    """a's total numbered view: the one it holds, or, when it holds none and
+    has a rule for every argument tuple, the one Bta.numbered builds (None
+    if some rule has two targets)."""
+    view = a._view
+    if view is None:
+        n = len(a.states)
+        if len(a.delta) == sum(n**k for k in a.alphabet.entries.values()):
+            view = a.numbered
+    return view if view and view.total else None
+
+
+def _view_rules(v: Numbered) -> Iterator[str]:
+    """The rule lines of a total view in sorted order.  The state numbers
+    are ranked by name once; per symbol, the argument tuples of names in
+    sorted order are the product of the ranked numbers in order."""
+    names = v.names
+    ranked = sorted(range(len(names)), key=names.__getitem__)
+    sorted_names = [names[i] for i in ranked]
+    for sym in v.alphabet.symbols:
+        args = map(",".join, itertools.product(sorted_names, repeat=v.alphabet.arity(sym)))
+        targets = map(names.__getitem__, v.targets(sym, ranked))
+        yield from (f"{sym}({arg}) -> {q}" for arg, q in zip(args, targets))

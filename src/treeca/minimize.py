@@ -23,7 +23,6 @@ maps states pair by pair, adding every pair the rules force before it branches.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from collections.abc import Iterator
 
@@ -113,12 +112,10 @@ def _merge_classes(v: Numbered) -> Bta:
     the least members of its argument blocks."""
     block = _refine(v)
     members = _blocks(block)
-    n, first = len(v.names), [m[0] for m in members]
-    tables: dict[str, list[int] | dict[int, int]] = {}
-    for sym, table in v.tables.items():
-        k = v.alphabet.arity(sym)
-        offsets = [[q * n ** (k - 1 - i) for q in first] for i in range(k)]
-        tables[sym] = [block[table[sum(at)]] for at in itertools.product(*offsets)]
+    first = [m[0] for m in members]
+    tables: dict[str, list[int] | dict[int, int]] = {
+        sym: list(map(block.__getitem__, v.targets(sym, first))) for sym in v.tables
+    }
     names = [subset_name(map(v.names.__getitem__, m)) for m in members]
     final = frozenset(block[q] for q in v.final)
     return Numbered(v.alphabet, names, tables, final, True).named()
@@ -254,12 +251,14 @@ def canonical_form(d: Bta) -> Bta:
     States are numbered by a breadth-first walk that takes nullary symbols in
     sorted order and then, layer by layer, every symbol in sorted order with
     argument tuples in lexicographic index order; a repeat keeps its first
-    number.  Each rule is renamed as the walk meets it, so unreachable states
-    and their rules are dropped.  The walk reads the numbered view: a total
-    one by looking every fresh tuple up in its tables, a partial one by
-    listing the rules each state is an argument of, so memory stays linear
-    in the rules.  Two deterministic, fully reachable automata are
-    isomorphic iff their canonical forms are equal.
+    number.  Unreachable states and their rules are dropped.  The walk reads
+    the numbered view.  On a total one it looks every fresh tuple up in the
+    tables, then fills a new view in canonical numbers, which the result
+    keeps, so its rules are named only when read.  On a partial one it lists
+    the rules each state is an argument of, so memory stays linear in the
+    rules, and renames each rule as the walk meets it.  Two deterministic,
+    fully reachable automata are isomorphic iff their canonical forms are
+    equal.
     """
     v = d.numbered
     if v is None:
@@ -320,13 +319,21 @@ def canonical_form(d: Bta) -> Bta:
                 order.append(t)
                 names.append(str(c))
                 one.append(frozenset(names[-1:]))
-            delta[(symbols[s], tuple(map(names.__getitem__, combo)))] = one[c]
+            if not total:
+                delta[(symbols[s], tuple(map(names.__getitem__, combo)))] = one[c]
         if m == len(order):
             break
         found = fresh(m)
         m += 1
-    final = frozenset(names[number[q]] for q in v.final if number[q] >= 0)
-    return Bta._of(v.alphabet, frozenset(names), delta, final)
+    final = frozenset(number[q] for q in v.final if number[q] >= 0)
+    if total:
+        # The reached states are closed under the rules: each table over
+        # canonical numbers reads the rules between the old numbers in order.
+        renamed: dict[str, list[int] | dict[int, int]] = {
+            sym: list(map(number.__getitem__, v.targets(sym, order))) for sym in symbols
+        }
+        return Numbered(v.alphabet, names, renamed, final, True).named()
+    return Bta._of(v.alphabet, frozenset(names), delta, frozenset(map(names.__getitem__, final)))
 
 
 def _profiles(a: Bta) -> tuple[dict[str, dict[str, list[tuple[str, ...]]]], dict[str, tuple]]:

@@ -736,6 +736,29 @@ def nerode_classes_down_by_plugging(
     return _classes_by_key(contexts, bits)
 
 
+# === The file writer ============================================================
+
+def serialize_by_sorting(a: Bta | Tta) -> str:
+    """The canonical file text of a, written by listing every named rule and
+    sorting the list: the reference for serialize_automaton, which writes a
+    total numbered view in order without a sort."""
+    bottom_up = isinstance(a, Bta)
+    b = a if bottom_up else reverse_tta(a)
+    out = [
+        "bta" if bottom_up else "tta",
+        "alphabet " + " ".join(f"{n}/{b.alphabet.arity(n)}" for n in b.alphabet.symbols),
+        ("states " + " ".join(sorted(b.states))).rstrip(),
+        (("final " if bottom_up else "initial ") + " ".join(sorted(b.final))).rstrip(),
+    ]
+    rules = [(sym, args, q) for (sym, args), targets in b.delta.items() for q in targets]
+    if bottom_up:
+        out += [f"{sym}({','.join(args)}) -> {q}" for sym, args, q in sorted(rules)]
+    else:
+        rules.sort(key=lambda r: (r[2], r[0], r[1]))
+        out += [f"{q} -> {sym}({','.join(args)})" for sym, args, q in rules]
+    return "\n".join(out) + "\n"
+
+
 # === Merging and canonical renaming on state names ================================
 # The merge along refine_by_products and the canonical renaming, written on
 # state names: the references for the routes that read Bta.numbered and the

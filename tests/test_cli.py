@@ -490,6 +490,14 @@ def assert_one_error_line(code: int, out: str, err: str) -> None:
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_memory_and_recursion_errors_exit_with_2_and_one_error_line(capsys, error):
+    with mock.patch.object(cli, "determinize", side_effect=error):
+        code, out, err = run(capsys, "determinize", fx("bool2.bta"))
+    assert_one_error_line(code, out, err)
+    assert err.strip() != "error:"
+
+
 @pytest.mark.parametrize("name", ["x,y", "x->y"])
 def test_state_names_a_file_cannot_hold_exit_with_2(capsys, tmp_path, name):
     """complete would write g(x,y) -> __dead for a state x,y, which reads back

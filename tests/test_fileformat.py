@@ -3,6 +3,7 @@ canonical serialization."""
 
 from __future__ import annotations
 
+import random
 from unittest import mock
 
 import pytest
@@ -25,11 +26,20 @@ from treeca import (
     subset_name,
 )
 
-from treeca import fileformat
+from treeca import automata, fileformat
 from treeca.cli import main
-from treeca.automata import is_state_name
+from treeca.automata import Numbered, is_state_name
 
-from helpers import FIXTURES, assert_routes_agree, drop_one_rule, load_fixture, seeded_draws
+from helpers import (
+    FIXTURES,
+    TERN,
+    assert_routes_agree,
+    drop_one_rule,
+    load_fixture,
+    random_bta,
+    seeded_draws,
+    serialize_by_sorting,
+)
 
 
 # === Round trips ==================================================================
@@ -49,6 +59,77 @@ def test_transformation_outputs_round_trip(bool2, abc):
         back = parse_automaton(text)
         assert back == out
         assert serialize_automaton(back) == text
+
+
+# === The writer against the sorting reference ====================================
+
+# State names whose string order is not the order of their numbers.
+ODD_NAMES = ["2", "10", "{q0,a}", "x(y)", "final", "1", "{}", "{{q0},{a}}"]
+
+
+def renamed_view(d: Bta) -> Bta:
+    """d under odd state names, listed so that the view's order is neither
+    the names' sorted order nor its reverse: the automaton named from d's
+    view with every name replaced."""
+    v = d.numbered
+    n = len(v.names)
+    pool = ODD_NAMES + [str(i) for i in range(11, n + 3)]
+    names = pool[n // 2 : n] + pool[: n // 2]
+    return Numbered(v.alphabet, names, v.tables, v.final, True).named()
+
+
+# Its binary symbol sorts before its nullary ones, unlike the tests' other
+# alphabets, where the subset construction's table order is the sorted one.
+LATE_LEAVES = RankedAlphabet({"f": 2, "x": 0, "y": 0})
+
+
+def writer_inputs() -> list[Bta | Tta]:
+    """The fixtures; seeded_draws(250), TERN draws at up to 3 states, draws
+    over LATE_LEAVES, and their determinizations, minimizations and
+    canonical forms (total views handed over, some with more than ten states
+    named "0".."n-1"); parsed total automata that hold no view; partial
+    automata with and without their view built, nondeterministic and tta
+    automata; and views under state names that sort out of their order."""
+    out: list[Bta | Tta] = [load_fixture(p.name) for p in sorted(FIXTURES.iterdir())]
+    draws = seeded_draws(250) + [
+        random_bta(random.Random(s), alphabet, 3)
+        for alphabet in (TERN, LATE_LEAVES) for s in range(40)
+    ]
+    for a in draws:
+        d = determinize(a)
+        parsed = parse_automaton(serialize_automaton(d))
+        assert parsed._view is None
+        partial, viewed_partial = drop_one_rule(d), drop_one_rule(d)
+        assert not viewed_partial.numbered.total
+        out += [a, d, minimize_bta(a), canonical_form(d), parsed, partial, viewed_partial,
+                reverse_bta(a), reverse_bta(d), renamed_view(d)]
+    return out
+
+
+def test_the_writer_gives_the_sorted_text():
+    """serialize_automaton writes the text of serialize_by_sorting, byte for
+    byte; most determinized inputs take the view route."""
+    inputs = [(a,) for a in writer_inputs()]
+    with mock.patch.object(fileformat, "_view_rules", wraps=fileformat._view_rules) as spy:
+        assert_routes_agree(serialize_automaton, serialize_by_sorting, inputs)
+    assert spy.call_count > 1500
+    assert any(len(a.states) > 10 and a.numbered.names != sorted(a.states)
+               for a, in inputs if isinstance(a, Bta) and a._view)
+
+
+def test_a_determinization_is_written_without_naming_its_rules():
+    """determinize, minimize_bta and canonical_form hand a view over; writing
+    their results never names a rule, the view compares equal to its parsed
+    round trip, and numbered returns the view handed over."""
+    a = seeded_draws(3)[2]
+    with mock.patch.object(automata, "_named_rules", wraps=automata._named_rules) as spy:
+        outs = [determinize(a), minimize_bta(a), canonical_form(determinize(a))]
+        texts = [serialize_automaton(out) for out in outs]
+    assert spy.call_count == 0
+    view = outs[0]._view
+    assert view is not None and outs[0].numbered is view
+    for out, text in zip(outs, texts):
+        assert parse_automaton(text) == out
 
 
 def test_synthesized_subset_names_survive_the_format():
