@@ -11,8 +11,11 @@ names each synthesized state after the states it stands for (subset_name).
 A deterministic Bta also has a numbered view (Numbered), built at most once:
 states as numbers and each symbol's rule targets in one table, which
 minimization, canonical renaming and the writer read instead of the named
-rules.  An automaton made from a view (Numbered.named) names its rules only
-when its delta is first read.
+rules.  A view comes from the construction that made the automaton (the
+subset construction, the merge, canonical renaming), from the file reader
+when the file holds the rule table the writer gives a total view, or else
+from numbering the named rules (_number).  An automaton made from a view
+(Numbered.named) names its rules only when its delta is first read.
 Every run is one iterative bottom-up evaluator (_run); wpre folds the spine.
 """
 
@@ -503,8 +506,9 @@ def trim_empty(a: Bta) -> Bta:
 
 
 def is_deterministic(a: Bta) -> bool:
-    """True iff every image of delta is a singleton or empty."""
-    return all(len(targets) <= 1 for targets in a.delta.values())
+    """True iff every image of delta is a singleton or empty; an automaton
+    that holds a numbered view is, and its rules are not read."""
+    return bool(a._view) or all(len(targets) <= 1 for targets in a.delta.values())
 
 
 def is_codeterministic(a: Bta) -> bool:

@@ -19,17 +19,23 @@ numbered view (automata.Numbered), as every determinization and the total
 results of minimization and canonical renaming have, is written straight
 from the view: with the state names ranked once, each symbol's argument
 tuples in sorted order are the product of the ranks, so no rule is named or
-sorted.  The parser splits a rule line at " -> " and "(" and accepts it
-when the lookups that follow succeed: a declared symbol with that many
-arguments and declared states, which no line with a comment or stray
-whitespace can pass.
+sorted.  The parser reads such a file back the same way: when a bta has
+exactly the number of rule lines of a total automaton, each line is
+checked against the head the writer gives its argument tuple
+(_rule_lines) and its target looked up by name, filling the view's tables
+with no rule named.  A file that differs anywhere (another order, a comment
+or blank line among the rules, stray whitespace, a bare nullary symbol, a
+missing or an extra line) is read line by line instead.  There the parser
+splits a rule line at " -> " and "(" and accepts it when the lookups that
+follow succeed: a declared symbol with that many arguments and declared
+states, which no line with a comment or stray whitespace can pass.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import ParseError
 from .automata import Bta, Numbered, Tta, is_state_name, reverse_bta, reverse_tta
@@ -91,11 +97,11 @@ def _words(line: str) -> list[tuple[int, str]]:
 
 def _declarations(
     lines: Iterator[tuple[int, str]], lastline: int
-) -> tuple[str, RankedAlphabet, set[str], list[str]]:
+) -> tuple[str, RankedAlphabet, set[str], list[str], int]:
     """Read the header and the alphabet, states and final (or initial) lines,
-    in any order, from lines, stopping after the last of the three.  Each
-    final (or initial) state must be declared; an undeclared one is reported
-    where it stands."""
+    in any order, from lines, stopping after the last of the three, whose
+    line number comes last in the result.  Each final (or initial) state
+    must be declared; an undeclared one is reported where it stands."""
     kind: str | None = None
     alphabet: RankedAlphabet | None = None
     states: set[str] | None = None
@@ -151,7 +157,7 @@ def _declarations(
             for col, q in marked:
                 if q not in states:
                     raise ParseError(f"undeclared state {q!r} in {want} line", marked_at, col)
-            return kind, alphabet, states, [q for _, q in marked]
+            return kind, alphabet, states, [q for _, q in marked], lineno
     if kind is None:
         raise ParseError("missing header: the first line must be 'bta' or 'tta'", 1, 1)
     missing = "alphabet" if alphabet is None else "states" if states is None else want
@@ -193,20 +199,28 @@ def parse_automaton(text: str) -> Bta | Tta:
 
     The header and the three declaration lines come first; every later line
     is a rule line, whatever its first word, so states and symbols may be
-    named after the keywords.  Each rule is checked once, here.  A tta line
-    is stored reversed, so both headers fill one rule dict and build the
-    automaton unchecked.  A rule line in canonical form is read by two
-    partitions, a split of the argument body and a few lookups; any other
-    line, or one that fails a lookup, goes to _rule, which words every
+    named after the keywords.  A bta whose rule lines are exactly those the
+    writer gives a total deterministic automaton is read as a table
+    (_table_view) and returned backed by that view, its rules unnamed.  Any
+    other file is read line by line, and each rule is checked once, here.
+    A tta line is stored reversed, so both headers fill one rule dict and
+    build the automaton unchecked.  A rule line in canonical form is read by
+    two partitions, a split of the argument body and a few lookups; any
+    other line, or one that fails a lookup, goes to _rule, which words every
     error.
     """
-    lastline = text.count("\n") + 1
-    lines = enumerate(text.splitlines(), start=1)
-    kind, alphabet, states, marked = _declarations(lines, lastline)
+    rows = text.splitlines()
+    kind, alphabet, states, marked, start = _declarations(
+        enumerate(rows, start=1), text.count("\n") + 1
+    )
     bottom_up, arities = kind == "bta", alphabet.entries
+    if bottom_up:
+        view = _table_view(rows, start, alphabet, states, marked)
+        if view is not None:
+            return view.named()
     one = {q: frozenset((q,)) for q in states}  # shared one-target sets
     rules: dict[tuple[str, tuple[str, ...]], frozenset[str]] = {}
-    for lineno, raw in lines:
+    for lineno, raw in enumerate(itertools.islice(rows, start, None), start=start + 1):
         left, _, right = raw.partition(" -> ")
         pattern, q = (left, right) if bottom_up else (right, left)
         sym, paren, body = pattern.partition("(")
@@ -231,6 +245,34 @@ def parse_automaton(text: str) -> Bta | Tta:
         rules[key] = one[q] if got is None else got | one[q]
     a = Bta._of(alphabet, frozenset(states), rules, frozenset(marked))
     return a if bottom_up else reverse_bta(a)
+
+
+def _table_view(
+    rows: list[str], start: int, alphabet: RankedAlphabet, states: set[str], marked: list[str]
+) -> Numbered | None:
+    """The total view that the bta rule lines rows[start:] spell, when they
+    are the lines _view_rules writes: states numbered in sorted name order,
+    as Bta.numbered numbers them, and per symbol one line for each argument
+    tuple of sorted names, in product order, each line the expected head
+    and a declared target.  None when the line count is not that of a total
+    automaton, or at the first line that differs."""
+    n = len(states)
+    if len(rows) - start != sum(n**k for k in alphabet.entries.values()):
+        return None
+    names = sorted(states)
+    index = {q: i for i, q in enumerate(names)}
+    lines = itertools.islice(rows, start, None)
+    tables: dict[str, list[int] | dict[int, int]] = {}
+    for sym in alphabet.symbols:
+        table = []
+        heads = _rule_lines(sym, names, alphabet.arity(sym), itertools.repeat(""))
+        for head, line in zip(heads, lines):
+            q = index.get(line[len(head):]) if line.startswith(head) else None
+            if q is None:
+                return None
+            table.append(q)
+        tables[sym] = table
+    return Numbered(alphabet, names, tables, frozenset(map(index.__getitem__, marked)), True)
 
 
 def serialize_automaton(a: Bta | Tta) -> str:
@@ -282,6 +324,13 @@ def _view_rules(v: Numbered) -> Iterator[str]:
     ranked = sorted(range(len(names)), key=names.__getitem__)
     sorted_names = [names[i] for i in ranked]
     for sym in v.alphabet.symbols:
-        args = map(",".join, itertools.product(sorted_names, repeat=v.alphabet.arity(sym)))
         targets = map(names.__getitem__, v.targets(sym, ranked))
-        yield from (f"{sym}({arg}) -> {q}" for arg, q in zip(args, targets))
+        yield from _rule_lines(sym, sorted_names, v.alphabet.arity(sym), targets)
+
+
+def _rule_lines(sym: str, names: list[str], k: int, targets: Iterable[str]) -> Iterator[str]:
+    """The canonical rule lines of sym, one per argument tuple over names in
+    product order, each with the next of targets: 'f(q0,q1) -> q2'.  With
+    empty targets they are the heads the table route checks lines against."""
+    args = map(",".join, itertools.product(names, repeat=k))
+    return (f"{sym}({arg}) -> {q}" for arg, q in zip(args, targets))

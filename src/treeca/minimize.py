@@ -3,7 +3,8 @@
 Deterministic automata are minimized, merged and canonically renamed on
 their numbered view (automata.Numbered): states are numbers and each
 symbol's rule targets sit in one table, so names are built only for the
-automaton returned.  The subset construction hands its view over directly.
+automaton returned.  The subset construction hands its view over directly,
+and so does the file reader for a file holding a total automaton's table.
 Refinement is Moore-style over indexed transitions: each state's row lists,
 once, the targets of the rules with the state at each argument position,
 and two states stay merged only while their rows map to the same blocks.
@@ -23,6 +24,7 @@ maps states pair by pair, adding every pair the rules force before it branches.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from collections.abc import Iterator
 
@@ -98,10 +100,16 @@ def minimize_dbta(d: Bta) -> Bta:
     The input is completed and stripped of unreachable states, then merged
     along the coarsest congruence.  The result is total over its states; a
     rejecting sink class is kept when some tree has no accepting context.
+    An input holding a total view that canonical_form's walk reaches
+    throughout, as every determinization does, is merged on that view as it
+    stands, so its rules are never named.
     """
     if not is_deterministic(d):
         raise NotDeterministicError("minimize_dbta requires a deterministic automaton")
-    return _merge_classes(trim_unreachable(complete(d)).numbered)
+    v = d._view
+    if not (v and v.total and len(_walk(v)[1]) == len(v.names)):
+        v = trim_unreachable(complete(d)).numbered
+    return _merge_classes(v)
 
 
 def _merge_classes(v: Numbered) -> Bta:
@@ -245,42 +253,44 @@ def _check_gen_det_d(a: Bta, budget: int) -> tuple[bool, bool]:
     return len(vectors) == len(c.states), sa.a is not a
 
 
-def canonical_form(d: Bta) -> Bta:
-    """Rename the reachable part of a deterministic automaton to "0".."n-1".
+def _walk(v: Numbered) -> tuple[list[int], list[int], list[tuple[int, tuple[int, ...], int]]]:
+    """The breadth-first walk that numbers the reachable states of view v:
+    each state's number (-1 if unreached), the reached states by number,
+    and, on a partial view, the rules met as (symbol rank, numbered
+    arguments, target), in walk order.
 
-    States are numbered by a breadth-first walk that takes nullary symbols in
-    sorted order and then, layer by layer, every symbol in sorted order with
-    argument tuples in lexicographic index order; a repeat keeps its first
-    number.  Unreachable states and their rules are dropped.  The walk reads
-    the numbered view.  On a total one it looks every fresh tuple up in the
-    tables, then fills a new view in canonical numbers, which the result
-    keeps, so its rules are named only when read.  On a partial one it lists
-    the rules each state is an argument of, so memory stays linear in the
-    rules, and renames each rule as the walk meets it.  Two deterministic,
-    fully reachable automata are isomorphic iff their canonical forms are
-    equal.
+    The walk takes nullary symbols in sorted order and then, layer by layer,
+    every symbol in sorted order with argument tuples in lexicographic index
+    order; a repeat keeps its first number.  On a total view it looks the
+    fresh tuples up in the tables, their indices summed in bulk
+    (_fresh_indices).  On a partial one it lists the rules each state is an
+    argument of, so memory stays linear in the rules.
     """
-    v = d.numbered
-    if v is None:
-        raise NotDeterministicError("canonical_form requires a deterministic automaton")
-    n, tables, total = len(v.names), v.tables, v.total
+    n, total = len(v.names), v.total
     symbols = v.alphabet.symbols
-    arities = [(s, v.alphabet.arity(sym), tables[sym]) for s, sym in enumerate(symbols)]
-    number = [-1] * n  # each state's canonical number, -1 until the walk meets it
-    order: list[int] = []  # the states by canonical number
+    arities = [(s, v.alphabet.arity(sym), v.tables[sym]) for s, sym in enumerate(symbols)]
+    number = [-1] * n
+    order: list[int] = []
+    met: list[tuple[int, tuple[int, ...], int]] = []
 
-    # fresh(m): the rules with the m-th state as an argument and only earlier
-    # ones besides, as (symbol rank, canonical arguments, target), in walk order.
+    # fresh(m): the targets of the rules with the m-th state as an argument
+    # and only earlier ones besides, in walk order.
     if total:
-        def fresh(m: int) -> list[tuple[int, tuple[int, ...], int]]:
-            found = []
-            for s, k, table in arities:
-                for combo in fresh_tuples(m, m + 1, k):
-                    j = 0
-                    for c in combo:
-                        j = j * n + order[c]
-                    found.append((s, combo, table[j]))
+        # Per arity k and argument position i, each numbered state's share of
+        # a table index: its place in the tables times n^(k-1-i).
+        offsets = {k: [[] for _ in range(k)] for _, k, _ in arities}
+
+        def fresh(m: int) -> list[int]:
+            for k, offs in offsets.items():
+                for i, o in enumerate(offs):
+                    o.append(order[m] * n ** (k - 1 - i))
+            found: list[int] = []
+            for _, k, table in arities:
+                if k:
+                    found += map(table.__getitem__, _fresh_indices(m, offsets[k]))
             return found
+
+        found = [table[0] for _, k, table in arities if not k]
     else:
         # Per state, the rules it is an argument of, decoded from the tables.
         uses: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
@@ -294,45 +304,75 @@ def canonical_form(d: Bta) -> Bta:
                 for q in set(args):
                     uses[q].append((s, args, t))
 
-        def fresh(m: int) -> list[tuple[int, tuple[int, ...], int]]:
-            found = []
+        def fresh(m: int) -> list[int]:
+            rules = []
             for s, args, t in uses[order[m]]:
                 combo = tuple(map(number.__getitem__, args))
                 if min(combo) >= 0 and max(combo) == m:
-                    found.append((s, combo, t))
-            return sorted(found)
+                    rules.append((s, combo, t))
+            rules.sort()
+            met.extend(rules)
+            return [t for _, _, t in rules]
 
-    found = [
-        (s, (), table[0] if total else table.get(0)) for s, k, table in arities if not k
-    ]
-    names: list[str] = []
-    one: list[frozenset[str]] = []
-    delta: dict[BtaKey, frozenset[str]] = {}
+        met += [(s, (), table[0]) for s, k, table in arities if not k and 0 in table]
+        found = [t for _, _, t in met]
     m = 0
     while True:
-        for s, combo, t in found:
-            if t is None:
-                continue
-            c = number[t]
-            if c < 0:
-                c = number[t] = len(order)
+        for t in found:
+            if number[t] < 0:
+                number[t] = len(order)
                 order.append(t)
-                names.append(str(c))
-                one.append(frozenset(names[-1:]))
-            if not total:
-                delta[(symbols[s], tuple(map(names.__getitem__, combo)))] = one[c]
         if m == len(order):
-            break
+            return number, order, met
         found = fresh(m)
         m += 1
+
+
+def _fresh_indices(m: int, offsets: list[list[int]]) -> list[int]:
+    """The table indices of the tuples fresh_tuples(m, m + 1, k) lists, in
+    its order, where offsets[i] holds the shares of states 0..m at argument
+    position i.  Built from the last position back, where m alone is fresh:
+    the fresh tuples from position i on are those whose entry at i is below
+    m, each before every fresh tuple from i + 1 on, then those with m at i
+    before every tuple of states 0..m from i + 1 on."""
+    fresh, every = offsets[-1][m:], offsets[-1]
+    for i in range(len(offsets) - 2, -1, -1):
+        o = offsets[i]
+        fresh = [*map(sum, itertools.product(o[:m], fresh)),
+                 *map(sum, itertools.product(o[m:], every))]
+        if i:
+            every = list(map(sum, itertools.product(o, every)))
+    return fresh
+
+
+def canonical_form(d: Bta) -> Bta:
+    """Rename the reachable part of a deterministic automaton to "0".."n-1".
+
+    States are numbered by _walk over the numbered view; unreachable states
+    and their rules are dropped.  A total view is refilled in canonical
+    numbers, which the result keeps, so its rules are named only when read;
+    a partial one has each rule renamed as the walk met it.  Two
+    deterministic, fully reachable automata are isomorphic iff their
+    canonical forms are equal.
+    """
+    v = d.numbered
+    if v is None:
+        raise NotDeterministicError("canonical_form requires a deterministic automaton")
+    number, order, met = _walk(v)
+    names = [str(c) for c in range(len(order))]
     final = frozenset(number[q] for q in v.final if number[q] >= 0)
-    if total:
+    symbols = v.alphabet.symbols
+    if v.total:
         # The reached states are closed under the rules: each table over
         # canonical numbers reads the rules between the old numbers in order.
         renamed: dict[str, list[int] | dict[int, int]] = {
             sym: list(map(number.__getitem__, v.targets(sym, order))) for sym in symbols
         }
         return Numbered(v.alphabet, names, renamed, final, True).named()
+    one = [frozenset((q,)) for q in names]
+    delta: dict[BtaKey, frozenset[str]] = {
+        (symbols[s], tuple(map(names.__getitem__, combo))): one[number[t]] for s, combo, t in met
+    }
     return Bta._of(v.alphabet, frozenset(names), delta, frozenset(map(names.__getitem__, final)))
 
 

@@ -241,14 +241,16 @@ def complete(a: Bta) -> Bta:
     """Add a rejecting sink so every symbol and argument tuple has a rule.
 
     The input must be deterministic; the automaton is returned unchanged when
-    it is already total.  Totality is decided by counting: a Bta keeps only
-    well-ranked keys over its states with nonempty targets, so a is total iff
-    each symbol of arity k has |Q|^k keys.
+    it is already total.  A numbered view it holds answers both without
+    naming a rule.  Otherwise totality is decided by counting: a Bta keeps
+    only well-ranked keys over its states with nonempty targets, so a is
+    total iff each symbol of arity k has |Q|^k keys.  No view is built for
+    an automaton that holds none, as a partial one is completed by name.
     """
     if not is_deterministic(a):
         raise NotDeterministicError("complete requires a deterministic automaton")
-    n = len(a.states)
-    if len(a.delta) == sum(n ** a.alphabet.arity(sym) for sym in a.alphabet.symbols):
+    v, n = a._view, len(a.states)
+    if v.total if v else len(a.delta) == sum(n ** a.alphabet.arity(sym) for sym in a.alphabet.symbols):
         return a
     name = _fresh_name(_SINK, a.states)
     sink = frozenset((name,))

@@ -19,7 +19,9 @@ from treeca import (
     codeterminize,
     complete,
     determinize,
+    is_deterministic,
     minimize_bta,
+    minimize_dbta,
     parse_automaton,
     reverse_bta,
     serialize_automaton,
@@ -33,6 +35,7 @@ from treeca.automata import Numbered, is_state_name
 from helpers import (
     FIXTURES,
     TERN,
+    Raised,
     assert_routes_agree,
     drop_one_rule,
     load_fixture,
@@ -87,7 +90,8 @@ def writer_inputs() -> list[Bta | Tta]:
     """The fixtures; seeded_draws(250), TERN draws at up to 3 states, draws
     over LATE_LEAVES, and their determinizations, minimizations and
     canonical forms (total views handed over, some with more than ten states
-    named "0".."n-1"); parsed total automata that hold no view; partial
+    named "0".."n-1"); total automata rebuilt by the checked constructor,
+    which hold no view, so the writer numbers them itself; partial
     automata with and without their view built, nondeterministic and tta
     automata; and views under state names that sort out of their order."""
     out: list[Bta | Tta] = [load_fixture(p.name) for p in sorted(FIXTURES.iterdir())]
@@ -97,11 +101,11 @@ def writer_inputs() -> list[Bta | Tta]:
     ]
     for a in draws:
         d = determinize(a)
-        parsed = parse_automaton(serialize_automaton(d))
-        assert parsed._view is None
+        rebuilt = Bta(d.alphabet, d.states, d.delta, d.final)
+        assert rebuilt._view is None
         partial, viewed_partial = drop_one_rule(d), drop_one_rule(d)
         assert not viewed_partial.numbered.total
-        out += [a, d, minimize_bta(a), canonical_form(d), parsed, partial, viewed_partial,
+        out += [a, d, minimize_bta(a), canonical_form(d), rebuilt, partial, viewed_partial,
                 reverse_bta(a), reverse_bta(d), renamed_view(d)]
     return out
 
@@ -345,7 +349,7 @@ def test_every_name_the_library_makes_is_readable(abc):
 def parse_by_the_general_route(text: str) -> Bta | Tta:
     """parse_automaton with every rule line read by fileformat._rule."""
     lines = enumerate(text.splitlines(), start=1)
-    kind, alphabet, states, marked = fileformat._declarations(lines, text.count("\n") + 1)
+    kind, alphabet, states, marked, _ = fileformat._declarations(lines, text.count("\n") + 1)
     rules: dict = {}
     for lineno, raw in lines:
         line = raw.partition("#")[0].rstrip()
@@ -364,6 +368,105 @@ def test_routes_agree_on_fixtures_draws_and_determinizations():
         for b in (a, determinize(a)):
             texts += [serialize_automaton(b), serialize_automaton(reverse_bta(b))]
     assert_routes_agree(parse_automaton, parse_by_the_general_route, [(text,) for text in texts])
+
+
+# === The table route against the general route ==================================
+
+def table_texts() -> list[str]:
+    """Texts the writer gives total views: the determinizations of
+    seeded_draws(60) and of TERN and LATE_LEAVES draws, their own
+    determinizations (names nesting braces), their canonical forms (some
+    with more than ten states named "0".."n-1", which sort out of number
+    order) and their views renamed to ODD_NAMES."""
+    draws = seeded_draws(60) + [
+        random_bta(random.Random(s), alphabet, 3)
+        for alphabet in (TERN, LATE_LEAVES) for s in range(10)
+    ]
+    texts = []
+    for a in draws:
+        d = determinize(a)
+        for out in (d, determinize(d), canonical_form(d), renamed_view(d)):
+            texts.append(serialize_automaton(out))
+    return texts
+
+
+def mutations(text: str, rng: random.Random) -> dict[str, str]:
+    """text with its rule lines changed, each in one way, at a random line i
+    (and i + 1)."""
+    lines = text.splitlines()
+    head, rules = lines[:4], lines[4:]
+    i = rng.randrange(len(rules) - 1)
+    swapped = rules[:]
+    swapped[i], swapped[i + 1] = rules[i + 1], rules[i]
+    nullary = next(k for k, line in enumerate(rules) if "() -> " in line)
+
+    def replaced(k: int, line: str) -> list[str]:
+        return rules[:k] + [line] + rules[k + 1 :]
+
+    def joined(body: list[str]) -> str:
+        return "\n".join(head + body) + "\n"
+
+    return {
+        "dropped": joined(rules[:i] + rules[i + 1 :]),
+        "last dropped": joined(rules[:-1]),
+        "duplicated": joined(rules[: i + 1] + rules[i:]),
+        "swapped": joined(swapped),
+        "undeclared target": joined(replaced(i, rules[i].rpartition(" -> ")[0] + " -> zz")),
+        "trailing comment": joined(replaced(i, rules[i] + "  # note")),
+        "blank line": joined(rules[:i] + [""] + rules[i:]),
+        "trailing whitespace": joined(replaced(i, rules[i] + " ")),
+        "bare nullary": joined(replaced(nullary, rules[nullary].replace("() -> ", " -> ", 1))),
+        "crlf": "\r\n".join(head + rules) + "\r\n",
+        "no final newline": text[:-1],
+    }
+
+
+# The mutations whose rule lines are still the writer's.
+SAME_LINES = {"crlf", "no final newline"}
+
+
+def test_the_table_route_reads_what_the_general_route_reads():
+    """The writer's texts and every mutation of them give the same automaton
+    or the same error, line and column by both routes, and the automata
+    read are written back alike.  The writer's texts and the mutations that
+    keep its lines are read as tables, holding their view; every other
+    mutation is declined and read line by line."""
+    rng = random.Random(22)
+    cases = []
+    for text in table_texts():
+        cases += [("unchanged", text), *mutations(text, rng).items()]
+    got = assert_routes_agree(
+        parse_automaton, parse_by_the_general_route, [(text,) for _, text in cases]
+    )
+    for (how, text), out in zip(cases, got):
+        as_table = isinstance(out, Bta) and out._view is not None
+        assert as_table == (how in SAME_LINES or how == "unchanged"), how
+        if isinstance(out, Bta):
+            assert serialize_automaton(out) == serialize_automaton(parse_by_the_general_route(text))
+    read = [out for out in got if isinstance(out, Bta)]
+    assert any(len(a.states) > 10 and a.numbered.names != sorted(a.states, key=int)
+               for a in read if "0" in a.states)
+    assert sum(isinstance(out, Raised) for out in got) == len(got) // 12
+
+
+def test_a_determinization_read_back_is_run_and_written_without_naming_a_rule():
+    """canonical_form, complete and minimize_dbta on a determinization read
+    from its text, and writing their results, name no rule and number no
+    state, and give what they give on the same text read line by line;
+    complete writes the text back unchanged."""
+    routes = (canonical_form, complete, minimize_dbta)
+    for a in seeded_draws(20):
+        text = serialize_automaton(determinize(a))
+        with (mock.patch.object(automata, "_named_rules", wraps=automata._named_rules) as named,
+              mock.patch.object(automata, "_number", wraps=automata._number) as numbered):
+            outs = []
+            for f in routes:
+                read = parse_automaton(text)
+                assert is_deterministic(read)
+                outs.append(serialize_automaton(f(read)))
+        assert named.call_count == 0 and numbered.call_count == 0
+        assert outs == [serialize_automaton(f(parse_by_the_general_route(text))) for f in routes]
+        assert outs[1] == text
 
 
 # Declared names: plain, brace-flat, nested, empty braces, parentheses, and

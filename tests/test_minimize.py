@@ -3,6 +3,7 @@ and language equivalence."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from unittest import mock
 
@@ -285,14 +286,31 @@ def drop_every_fifth_rule(a: Bta) -> Bta:
     return Bta(a.alphabet, a.states, kept, a.final)
 
 
+def add_unreachable_state(d: Bta) -> Bta:
+    """d, total, with one more state that only the rules taking it as an
+    argument reach: still total, no longer fully reachable."""
+    u = "unreached"
+    states = sorted(d.states | {u})
+    delta = dict(d.delta)
+    for sym in d.alphabet.symbols:
+        for args in itertools.product(states, repeat=d.alphabet.arity(sym)):
+            if u in args:
+                delta[(sym, args)] = {u}
+    return Bta(d.alphabet, states, delta, d.final)
+
+
 def view_inputs() -> list[Bta]:
     """seeded_draws(250), their determinizations and minimizations (whose
     names nest braces), copies with rules dropped so completion adds a sink,
-    and the zero-state and rule-free automata."""
+    total copies with an unreachable state holding their view, and the
+    zero-state and rule-free automata."""
     out = [Bta(AB, [], {}, []), Bta(ABG, ["p", "q"], {}, ["q"]), Bta(TERN, ["p"], {}, [])]
     for a in seeded_draws(250):
         d, m = determinize(a), minimize_bta(a)
-        out += [a, d, drop_one_rule(d), drop_every_fifth_rule(d), m, drop_every_fifth_rule(m)]
+        unreached = add_unreachable_state(d)
+        assert unreached.numbered.total
+        out += [a, d, drop_one_rule(d), drop_every_fifth_rule(d), m, drop_every_fifth_rule(m),
+                unreached]
     return out
 
 
