@@ -12,10 +12,11 @@ A deterministic Bta also has a numbered view (Numbered), built at most once:
 states as numbers and each symbol's rule targets in one table, which
 minimization, canonical renaming and the writer read instead of the named
 rules.  A view comes from the construction that made the automaton (the
-subset construction, the merge, canonical renaming), from the file reader
-when the file holds the rule table the writer gives a total view, or else
-from numbering the named rules (_number).  An automaton made from a view
-(Numbered.named) names its rules only when its delta is first read.
+subset construction, the merge, canonical renaming, completion), from the
+file reader when the file holds the rule table the writer gives a total
+view, or else from numbering the named rules (_number).  An automaton made
+from a view (Numbered.named) names its rules only when its delta is first
+read.
 Every run is one iterative bottom-up evaluator (_run); wpre folds the spine.
 """
 
@@ -175,6 +176,27 @@ class Numbered:
         n, k = len(self.names), self.alphabet.arity(sym)
         offsets = [[q * n ** (k - 1 - i) for q in ids] for i in range(k)]
         return map(self.tables[sym].__getitem__, map(sum, itertools.product(*offsets)))
+
+    def rules(self, sym: str) -> Iterator[tuple[tuple[int, ...], int]]:
+        """The rules of sym in a partial view as (argument numbers, target)
+        pairs, in table order: each index is read back as k base-n digits."""
+        n, k = len(self.names), self.alphabet.arity(sym)
+        for j, t in self.tables[sym].items():
+            args = [0] * k
+            for i in range(k - 1, -1, -1):
+                j, args[i] = divmod(j, n)
+            yield tuple(args), t
+
+    def padded(self, sym: str) -> list[int]:
+        """sym's table in a partial view, padded to the states and one more,
+        number n: a list of (n+1)^k targets in which n stands for every
+        argument tuple that holds n or has no rule.  The indices are summed
+        as in targets, the new state's share being -n^k, so that an index
+        holding it is negative."""
+        n, k = len(self.names), self.alphabet.arity(sym)
+        offsets = [[q * n ** (k - 1 - i) for q in range(n)] + [-(n**k)] for i in range(k)]
+        indices = map(sum, itertools.product(*offsets))
+        return list(map(self.tables[sym].get, indices, itertools.repeat(n)))
 
     def named(self) -> Bta:
         """The automaton of a total view under its state names, keeping the

@@ -4,7 +4,8 @@ Deterministic automata are minimized, merged and canonically renamed on
 their numbered view (automata.Numbered): states are numbers and each
 symbol's rule targets sit in one table, so names are built only for the
 automaton returned.  The subset construction hands its view over directly,
-and so does the file reader for a file holding a total automaton's table.
+and so does the file reader for a file holding a total automaton's table;
+a partial input is completed on its view (transforms.complete).
 Refinement is Moore-style over indexed transitions: each state's row lists,
 once, the targets of the rules with the state at each argument position,
 and two states stay merged only while their rows map to the same blocks.
@@ -35,7 +36,6 @@ from .automata import (
     Numbered,
     _climb,
     _restrict,
-    is_deterministic,
     reverse_bta,
     subset_name,
     trim_unreachable,
@@ -97,18 +97,19 @@ def _blocks(block: list[int]) -> list[list[int]]:
 def minimize_dbta(d: Bta) -> Bta:
     """The minimal complete deterministic automaton for the language of d.
 
-    The input is completed and stripped of unreachable states, then merged
-    along the coarsest congruence.  The result is total over its states; a
-    rejecting sink class is kept when some tree has no accepting context.
-    An input holding a total view that canonical_form's walk reaches
-    throughout, as every determinization does, is merged on that view as it
-    stands, so its rules are never named.
+    The input is completed on its numbered view (transforms.complete) and
+    walked as canonical_form walks it; when the walk misses states, the
+    tables are refilled over the reached ones in walk order, keeping their
+    names.  The view is then merged along the coarsest congruence, so no
+    rule is named.  The result is total over its states; a rejecting sink
+    class is kept when some tree has no accepting context.
     """
-    if not is_deterministic(d):
+    if d.numbered is None:
         raise NotDeterministicError("minimize_dbta requires a deterministic automaton")
-    v = d._view
-    if not (v and v.total and len(_walk(v)[1]) == len(v.names)):
-        v = trim_unreachable(complete(d)).numbered
+    v = complete(d).numbered
+    number, order, _ = _walk(v)
+    if len(order) < len(v.names):
+        v = _refill(v, number, order, list(map(v.names.__getitem__, order)))
     return _merge_classes(v)
 
 
@@ -294,13 +295,8 @@ def _walk(v: Numbered) -> tuple[list[int], list[int], list[tuple[int, tuple[int,
     else:
         # Per state, the rules it is an argument of, decoded from the tables.
         uses: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
-        for s, k, table in arities:
-            for j, t in table.items() if k else ():
-                digits = []
-                for _ in range(k):
-                    j, q = divmod(j, n)
-                    digits.append(q)
-                args = tuple(reversed(digits))
+        for s, k, _ in arities:
+            for args, t in v.rules(symbols[s]) if k else ():
                 for q in set(args):
                     uses[q].append((s, args, t))
 
@@ -350,8 +346,8 @@ def canonical_form(d: Bta) -> Bta:
 
     States are numbered by _walk over the numbered view; unreachable states
     and their rules are dropped.  A total view is refilled in canonical
-    numbers, which the result keeps, so its rules are named only when read;
-    a partial one has each rule renamed as the walk met it.  Two
+    numbers (_refill), which the result keeps, so its rules are named only
+    when read; a partial one has each rule renamed as the walk met it.  Two
     deterministic, fully reachable automata are isomorphic iff their
     canonical forms are equal.
     """
@@ -360,20 +356,27 @@ def canonical_form(d: Bta) -> Bta:
         raise NotDeterministicError("canonical_form requires a deterministic automaton")
     number, order, met = _walk(v)
     names = [str(c) for c in range(len(order))]
-    final = frozenset(number[q] for q in v.final if number[q] >= 0)
-    symbols = v.alphabet.symbols
     if v.total:
-        # The reached states are closed under the rules: each table over
-        # canonical numbers reads the rules between the old numbers in order.
-        renamed: dict[str, list[int] | dict[int, int]] = {
-            sym: list(map(number.__getitem__, v.targets(sym, order))) for sym in symbols
-        }
-        return Numbered(v.alphabet, names, renamed, final, True).named()
+        return _refill(v, number, order, names).named()
     one = [frozenset((q,)) for q in names]
+    symbols = v.alphabet.symbols
     delta: dict[BtaKey, frozenset[str]] = {
         (symbols[s], tuple(map(names.__getitem__, combo))): one[number[t]] for s, combo, t in met
     }
-    return Bta._of(v.alphabet, frozenset(names), delta, frozenset(map(names.__getitem__, final)))
+    final = frozenset(names[number[q]] for q in v.final if number[q] >= 0)
+    return Bta._of(v.alphabet, frozenset(names), delta, final)
+
+
+def _refill(v: Numbered, number: list[int], order: list[int], names: list[str]) -> Numbered:
+    """The total view v over the states _walk reached, numbered as it
+    numbered them and named by names.  The reached states are closed under
+    the rules: each new table reads the rules between the old numbers in
+    order."""
+    tables: dict[str, list[int] | dict[int, int]] = {
+        sym: list(map(number.__getitem__, v.targets(sym, order))) for sym in v.tables
+    }
+    final = frozenset(number[q] for q in v.final if number[q] >= 0)
+    return Numbered(v.alphabet, names, tables, final, True)
 
 
 def _profiles(a: Bta) -> tuple[dict[str, dict[str, list[tuple[str, ...]]]], dict[str, tuple]]:

@@ -18,7 +18,6 @@ from .automata import (
     Numbered,
     Tta,
     accepts,
-    is_deterministic,
     reverse_bta,
     reverse_tta,
     subset_name,
@@ -241,26 +240,19 @@ def complete(a: Bta) -> Bta:
     """Add a rejecting sink so every symbol and argument tuple has a rule.
 
     The input must be deterministic; the automaton is returned unchanged when
-    it is already total.  A numbered view it holds answers both without
-    naming a rule.  Otherwise totality is decided by counting: a Bta keeps
-    only well-ranked keys over its states with nonempty targets, so a is
-    total iff each symbol of arity k has |Q|^k keys.  No view is built for
-    an automaton that holds none, as a partial one is completed by name.
+    it is already total.  Both are read off its numbered view.  A partial
+    view gets the sink as its next number, and each table is padded to a
+    total one whose missing rules target the sink (Numbered.padded), so the
+    result holds a total view and its rules are named only when read.
     """
-    if not is_deterministic(a):
+    v = a.numbered
+    if v is None:
         raise NotDeterministicError("complete requires a deterministic automaton")
-    v, n = a._view, len(a.states)
-    if v.total if v else len(a.delta) == sum(n ** a.alphabet.arity(sym) for sym in a.alphabet.symbols):
+    if v.total:
         return a
-    name = _fresh_name(_SINK, a.states)
-    sink = frozenset((name,))
-    extended = a.states | sink
-    order = sorted(extended)
-    delta = dict(a.delta)
-    for sym in a.alphabet.symbols:
-        for args in itertools.product(order, repeat=a.alphabet.arity(sym)):
-            delta.setdefault((sym, args), sink)
-    return Bta._of(a.alphabet, extended, delta, a.final)
+    tables: dict[str, list[int] | dict[int, int]] = {sym: v.padded(sym) for sym in v.tables}
+    names = [*v.names, _fresh_name(_SINK, a.states)]
+    return Numbered(v.alphabet, names, tables, v.final, True).named()
 
 
 def tta_determinize(t: Tta, *, budget: int = DEFAULT_STATE_BUDGET) -> Tta:

@@ -32,7 +32,6 @@ from treeca import (
     accepts,
     check_well_ranked,
     codeterminize,
-    complete,
     determinize,
     enumerate_contexts,
     enumerate_trees,
@@ -40,6 +39,7 @@ from treeca import (
     is_deterministic,
     isomorphic,
     iter_nodes,
+    minimize_bta,
     minimize_dbta,
     parse_automaton,
     pivot,
@@ -264,6 +264,40 @@ def drop_one_rule(a: Bta) -> Bta:
     dropped = min(a.delta)
     delta = {key: targets for key, targets in a.delta.items() if key != dropped}
     return Bta(a.alphabet, a.states, delta, a.final)
+
+
+def drop_every_fifth_rule(a: Bta) -> Bta:
+    """a without every fifth of its rules in sorted order."""
+    kept = {key: a.delta[key] for i, key in enumerate(sorted(a.delta)) if i % 5 != 2}
+    return Bta(a.alphabet, a.states, kept, a.final)
+
+
+def add_unreachable_state(d: Bta) -> Bta:
+    """d, total, with one more state that only the rules taking it as an
+    argument reach: still total, no longer fully reachable."""
+    u = "unreached"
+    states = sorted(d.states | {u})
+    delta = dict(d.delta)
+    for sym in d.alphabet.symbols:
+        for args in itertools.product(states, repeat=d.alphabet.arity(sym)):
+            if u in args:
+                delta[(sym, args)] = {u}
+    return Bta(d.alphabet, states, delta, d.final)
+
+
+def view_inputs() -> list[Bta]:
+    """seeded_draws(250), their determinizations and minimizations (whose
+    names nest braces), copies with rules dropped so completion adds a sink,
+    total copies with an unreachable state holding their view, and the
+    zero-state and rule-free automata."""
+    out = [Bta(AB, [], {}, []), Bta(ABG, ["p", "q"], {}, ["q"]), Bta(TERN, ["p"], {}, [])]
+    for a in seeded_draws(250):
+        d, m = determinize(a), minimize_bta(a)
+        unreached = add_unreachable_state(d)
+        assert unreached.numbered.total
+        out += [a, d, drop_one_rule(d), drop_every_fifth_rule(d), m, drop_every_fifth_rule(m),
+                unreached]
+    return out
 
 
 def regular_bta(rng: random.Random, n: int) -> Bta:
@@ -821,10 +855,32 @@ def canonical_form_by_names(d: Bta) -> Bta:
     return Bta._of(d.alphabet, frozenset(names.values()), renamed, final)
 
 
+def complete_by_name(a: Bta) -> Bta:
+    """Completion as defined, on state names: a itself when it is total, by
+    counting its keys; otherwise a with a sink "__dead" (or the first free
+    "__dead_<i>") that every missing symbol and argument tuple goes to."""
+    if not all(len(targets) <= 1 for targets in a.delta.values()):
+        raise NotDeterministicError("complete requires a deterministic automaton")
+    n = len(a.states)
+    if len(a.delta) == sum(n ** a.alphabet.arity(sym) for sym in a.alphabet.symbols):
+        return a
+    name, i = "__dead", 0
+    while name in a.states:
+        i += 1
+        name = f"__dead_{i}"
+    sink = frozenset((name,))
+    extended = a.states | sink
+    delta = dict(a.delta)
+    for sym in a.alphabet.symbols:
+        for args in itertools.product(sorted(extended), repeat=a.alphabet.arity(sym)):
+            delta.setdefault((sym, args), sink)
+    return Bta._of(a.alphabet, extended, delta, a.final)
+
+
 def minimize_dbta_by_names(d: Bta) -> Bta:
     if not is_deterministic(d):
         raise NotDeterministicError("minimize_dbta requires a deterministic automaton")
-    return merge_classes_by_names(trim_unreachable(complete(d)))
+    return merge_classes_by_names(trim_unreachable(complete_by_name(d)))
 
 
 def minimize_bta_by_names(a: Bta, budget: int = DEFAULT_STATE_BUDGET) -> Bta:

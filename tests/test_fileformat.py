@@ -453,20 +453,31 @@ def test_a_determinization_read_back_is_run_and_written_without_naming_a_rule():
     """canonical_form, complete and minimize_dbta on a determinization read
     from its text, and writing their results, name no rule and number no
     state, and give what they give on the same text read line by line;
-    complete writes the text back unchanged."""
+    complete writes the text back unchanged.  The same text with one rule
+    line dropped is read line by line and numbered once; complete and
+    minimize_dbta then run on that partial view, again naming no rule, and
+    the completion holds a total view whose last name is the sink."""
     routes = (canonical_form, complete, minimize_dbta)
     for a in seeded_draws(20):
         text = serialize_automaton(determinize(a))
-        with (mock.patch.object(automata, "_named_rules", wraps=automata._named_rules) as named,
-              mock.patch.object(automata, "_number", wraps=automata._number) as numbered):
-            outs = []
-            for f in routes:
-                read = parse_automaton(text)
-                assert is_deterministic(read)
-                outs.append(serialize_automaton(f(read)))
-        assert named.call_count == 0 and numbered.call_count == 0
-        assert outs == [serialize_automaton(f(parse_by_the_general_route(text))) for f in routes]
-        assert outs[1] == text
+        lines = text.splitlines(keepends=True)
+        partial = "".join(lines[:4] + lines[5:])
+        written = {}
+        for got, calls in ((text, 0), (partial, len(routes))):
+            with (mock.patch.object(automata, "_named_rules", wraps=automata._named_rules) as named,
+                  mock.patch.object(automata, "_number", wraps=automata._number) as numbered):
+                results = []
+                for f in routes:
+                    read = parse_automaton(got)
+                    assert is_deterministic(read)
+                    results.append(f(read))
+                outs = [serialize_automaton(r) for r in results]
+            assert named.call_count == 0 and numbered.call_count == calls
+            assert outs == [serialize_automaton(f(parse_by_the_general_route(got))) for f in routes]
+            written[got] = outs, results[1]
+        assert written[text][0][1] == text
+        sunk = written[partial][1]._view
+        assert sunk.total and sunk.names[-1] == "__dead"
 
 
 # Declared names: plain, brace-flat, nested, empty braces, parentheses, and

@@ -3,7 +3,6 @@ and language equivalence."""
 
 from __future__ import annotations
 
-import itertools
 import random
 from unittest import mock
 
@@ -61,6 +60,7 @@ from helpers import (
     assert_routes_agree,
     canonical_form_by_names,
     cycles_bta,
+    drop_every_fifth_rule,
     drop_one_rule,
     gen_det_u_witness_by_names,
     isomorphic_by_search,
@@ -79,6 +79,7 @@ from helpers import (
     separating_tree_by_determinization,
     shuffled_names,
     swap_two_targets,
+    view_inputs,
 )
 
 
@@ -279,40 +280,6 @@ def test_path_closed_constructions_are_built_once(subset_pools, and1):
 
 
 # === The numbered view against the named routes ==================================
-
-def drop_every_fifth_rule(a: Bta) -> Bta:
-    """a without every fifth of its rules in sorted order."""
-    kept = {key: a.delta[key] for i, key in enumerate(sorted(a.delta)) if i % 5 != 2}
-    return Bta(a.alphabet, a.states, kept, a.final)
-
-
-def add_unreachable_state(d: Bta) -> Bta:
-    """d, total, with one more state that only the rules taking it as an
-    argument reach: still total, no longer fully reachable."""
-    u = "unreached"
-    states = sorted(d.states | {u})
-    delta = dict(d.delta)
-    for sym in d.alphabet.symbols:
-        for args in itertools.product(states, repeat=d.alphabet.arity(sym)):
-            if u in args:
-                delta[(sym, args)] = {u}
-    return Bta(d.alphabet, states, delta, d.final)
-
-
-def view_inputs() -> list[Bta]:
-    """seeded_draws(250), their determinizations and minimizations (whose
-    names nest braces), copies with rules dropped so completion adds a sink,
-    total copies with an unreachable state holding their view, and the
-    zero-state and rule-free automata."""
-    out = [Bta(AB, [], {}, []), Bta(ABG, ["p", "q"], {}, ["q"]), Bta(TERN, ["p"], {}, [])]
-    for a in seeded_draws(250):
-        d, m = determinize(a), minimize_bta(a)
-        unreached = add_unreachable_state(d)
-        assert unreached.numbered.total
-        out += [a, d, drop_one_rule(d), drop_every_fifth_rule(d), m, drop_every_fifth_rule(m),
-                unreached]
-    return out
-
 
 def test_numbered_routes_give_the_named_routes_results():
     """The named minimizations and witness of a draw all refine the same

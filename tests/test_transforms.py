@@ -3,7 +3,6 @@ top-down determinizations."""
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -23,9 +22,11 @@ from treeca import (
     is_deterministic,
     is_path_closed,
     language_upto,
+    parse_automaton,
     parse_term,
     reverse_bta,
     reverse_tta,
+    serialize_automaton,
     subset_construction,
     subset_name,
     trim_empty,
@@ -42,6 +43,8 @@ from helpers import (
     BOOL,
     MONO,
     assert_routes_agree,
+    complete_by_name,
+    drop_every_fifth_rule,
     is_total_by_product,
     load_fixture,
     productions_by_copy,
@@ -54,6 +57,7 @@ from helpers import (
     seeded_draws,
     subset_construction_by_product,
     tta_determinize_direct,
+    view_inputs,
 )
 
 
@@ -300,23 +304,29 @@ def test_complete_is_idempotent_and_avoids_name_clashes(bool2):
 
 
 def test_complete_returns_exactly_the_total_inputs_unchanged():
-    partial = 0
-    for a in seeded_draws(250):
-        d = determinize(a)
-        assert is_total_by_product(d) and complete(d) is d
-        p = trim_empty(d)
-        c = complete(p)
-        assert (c is p) == is_total_by_product(p)
-        if c is p:
-            continue
-        partial += 1
-        # A partial input gains the sink and a sink rule for every missing key.
-        expected = dict(p.delta)
-        for sym in p.alphabet.symbols:
-            for args in itertools.product(sorted(c.states), repeat=p.alphabet.arity(sym)):
-                expected.setdefault((sym, args), {"__dead"})
-        assert c == Bta(p.alphabet, p.states | {"__dead"}, expected, p.final)
-    assert partial > 100
+    """complete gives complete_by_name's result or error on the view inputs
+    (the zero-state automaton among them), on trimmed determinizations, on
+    partial texts read line by line, which hold no view, and on partial
+    automata declaring the sink's name.  It returns the total inputs
+    themselves, and a partial one's completion holds a total view whose
+    last name is the sink."""
+    texts = [serialize_automaton(drop_every_fifth_rule(determinize(a))) for a in seeded_draws(60)]
+    read = [parse_automaton(text) for text in texts]
+    assert not any(a._view for a in read)
+    clashes = [
+        Bta(AB, names, {("a", ()): {names[-1]}, ("f", (names[0],) * 2): {names[0]}}, names[:1])
+        for names in (["__dead"], ["__dead", "__dead_1"])
+    ]
+    inputs = [*view_inputs(), *(trim_empty(determinize(a)) for a in seeded_draws(250)), *read,
+              *clashes]
+    got = assert_routes_agree(complete, complete_by_name, [(a,) for a in inputs])
+    partial = [(a, c) for a, c in zip(inputs, got) if isinstance(c, Bta) and c is not a]
+    assert all(is_total_by_product(c) for c in got if isinstance(c, Bta))
+    for a, c in partial:
+        assert not is_total_by_product(a) and c._view.total
+        assert c._view.names[-1] == min(c.states - a.states)
+    assert len(partial) > 600
+    assert [min(c.states - a.states) for a, c in partial[-2:]] == ["__dead_1", "__dead_2"]
 
 
 # === top-down determinization =====================================================
