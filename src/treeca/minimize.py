@@ -21,6 +21,8 @@ determinization is minimal iff refining its subset construction merges
 nothing, and co-determinization iff no two of its states lie in exactly the
 same subsets the path-closedness walk met.  Isomorphism is one search that
 maps states pair by pair, adding every pair the rules force before it branches.
+Only the functions that build subsets or a completion import transforms, so
+renaming and comparing load no construction module.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .errors import (
     NotPathClosedError,
     TreecaError,
 )
-from .transforms import _Subsets, _codeterminize, complete
 from .trees import Tree, fresh_tuples
 
 
@@ -106,6 +107,7 @@ def minimize_dbta(d: Bta) -> Bta:
     """
     if d.numbered is None:
         raise NotDeterministicError("minimize_dbta requires a deterministic automaton")
+    from .transforms import complete
     v = complete(d).numbered
     number, order, _ = _walk(v)
     if len(order) < len(v.names):
@@ -138,12 +140,14 @@ def minimize_bta(
     of a determinization is reachable, so only the climb from the final
     states runs.  The subset construction hands its numbered table straight
     to the merge, so only the minimal automaton gets names."""
+    from .transforms import _Subsets
     m = _merge_classes(_Subsets(a, budget).close())
     return _restrict(m, _climb(m, m.states)) if strip_dead else m
 
 
-def _path_closed_constructions(a: Bta, budget: int) -> tuple[Bta, _Subsets, _Subsets] | None:
-    """(c, sa, sc) when the language of a is path-closed, else None.
+def _require_path_closed(a: Bta, budget: int, task: str) -> tuple[Bta, _Subsets, _Subsets]:
+    """(c, sa, sc) when the language of a is path-closed; NotPathClosedError
+    naming the task otherwise.
 
     c co-determinizes the trimmed automaton a1, and sa and sc are the subset
     constructions of a1 and c, as far as the product walk built them.
@@ -152,26 +156,22 @@ def _path_closed_constructions(a: Bta, budget: int) -> tuple[Bta, _Subsets, _Sub
     finds no tree, every reachable subset of each side has appeared in some
     pair.
     """
+    from .transforms import _Subsets, _codeterminize
     a1 = trim_unreachable(a)
     c = _codeterminize(a1, budget)
     sa, sc = _Subsets(a1, budget), _Subsets(c, budget)
     if _product_walk(sa, sc) is not None:
-        return None
-    return c, sa, sc
-
-
-def _require_path_closed(a: Bta, budget: int, task: str) -> tuple[Bta, _Subsets, _Subsets]:
-    """The constructions of a path-closed a; NotPathClosedError naming the
-    task otherwise."""
-    found = _path_closed_constructions(a, budget)
-    if found is None:
         raise NotPathClosedError(f"{task} requires a path-closed language")
-    return found
+    return c, sa, sc
 
 
 def is_path_closed(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     """True iff the language of a is closed under recombining accepted paths."""
-    return _path_closed_constructions(a, budget) is not None
+    try:
+        _require_path_closed(a, budget, "is_path_closed")
+    except NotPathClosedError:
+        return False
+    return True
 
 
 def min_codbta(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
@@ -179,6 +179,7 @@ def min_codbta(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
     languages only: co-determinize the determinization of the trimmed
     automaton, unminimized, whose subset construction the path-closedness
     check has already begun."""
+    from .transforms import _codeterminize
     sa = _require_path_closed(a, budget, "co-deterministic minimization")[1]
     return _codeterminize(sa.close().named(), budget)
 
@@ -219,6 +220,7 @@ def gen_det_u_witness(
     the subset construction's numbered tables, so no rule of the
     determinization is named.
     """
+    from .transforms import _Subsets
     subsets = _Subsets(a, budget)
     view = subsets.close()
     names = view.names
@@ -547,6 +549,7 @@ def separating_tree(
     """
     if a.alphabet != b.alphabet:
         raise TreecaError("separating_tree requires automata over the same alphabet")
+    from .transforms import _Subsets
     return _product_walk(_Subsets(a, budget), _Subsets(b, budget))
 
 

@@ -490,6 +490,12 @@ def assert_one_error_line(code: int, out: str, err: str) -> None:
     assert "Traceback" not in err
 
 
+def test_a_top_down_verb_on_a_bottom_up_file_exits_with_2_and_one_error_line(capsys):
+    code, out, err = run(capsys, "tdeterminize", fx("bool2.bta"))
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {fx('bool2.bta')}: expected a top-down automaton (header 'tta')\n"
+
+
 @pytest.mark.parametrize("error", [MemoryError, RecursionError])
 def test_memory_and_recursion_errors_exit_with_2_and_one_error_line(capsys, error):
     with mock.patch.object(cli, "determinize", side_effect=error):

@@ -233,6 +233,27 @@ def test_duplicate_alphabet_entry():
     expect_error("bta\nalphabet a/0\nalphabet b/0\nstates q\nfinal q\n", "duplicate alphabet line", line=3)
 
 
+def test_a_duplicate_declaration_before_the_rules_is_an_error_at_its_line():
+    expect_error("bta\nstates q\nalphabet a/0\nstates p\nfinal q\n", "duplicate states line", 4, 1)
+    expect_error("bta\nalphabet a/0\nfinal q\nfinal q\nstates q\n", "duplicate final line", 4, 1)
+    expect_error("tta\nalphabet a/0\ninitial q\ninitial q\nstates q\n",
+                 "duplicate initial line", 4, 1)
+
+
+def test_a_line_before_the_last_declaration_is_an_error_at_its_line():
+    expect_error("bta\nalphabet a/0\nstates q\na() -> q\nfinal q\n",
+                 "transitions must come after the alphabet, states, and final lines", 4, 1)
+    expect_error("tta\nalphabet a/0\nstates q\nq -> a()\ninitial q\n",
+                 "transitions must come after the alphabet, states, and initial lines", 4, 1)
+    expect_error("bta\nalphabet a/0\nfoo q\nstates q\nfinal q\n",
+                 "expected a transition line, got 'foo q'", 3, 1)
+
+
+def test_an_alphabet_without_a_nullary_symbol_is_an_error_at_its_line():
+    expect_error("bta\nstates q\nalphabet f/1 g/2\nfinal q\n",
+                 "alphabet needs at least one nullary symbol", 3, 1)
+
+
 def test_wrong_marker_for_kind():
     expect_error("bta\nalphabet a/0\nstates q\ninitial q\n", "declares 'final'")
     expect_error("tta\nalphabet a/0\nstates q\nfinal q\n", "declares 'initial'")

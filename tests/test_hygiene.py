@@ -332,12 +332,28 @@ CONSTRUCTIONS = {"treeca.minimize", "treeca.transforms"}
      {"treeca.oracle"}),
     (["oracle-classes-down", "fixtures/bool2.bta", "--height", "2", "--tree-height", "2"], "0",
      {"treeca.oracle"}),
+    (["codeterminize", "fixtures/abc.bta"], "0", {"treeca.transforms"}),
+    (["reverse", "fixtures/bool2r.tta"], "0", set()),
+    (["complete", "fixtures/and1.bta"], "0", {"treeca.transforms"}),
+    (["tdeterminize", "fixtures/bool2r.tta"], "0", {"treeca.transforms"}),
+    (["min-codet", "fixtures/and1.bta"], "0", CONSTRUCTIONS),
+    (["brzozowski", "fixtures/and1.bta"], "0", CONSTRUCTIONS),
+    # Renaming and comparing run no subset construction or completion.
+    (["canonical", "fixtures/bool2.bta"], "0", {"treeca.minimize"}),
+    (["equiv", "fixtures/abc.bta", "fixtures/abc_codet.bta"], "0", CONSTRUCTIONS),
+    (["isomorphic", "fixtures/abc.bta", "fixtures/abc.bta"], "0", {"treeca.minimize"}),
+    (["post", "fixtures/bool2.bta", "-t", "and(T,F)"], "0", set()),
+    (["wpre", "fixtures/bool2.bta", "-c", "or(T,<>)"], "0", set()),
+    (["is-path-closed", "fixtures/and1.bta"], "0", CONSTRUCTIONS),
+    (["enumerate", "fixtures/abc.bta", "--height", "1"], "0", set()),
 ], ids=["member", "determinize", "determinize-unparsable", "minimize", "pre", "rtp-equiv",
         "classes-up", "classes-down", "check-brz-u", "check-brz-d", "language-upto",
-        "oracle-classes-up", "oracle-classes-down"])
+        "oracle-classes-up", "oracle-classes-down", "codeterminize", "reverse", "complete",
+        "tdeterminize", "min-codet", "brzozowski", "canonical", "equiv", "isomorphic", "post",
+        "wpre", "is-path-closed", "enumerate"])
 def test_each_command_loads_only_the_modules_its_verb_runs(argv, code, extra):
-    verb, path, *options = argv
-    added, printed = _added_modules(_command(verb, str(ROOT / path), *options))
+    files = [str(ROOT / w) if w.startswith("fixtures/") else w for w in argv]
+    added, printed = _added_modules(_command(*files))
     assert printed == code
     assert {m for m in added if m.startswith("treeca")} == READ_A_FILE | extra
 

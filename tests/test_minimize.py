@@ -46,7 +46,7 @@ from treeca import (
 )
 
 from treeca import automata
-from treeca.minimize import _blocks, _path_closed_constructions, _refine
+from treeca.minimize import _blocks, _refine, _require_path_closed
 
 import helpers
 from helpers import (
@@ -571,9 +571,16 @@ def test_a_walk_that_finds_no_tree_meets_every_reachable_subset():
     rng = random.Random(910)
     for _ in range(100):
         a = random_path_closed_bta(rng, rng.choice([AB, ABG, BOOL, MONO, TERN]))
-        c, sa, sc = _path_closed_constructions(a, DEFAULT_STATE_BUDGET)
+        c, sa, sc = _require_path_closed(a, DEFAULT_STATE_BUDGET, "a test")
         assert set(sc.pool.order) == set(subset_construction(c)[1].values())
         assert set(sa.pool.order) == set(subset_construction(trim_unreachable(a))[1].values())
+
+
+def test_the_path_closedness_verdict_lets_a_budget_error_through(bool2, and1):
+    for a in (bool2, and1):
+        with pytest.raises(BudgetError):
+            is_path_closed(a, budget=1)
+    assert not is_path_closed(bool2, budget=2) and is_path_closed(and1, budget=2)
 
 
 def test_a_short_witness_builds_less_than_both_determinizations(subset_pools):
