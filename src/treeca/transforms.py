@@ -4,13 +4,16 @@ Synthesized states are named after the subset of original states they stand
 for, "{q0,q1}" with members sorted (automata.subset_name), so the
 constructions are reproducible and their outputs readable.  All constructions
 are capped by a state budget and raise BudgetError when the cap is hit.
+
+The subset construction (_Subsets) reads residual rows over numbered
+subsets, so a transition costs what its subsets hold, not what its symbol's
+rules number.  Product walks step through it one transition at a time, and
+determinization closes it into a numbered table.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import reduce
-from operator import and_, getitem
 
 from .automata import (
     EMPTY,
@@ -25,7 +28,7 @@ from .automata import (
     trim_unreachable,
 )
 from .errors import DEFAULT_STATE_BUDGET, BudgetError, NotDeterministicError
-from .trees import Tree, fresh_tuples
+from .trees import Tree
 
 _SINK = "__dead"  # the state complete adds, renamed on a clash
 
@@ -54,94 +57,140 @@ class _SubsetPool:
 
 
 class _Subsets:
-    """The subset construction of a, computed on demand.
+    """The subset construction of a, computed on demand, over residual rows.
 
-    Subsets are interned in a budgeted pool, starting with the nullary
-    images; the empty subset is a state whenever some tree has no run.  The
-    rules are indexed once.  The rules of each non-nullary symbol are
-    numbered, and for each argument position and state the index holds the
-    bitmask of the rules with that state at that position.  Each interned
-    subset gets its mask per (symbol, position): the OR over its members.
-    The rules that fire on an argument tuple of subsets are then the AND of
-    k masks, and the union of their targets is interned once per (symbol,
-    mask).  step computes one transition, so a walk builds only the subsets
-    it reaches; close runs the discovery loop to the full determinization
-    and returns it as a numbered view over subset ids, which refinement
-    reads as it is and Numbered.named names for determinize.
+    The states of a are numbered in sorted-name order and a subset is the
+    bitmask of its members' numbers, interned once in a budgeted pool,
+    starting with the nullary images; the empty subset is a state whenever
+    some tree has no run.  The rules of each symbol of arity k >= 1 are
+    indexed by their first k-1 argument numbers: each entry is a row
+    mapping a last-argument number to the bitmask of the targets.  The
+    residual of a prefix of k-1 subsets is the OR of the rows over the
+    product of their members, computed once per prefix; a step ORs the
+    residual over the last subset's members, so it costs what the subsets
+    hold, not the number of rules.  step computes one transition, so a walk
+    builds only the subsets it reaches; close runs the discovery loop to the
+    full determinization over the same residuals and returns it as a
+    numbered view over subset ids, which refinement reads as it is and
+    Numbered.named names for determinize.
     """
 
     def __init__(self, a: Bta, budget: int):
         self.a = a
         self.pool = _SubsetPool(budget)
-        by_sym: dict[str, list[tuple[tuple[str, ...], frozenset[str]]]] = {}
+        self.states = sorted(a.states)
+        bit = {q: 1 << i for i, q in enumerate(self.states)}
+        num = {q: i for i, q in enumerate(self.states)}
+        self.ids: dict[int, int] = {}  # subset id by member bitmask
+        self.members: list[list[int]] = []  # member numbers by subset id
+        # The rows of each non-nullary symbol by the names of their argument
+        # prefix; each distinct target set is turned into a bitmask once.
+        named: dict[str, dict[tuple[str, ...], dict[int, int]]] = {
+            sym: {} for sym in a.alphabet.symbols if a.alphabet.arity(sym)
+        }
+        masks: dict[frozenset[str], int] = {}
         for (sym, args), targets in a.delta.items():
             if args:
-                by_sym.setdefault(sym, []).append((args, targets))
-        # Per non-nullary symbol: masks by position and state, rule targets by
-        # rule id, subset masks by position and subset id, target by mask.
-        self.index: dict[str, tuple[list[dict[str, int]], list, list[list[int]], dict]] = {}
-        for sym in a.alphabet.symbols:
-            k = a.alphabet.arity(sym)
-            if k:
-                at: list[dict[str, int]] = [{} for _ in range(k)]
-                rules = by_sym.get(sym, [])
-                for r, (args, _) in enumerate(rules):
-                    for i, q in enumerate(args):
-                        at[i][q] = at[i].get(q, 0) | 1 << r
-                self.index[sym] = (at, [t for _, t in rules], [[] for _ in range(k)], {})
+                mask = masks.get(targets)
+                if mask is None:
+                    mask = masks[targets] = sum(map(bit.__getitem__, targets))
+                named[sym].setdefault(args[:-1], {})[num[args[-1]]] = mask
+        # Per non-nullary symbol: its rows by argument prefix numbers, and
+        # the residuals by prefix of subset ids.
+        self.index: dict[str, tuple[dict[tuple[int, ...], dict[int, int]], dict]] = {
+            sym: ({tuple(map(num.__getitem__, p)): row for p, row in rows.items()}, {})
+            for sym, rows in named.items()
+        }
         self.leaves = {
-            sym: self._intern(frozenset(a.delta.get((sym, ()), EMPTY)))
+            sym: self._intern(sum(map(bit.__getitem__, a.delta.get((sym, ()), EMPTY))))
             for sym in a.alphabet.nullary
         }
 
-    def _intern(self, members: frozenset[str]) -> int:
-        fresh = len(self.pool.order)
-        got = self.pool.intern(members)
-        if got == fresh:
-            for at, _, cols, _ in self.index.values():
-                for by_state, col in zip(at, cols):
-                    mask = 0
-                    for q in members:
-                        mask |= by_state.get(q, 0)
-                    col.append(mask)
+    def _intern(self, mask: int) -> int:
+        """The number of the subset with the given member bitmask."""
+        got = self.ids.get(mask)
+        if got is not None:
+            return got
+        members = []
+        bits = mask
+        while bits:
+            low = bits & -bits
+            members.append(low.bit_length() - 1)
+            bits ^= low
+        got = self.pool.intern(frozenset(map(self.states.__getitem__, members)))
+        self.ids[mask] = got
+        self.members.append(members)
         return got
+
+    def _residual(self, rows: dict[tuple[int, ...], dict[int, int]],
+                  prefix: tuple[int, ...]) -> dict[int, int]:
+        """The OR of rows over every tuple of members of the prefix's subsets;
+        a single row is shared, not copied."""
+        found = [
+            row
+            for args in itertools.product(*map(self.members.__getitem__, prefix))
+            if (row := rows.get(args)) is not None
+        ]
+        if len(found) == 1:
+            return found[0]
+        res: dict[int, int] = {}
+        for row in found:
+            for q, mask in row.items():
+                res[q] = res.get(q, 0) | mask
+        return res
 
     def step(self, sym: str, combo: tuple[int, ...]) -> int:
         """The subset a non-nullary sym reaches from the subsets of combo."""
-        _, targets, cols, memo = self.index[sym]
-        fired = reduce(and_, map(getitem, cols, combo))
-        target = memo.get(fired)
-        if target is None:
-            acc: set[str] = set()
-            bits = fired
-            while bits:
-                low = bits & -bits
-                acc |= targets[low.bit_length() - 1]
-                bits ^= low
-            target = memo[fired] = self._intern(frozenset(acc))
-        return target
+        rows, cache = self.index[sym]
+        prefix = combo[:-1]
+        res = cache.get(prefix)
+        if res is None:
+            res = cache[prefix] = self._residual(rows, prefix)
+        mask = 0
+        for q in self.members[combo[-1]]:
+            mask |= res.get(q, 0)
+        got = self.ids.get(mask)
+        return self._intern(mask) if got is None else got
 
     def close(self) -> Numbered:
         """The determinization as a numbered view, states in discovery order
-        and named after their subsets: each subset m in turn is combined with
-        the ones before, then the tables are read off in argument order."""
-        order = self.pool.order
-        raw: dict[str, dict[tuple[int, ...], int]] = {sym: {} for sym in self.index}
-        step = self.step
+        and named after their subsets.  Each subset m in turn is combined
+        with the ones before, in the order trees.fresh_tuples lists: each prefix
+        over 0..m in lexicographic order, where an old prefix appends its
+        target at m to its line and a new one gets a full line over 0..m.
+        A symbol's table is its lines joined in the product order of the
+        prefixes."""
+        order, members, ids = self.pool.order, self.members, self.ids
+        lines: dict[str, dict[tuple[int, ...], list[int]]] = {sym: {} for sym in self.index}
         m = 0
         while m < len(order):
-            for sym, (_, _, cols, _) in self.index.items():
-                got = raw[sym]
-                for combo in fresh_tuples(m, m + 1, len(cols)):
-                    got[combo] = step(sym, combo)
+            for sym, (rows, cache) in self.index.items():
+                got = lines[sym]
+                k = self.a.alphabet.arity(sym)
+                for prefix in itertools.product(range(m + 1), repeat=k - 1):
+                    res = cache.get(prefix)
+                    if res is None:
+                        res = cache[prefix] = self._residual(rows, prefix)
+                    line = got.get(prefix)
+                    if line is None:
+                        line = got[prefix] = []
+                        lasts = members[: m + 1]
+                    else:
+                        lasts = members[m : m + 1]
+                    for last in lasts:
+                        mask = 0
+                        for q in last:
+                            mask |= res.get(q, 0)
+                        target = ids.get(mask)
+                        line.append(self._intern(mask) if target is None else target)
             m += 1
         n = len(order)
         tables: dict[str, list[int] | dict[int, int]] = {
             sym: [target] for sym, target in self.leaves.items()
         }
-        for sym, got in raw.items():
-            combos = itertools.product(range(n), repeat=self.a.alphabet.arity(sym))
-            tables[sym] = list(map(got.__getitem__, combos))
+        for sym, got in lines.items():
+            prefixes = itertools.product(range(n), repeat=self.a.alphabet.arity(sym) - 1)
+            tables[sym] = list(itertools.chain.from_iterable(map(got.__getitem__, prefixes)))
         names = [subset_name(s) for s in order]
         final = frozenset(i for i, s in enumerate(order) if s & self.a.final)
         return Numbered(self.a.alphabet, names, tables, final, True)

@@ -6,10 +6,10 @@ cannot leave dead imports or helpers behind.  Every source file parses under
 the oldest supported grammar, Python 3.10, starred subscripts included.
 Only the public entry points call the checking constructors, so no rule is
 checked twice; only minimization determinizes in full, only the numbered
-view maps state names to numbers, the rule-mask step of the subset
-construction is written once, no recursion grows with the input, each
-command loads only the modules its verb runs, and the package exports every
-public name of its modules without importing them."""
+view maps state names to numbers, the low-bit loop that lists a subset's
+members from its bitmask is written once, no recursion grows with the
+input, each command loads only the modules its verb runs, and the package
+exports every public name of its modules without importing them."""
 
 from __future__ import annotations
 

@@ -4,6 +4,7 @@ top-down determinizations."""
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -120,8 +121,11 @@ def test_determinize_budget_is_enforced(bool2):
 
 def test_rule_index_matches_the_member_product(subset_pools):
     """Same automaton, same subset map in the same discovery order, and the
-    budget runs out at the same subset, on 250 seeded draws up to arity 3."""
-    for a in seeded_draws(250):
+    budget runs out at the same subset, on 250 seeded draws up to arity 3
+    and on their determinizations fed back in, where each residual row holds
+    one target per last argument."""
+    draws = seeded_draws(250)
+    for a in draws + list(map(determinize, draws)):
         ref, ref_members = subset_construction_by_product(a, DEFAULT_STATE_BUDGET)
         d, members = subset_construction(a)
         assert d == ref
@@ -139,6 +143,25 @@ def test_rule_index_matches_the_member_product(subset_pools):
             assert not subset_pools
         else:
             assert subset_pools[0].order == list(ref_members.values())[: n - 1]
+
+
+def test_determinizing_a_deterministic_counter_costs_what_its_subsets_hold():
+    """A 300-state counter of f-sums mod 300 has 90,302 rules.  Each of its
+    subsets is one state, so a step ORs one entry of one residual row; ANDing
+    a mask over all of f's rules per step would take time and memory
+    quadratic in the rules."""
+    n = 300
+    alphabet = RankedAlphabet({"a": 0, "b": 0, "g": 1, "f": 2})
+    states = [f"c{i}" for i in range(n)]
+    rules = {("a", ()): {"c1"}, ("b", ()): {"c0"}}
+    rules |= {("g", (q,)): {q} for q in states}
+    rules |= {("f", (p, q)): {states[(i + j) % n]}
+              for i, p in enumerate(states) for j, q in enumerate(states)}
+    a = Bta(alphabet, states, rules, ["c0"])
+    start = time.perf_counter()
+    d = determinize(a)
+    assert time.perf_counter() - start < 5
+    assert len(d.states) == n and d.final == {"{c0}"}
 
 
 # === codeterminize ================================================================
