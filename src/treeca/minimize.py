@@ -11,9 +11,12 @@ once, the targets of the rules with the state at each argument position,
 and two states stay merged only while their rows map to the same blocks.
 Language equivalence is one breadth-first product walk over the pairs of
 state subsets that trees reach in the two automata, which also finds a
-separating tree of minimal height.  Each side steps through its own subset
-construction (transforms._Subsets) on demand, so a walk that finds a tree
-early builds only what it reached.  Path-closedness is the same walk between
+separating tree of minimal height.  The walk takes one argument prefix of
+pairs at a time, and each side maps its residual for that prefix over a
+line of last arguments in its own subset construction (transforms._Subsets),
+so a walk that finds a tree early builds only what it reached.  Pairs are
+held as subset ids with a back-pointer each, and only the pair that
+disagrees is turned into a tree.  Path-closedness is the same walk between
 an automaton and its co-determinization; the co-deterministic and
 double-reversal minimizers close those subset constructions into the full
 determinizations.  The minimality checks read the same pieces: direct
@@ -48,7 +51,7 @@ from .errors import (
     NotPathClosedError,
     TreecaError,
 )
-from .trees import Tree, fresh_tuples
+from .trees import Tree
 
 
 def _refine(v: Numbered) -> list[int]:
@@ -503,39 +506,73 @@ def isomorphic(a: Bta, b: Bta) -> bool:
 def _product_walk(sa: _Subsets, sb: _Subsets) -> Tree | None:
     """A tree of minimal height accepted by exactly one of the automata that
     sa and sb determinize, or None: a breadth-first walk over the pairs of
-    subsets that trees reach in both, one height at a time.  Each side steps
-    through its own subset construction, so only the subsets the walk
-    reaches are built."""
-    ma, fa = sa.pool.order, sa.a.final
-    mb, fb = sb.pool.order, sb.a.final
+    subsets that trees reach in both, one height at a time.
+
+    A pair is its two subset ids and a back-pointer: the symbol and the
+    pair indices of the argument tuple that first reached it.  When pairs
+    lo..hi-1 are new, each symbol of arity k >= 1 takes every prefix of k-1
+    pair indices over 0..hi in lexicographic order, and each side maps its
+    residual for its own projection of the prefix over the last arguments'
+    subsets in one call (_Subsets.line): over lo..hi when the whole prefix
+    is old, else over 0..hi.  These are the argument tuples
+    trees.fresh_tuples(lo, hi, k) lists, in its order, so each side interns
+    its subsets in that order and builds only the subsets the walk reaches.
+    Only the pair that disagrees on acceptance gets a tree (_witness).
+    """
     alphabet = sa.a.alphabet
-    explored: list[tuple[int, int, Tree]] = []
+    fa, fb = sa.finality, sb.finality
+    xs: list[int] = []  # side a's subset id by pair index
+    ys: list[int] = []  # side b's
+    back: list[tuple[str, tuple[int, ...]]] = []
     seen: set[tuple[int, int]] = set()
-    fresh: list[tuple[int, int, Tree]] = []
     for sym in alphabet.nullary:
-        pa, pb = sa.leaves[sym], sb.leaves[sym]
-        if (pa, pb) not in seen:
-            seen.add((pa, pb))
-            fresh.append((pa, pb, Tree(sym)))
-    while fresh:
-        for pa, pb, wit in fresh:
-            if ma[pa].isdisjoint(fa) != mb[pb].isdisjoint(fb):
-                return wit
-        lo = len(explored)
-        explored.extend(fresh)
-        nxt: list[tuple[int, int, Tree]] = []
+        pair = (sa.leaves[sym], sb.leaves[sym])
+        if pair not in seen:
+            seen.add(pair)
+            xs.append(pair[0])
+            ys.append(pair[1])
+            back.append((sym, ()))
+    lo = 0
+    while lo < len(xs):
+        hi = len(xs)
+        for i in range(lo, hi):
+            if fa[xs[i]] != fb[ys[i]]:
+                return _witness(back, i)
+        fresh, every = (lo, xs[lo:hi], ys[lo:hi]), (0, xs[:hi], ys[:hi])
         for sym in alphabet.symbols:
-            for combo in fresh_tuples(lo, len(explored), alphabet.arity(sym)):
-                entries = [explored[i] for i in combo]
-                pa = sa.step(sym, tuple(e[0] for e in entries))
-                pb = sb.step(sym, tuple(e[1] for e in entries))
-                if (pa, pb) not in seen:
-                    seen.add((pa, pb))
-                    nxt.append(
-                        (pa, pb, Tree(sym, tuple(e[2] for e in entries)))
-                    )
-        fresh = nxt
+            k = alphabet.arity(sym)
+            if not k:
+                continue
+            for prefix in itertools.product(range(hi), repeat=k - 1):
+                first, lasts_a, lasts_b = every if prefix and max(prefix) >= lo else fresh
+                got_a = sa.line(sym, tuple(map(xs.__getitem__, prefix)), lasts_a)
+                got_b = sb.line(sym, tuple(map(ys.__getitem__, prefix)), lasts_b)
+                for j, pair in enumerate(zip(got_a, got_b), first):
+                    if pair not in seen:
+                        seen.add(pair)
+                        xs.append(pair[0])
+                        ys.append(pair[1])
+                        back.append((sym, (*prefix, j)))
+        lo = hi
     return None
+
+
+def _witness(back: list[tuple[str, tuple[int, ...]]], i: int) -> Tree:
+    """The tree that first reached pair i, built from the back-pointers of
+    the pairs below it; a pair's arguments precede it, so building them in
+    index order makes each distinct subtree once."""
+    need = {i}
+    todo = [i]
+    while todo:
+        for j in back[todo.pop()][1]:
+            if j not in need:
+                need.add(j)
+                todo.append(j)
+    built: dict[int, Tree] = {}
+    for j in sorted(need):
+        sym, args = back[j]
+        built[j] = Tree(sym, tuple(map(built.__getitem__, args)))
+    return built[i]
 
 
 def separating_tree(

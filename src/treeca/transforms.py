@@ -7,13 +7,16 @@ are capped by a state budget and raise BudgetError when the cap is hit.
 
 The subset construction (_Subsets) reads residual rows over numbered
 subsets, so a transition costs what its subsets hold, not what its symbol's
-rules number.  Product walks step through it one transition at a time, and
-determinization closes it into a numbered table.
+rules number.  It is advanced one line at a time: the residual of one
+argument prefix mapped over a sequence of last arguments.  Product walks
+take the lines of the prefixes they reach, and determinization closes it
+into a numbered table.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 
 from .automata import (
     EMPTY,
@@ -62,17 +65,19 @@ class _Subsets:
     The states of a are numbered in sorted-name order and a subset is the
     bitmask of its members' numbers, interned once in a budgeted pool,
     starting with the nullary images; the empty subset is a state whenever
-    some tree has no run.  The rules of each symbol of arity k >= 1 are
-    indexed by their first k-1 argument numbers: each entry is a row
-    mapping a last-argument number to the bitmask of the targets.  The
-    residual of a prefix of k-1 subsets is the OR of the rows over the
-    product of their members, computed once per prefix; a step ORs the
-    residual over the last subset's members, so it costs what the subsets
-    hold, not the number of rules.  step computes one transition, so a walk
-    builds only the subsets it reaches; close runs the discovery loop to the
-    full determinization over the same residuals and returns it as a
-    numbered view over subset ids, which refinement reads as it is and
-    Numbered.named names for determinize.
+    some tree has no run.  Each subset's finality, whether its mask meets
+    the final states', is recorded when it is interned.  The rules of each
+    symbol of arity k >= 1 are indexed by their first k-1 argument numbers:
+    each entry is a row mapping a last-argument number to the bitmask of
+    the targets.  The residual of a prefix of k-1 subsets is the OR of the
+    rows over the product of their members, computed once per prefix; line
+    maps it over a sequence of last subsets, ORing its entries over each
+    one's members, so a transition costs what its subsets hold, not the
+    number of rules.  A product walk calls line for the prefixes it
+    reaches, so it builds only the subsets it reaches; close runs the
+    discovery loop to the full determinization over the same lines and
+    returns it as a numbered view over subset ids, which refinement reads
+    as it is and Numbered.named names for determinize.
     """
 
     def __init__(self, a: Bta, budget: int):
@@ -81,8 +86,10 @@ class _Subsets:
         self.states = sorted(a.states)
         bit = {q: 1 << i for i, q in enumerate(self.states)}
         num = {q: i for i, q in enumerate(self.states)}
+        self.final_mask = sum(1 << num[q] for q in a.final)
         self.ids: dict[int, int] = {}  # subset id by member bitmask
         self.members: list[list[int]] = []  # member numbers by subset id
+        self.finality: list[bool] = []  # by subset id
         # The rows of each non-nullary symbol by the names of their argument
         # prefix; each distinct target set is turned into a bitmask once.
         named: dict[str, dict[tuple[str, ...], dict[int, int]]] = {
@@ -120,6 +127,7 @@ class _Subsets:
         got = self.pool.intern(frozenset(map(self.states.__getitem__, members)))
         self.ids[mask] = got
         self.members.append(members)
+        self.finality.append(bool(mask & self.final_mask))
         return got
 
     def _residual(self, rows: dict[tuple[int, ...], dict[int, int]],
@@ -139,18 +147,22 @@ class _Subsets:
                 res[q] = res.get(q, 0) | mask
         return res
 
-    def step(self, sym: str, combo: tuple[int, ...]) -> int:
-        """The subset a non-nullary sym reaches from the subsets of combo."""
+    def line(self, sym: str, prefix: tuple[int, ...], lasts: Iterable[int]) -> list[int]:
+        """The subsets a non-nullary sym reaches from the subsets of prefix
+        followed by each subset of lasts in turn, interned in that order."""
         rows, cache = self.index[sym]
-        prefix = combo[:-1]
         res = cache.get(prefix)
         if res is None:
             res = cache[prefix] = self._residual(rows, prefix)
-        mask = 0
-        for q in self.members[combo[-1]]:
-            mask |= res.get(q, 0)
-        got = self.ids.get(mask)
-        return self._intern(mask) if got is None else got
+        members, ids = self.members, self.ids
+        got = []
+        for last in lasts:
+            mask = 0
+            for q in members[last]:
+                mask |= res.get(q, 0)
+            target = ids.get(mask)
+            got.append(self._intern(mask) if target is None else target)
+        return got
 
     def close(self) -> Numbered:
         """The determinization as a numbered view, states in discovery order
@@ -160,29 +172,18 @@ class _Subsets:
         target at m to its line and a new one gets a full line over 0..m.
         A symbol's table is its lines joined in the product order of the
         prefixes."""
-        order, members, ids = self.pool.order, self.members, self.ids
+        order = self.pool.order
         lines: dict[str, dict[tuple[int, ...], list[int]]] = {sym: {} for sym in self.index}
         m = 0
         while m < len(order):
-            for sym, (rows, cache) in self.index.items():
-                got = lines[sym]
+            for sym, got in lines.items():
                 k = self.a.alphabet.arity(sym)
                 for prefix in itertools.product(range(m + 1), repeat=k - 1):
-                    res = cache.get(prefix)
-                    if res is None:
-                        res = cache[prefix] = self._residual(rows, prefix)
                     line = got.get(prefix)
                     if line is None:
-                        line = got[prefix] = []
-                        lasts = members[: m + 1]
+                        got[prefix] = self.line(sym, prefix, range(m + 1))
                     else:
-                        lasts = members[m : m + 1]
-                    for last in lasts:
-                        mask = 0
-                        for q in last:
-                            mask |= res.get(q, 0)
-                        target = ids.get(mask)
-                        line.append(self._intern(mask) if target is None else target)
+                        line += self.line(sym, prefix, (m,))
             m += 1
         n = len(order)
         tables: dict[str, list[int] | dict[int, int]] = {
@@ -192,7 +193,7 @@ class _Subsets:
             prefixes = itertools.product(range(n), repeat=self.a.alphabet.arity(sym) - 1)
             tables[sym] = list(itertools.chain.from_iterable(map(got.__getitem__, prefixes)))
         names = [subset_name(s) for s in order]
-        final = frozenset(i for i, s in enumerate(order) if s & self.a.final)
+        final = frozenset(i for i, f in enumerate(self.finality) if f)
         return Numbered(self.a.alphabet, names, tables, final, True)
 
 

@@ -53,7 +53,7 @@ from treeca import (
     trim_unreachable,
 )
 from treeca.automata import EMPTY
-from treeca.transforms import _SubsetPool
+from treeca.transforms import _SubsetPool, _Subsets
 from treeca.trees import fresh_tuples
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -329,6 +329,19 @@ def cycles_bta(lengths: list[int]) -> Bta:
     return Bta(RankedAlphabet({"a": 0, "g": 1}), states, delta, ())
 
 
+def counter_pair(n: int) -> tuple[Bta, Bta]:
+    """Two total deterministic automata over ABG that both accept every
+    tree: the first counts a-leaves mod n, the second g-nodes mod n.  The
+    product walk meets all n*n pairs of their states before it can tell
+    they agree."""
+    c = [f"c{i}" for i in range(n)]
+    by_leaves = {("a", ()): {c[1 % n]}, ("b", ()): {c[0]}, **{("g", (q,)): {q} for q in c}}
+    by_nodes = {("a", ()): {c[0]}, ("b", ()): {c[0]}, **{("g", (c[i],)): {c[(i + 1) % n]} for i in range(n)}}
+    for delta in (by_leaves, by_nodes):
+        delta.update({("f", (c[i], c[j])): {c[(i + j) % n]} for i in range(n) for j in range(n)})
+    return Bta(ABG, c, by_leaves, c), Bta(ABG, c, by_nodes, c)
+
+
 def swap_two_targets(a: Bta) -> Bta:
     """a with the target sets of its two least rules of one symbol that differ
     swapped; a itself when no symbol has two such rules.  Every state keeps
@@ -544,6 +557,51 @@ def separating_tree_by_determinization(
                 entries = [explored[i] for i in combo]
                 pa = target(da, sym, tuple(e[0] for e in entries))
                 pb = target(db, sym, tuple(e[1] for e in entries))
+                if (pa, pb) not in seen:
+                    seen.add((pa, pb))
+                    nxt.append((pa, pb, Tree(sym, tuple(e[2] for e in entries))))
+        fresh = nxt
+    return None
+
+
+def _step_by_members(s: _Subsets, sym: str, combo: tuple[int, ...]) -> int:
+    """The subset a non-nullary sym reaches in s from the subsets of combo:
+    the targets of sym's named rules over every tuple of their members,
+    interned into s."""
+    targets: set[str] = set()
+    for args in itertools.product(*(sorted(s.pool.order[i]) for i in combo)):
+        targets |= s.a.delta.get((sym, args), EMPTY)
+    return s._intern(sum(1 << s.states.index(q) for q in targets))
+
+
+def product_walk_by_steps(sa: _Subsets, sb: _Subsets) -> Tree | None:
+    """The product walk one transition at a time: the pairs of subsets that
+    trees reach in both sides, breadth-first over trees.fresh_tuples, each
+    pair holding the tree that first reached it; the first pair whose
+    subsets disagree on meeting the final states gives the tree.  Each
+    argument tuple steps both sides once (_step_by_members), so each side
+    interns its subsets in the order the tuples are listed."""
+    alphabet = sa.a.alphabet
+    explored: list[tuple[int, int, Tree]] = []
+    seen: set[tuple[int, int]] = set()
+    fresh: list[tuple[int, int, Tree]] = []
+    for sym in alphabet.nullary:
+        pa, pb = sa.leaves[sym], sb.leaves[sym]
+        if (pa, pb) not in seen:
+            seen.add((pa, pb))
+            fresh.append((pa, pb, Tree(sym)))
+    while fresh:
+        for pa, pb, wit in fresh:
+            if sa.pool.order[pa].isdisjoint(sa.a.final) != sb.pool.order[pb].isdisjoint(sb.a.final):
+                return wit
+        lo = len(explored)
+        explored.extend(fresh)
+        nxt: list[tuple[int, int, Tree]] = []
+        for sym in alphabet.symbols:
+            for combo in fresh_tuples(lo, len(explored), alphabet.arity(sym)):
+                entries = [explored[i] for i in combo]
+                pa = _step_by_members(sa, sym, tuple(e[0] for e in entries))
+                pb = _step_by_members(sb, sym, tuple(e[1] for e in entries))
                 if (pa, pb) not in seen:
                     seen.add((pa, pb))
                     nxt.append((pa, pb, Tree(sym, tuple(e[2] for e in entries))))

@@ -197,9 +197,10 @@ def test_only_the_public_entry_points_call_the_checking_constructors():
 
 
 def test_verdicts_determinize_nothing_in_full():
-    # Equivalence and path-closedness step through transforms._Subsets as far
-    # as their product walk reaches; only the minimizers and the minimality
-    # check run its discovery loop to the whole table (_Subsets.close).
+    # Equivalence and path-closedness take the lines of transforms._Subsets
+    # for the argument prefixes their product walk reaches; only the
+    # minimizers and the minimality check run its discovery loop to the
+    # whole table (_Subsets.close).
     full = {"determinize", "subset_construction", "close"}
     callers = {
         f"{name}:{scope}"

@@ -4,6 +4,7 @@ and language equivalence."""
 from __future__ import annotations
 
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -45,8 +46,10 @@ from treeca import (
     tta_determinize,
 )
 
-from treeca import automata
-from treeca.minimize import _blocks, _refine, _require_path_closed
+from treeca import automata, minimize
+from treeca.minimize import _blocks, _product_walk, _refine, _require_path_closed
+from treeca.transforms import _Subsets
+from treeca.trees import Tree, iter_nodes
 
 import helpers
 from helpers import (
@@ -59,6 +62,7 @@ from helpers import (
     accept_all_bta,
     assert_routes_agree,
     canonical_form_by_names,
+    counter_pair,
     cycles_bta,
     drop_every_fifth_rule,
     drop_one_rule,
@@ -68,6 +72,7 @@ from helpers import (
     minimize_dbta_by_names,
     outcome,
     path_closed_by_determinization,
+    product_walk_by_steps,
     prefixed_names,
     random_bta,
     random_path_closed_bta,
@@ -553,6 +558,94 @@ def test_walk_matches_the_walk_over_full_determinizations(subset_pools):
                 want = outcome(separating_tree_by_determinization, a, b, budget=budget)
                 if not isinstance(want, Raised):
                     assert separating_tree(a, b, budget=budget) == want
+
+
+def _walked(walk, a, b, budget, pools):
+    """walk's outcome on fresh subset constructions of a and b under budget,
+    and the subsets each side interned, in order."""
+    pools.clear()
+    got = outcome(lambda: walk(_Subsets(a, budget), _Subsets(b, budget)))
+    return got, [pool.order for pool in pools]
+
+
+def test_the_walk_matches_the_walk_one_transition_at_a_time(subset_pools):
+    """Same witness, same subsets in the same order on both sides, and the
+    same BudgetError or result as stepping both sides once per argument
+    tuple: on 250 seeded draws against themselves, their
+    co-determinizations and a copy with one rule dropped, under five
+    budgets, and on 100 path-closed draws against their
+    co-determinizations.  A walk that overflows drops its pools, and each
+    side may then hold one line more or less than a side stepped in turn
+    with the other, so only the error is compared."""
+    pairs = [(a, b) for a in seeded_draws(250) for b in (a, codeterminize(a), drop_one_rule(a))]
+    rng = random.Random(911)
+    closed = [random_path_closed_bta(rng, rng.choice([AB, ABG, BOOL, MONO, TERN])) for _ in range(100)]
+    pairs += [(a, codeterminize(a)) for a in closed]
+    raised = 0
+    for a, b in pairs:
+        for budget in (2, 3, 5, 8, 4096):
+            got, pools = _walked(_product_walk, a, b, budget, subset_pools)
+            want, want_pools = _walked(product_walk_by_steps, a, b, budget, subset_pools)
+            assert got == want
+            if isinstance(got, Raised):
+                raised += 1
+            else:
+                assert pools == want_pools
+    assert raised > 500
+
+
+def test_a_walk_builds_trees_only_for_its_witness():
+    """One Tree per distinct subtree of the witness, and none when the
+    languages agree."""
+    made = []
+
+    class CountingTree(Tree):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    sizes = []
+    with mock.patch.object(minimize, "Tree", CountingTree):
+        for a in seeded_draws(100):
+            for b in (a, codeterminize(a), drop_one_rule(a)):
+                made.clear()
+                w = separating_tree(a, b)
+                nodes = [t for _, t in iter_nodes(w)] if w else []
+                assert len(made) == len(set(nodes))
+                sizes.append((len(set(nodes)), len(nodes)))
+        made.clear()
+        assert equivalent(*counter_pair(5)) and not made
+    assert sum(n > 0 for n, _ in sizes) > 50
+    assert sum(n < total for n, total in sizes) > 10  # witnesses that repeat a subtree
+
+
+def test_the_walk_over_equal_counters_takes_seconds():
+    """All 1600 pairs of the two 40-state counters are met before the walk
+    knows they agree.  Its time is measured against the reference walk over
+    the 20-state counters, timed back to back on the same host, so the bound
+    holds on a slow runner too: the walk takes about as long (1.3 against
+    1.0-1.4 s on a 2-core host), and stepping one argument tuple at a time
+    took 4-6 times as long.  A load spike can slow either timing, so a pair
+    is timed up to three times."""
+    small, large = counter_pair(20), counter_pair(40)
+
+    def seconds(walk, a, b):
+        start = time.perf_counter()
+        got = walk(a, b)
+        return time.perf_counter() - start, got
+
+    for _ in range(3):
+        yardstick, _ = seconds(
+            lambda a, b: product_walk_by_steps(
+                _Subsets(a, DEFAULT_STATE_BUDGET), _Subsets(b, DEFAULT_STATE_BUDGET)),
+            *small)
+        took, agree = seconds(equivalent, *large)
+        assert agree
+        if took < 3 * yardstick:
+            break
+    assert took < 3 * yardstick
 
 
 def test_path_closedness_matches_the_walk_over_full_determinizations():
