@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import total_ordering
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -30,9 +31,12 @@ Address = tuple[int, ...]
 
 _IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
 _TOKEN_RE = re.compile(rf"{re.escape(HOLE)}|[(),]|{_IDENT_RE.pattern}")
+# Punctuation with the whitespace around it: a split keeps the punctuation.
+_PUNCT_RE = re.compile(r"\s*([(),])\s*")
 # A character that is neither whitespace nor in a token: none of the token
 # characters, or a '<' or '>' that is not half of a hole.
 _BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_(),<>\s]|<(?!>)|(?<!<)>")
+_HEIGHT, _HASH = attrgetter("height"), attrgetter("_hash")
 
 
 class RankedAlphabet:
@@ -102,15 +106,24 @@ class RankedAlphabet:
 
 @total_ordering
 class Tree:
-    """An ordered, labeled finite tree.  Treat instances as immutable."""
+    """An ordered, labeled finite tree.  Treat instances as immutable.
+
+    A node stores its height and a hash of its label with its children's
+    stored hashes, so building one costs constant work per child.  Equal
+    trees hash equal; the values differ from run to run, as str hashes do.
+    """
 
     __slots__ = ("label", "children", "height", "_hash")
 
     def __init__(self, label: str, children: Sequence["Tree"] = ()):
         self.label = label
-        self.children = tuple(children)
-        self.height = 1 + max((c.height for c in self.children), default=0)
-        self._hash = hash((label, self.children))
+        self.children = children = tuple(children)
+        if children:
+            self.height = 1 + max(map(_HEIGHT, children))
+            self._hash = hash((label, *map(_HASH, children)))
+        else:
+            self.height = 1
+            self._hash = hash(label)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -421,66 +434,126 @@ def format_term(t: Tree) -> str:
     return "".join(parts)
 
 
-def _parse_term(text: str) -> tuple[Tree, int]:
-    """The term that text spells out, and the number of holes in it."""
+def _parse_term(text: str, arities: Mapping[str, int]) -> tuple[Tree, int, bool]:
+    """The term that text spells out, the number of holes in it, and
+    whether some node's child count differs from its label's entry in
+    arities (a label with no entry matches no count).
+
+    After the search for a character no token holds, one split at the
+    punctuation, with the whitespace around it, leaves the labels at the
+    even places and the punctuation between them.  One loop over those
+    builds each node as it closes and compares its child count with its
+    label's arity.  Each distinct label is checked once, and its leaves
+    share one Tree.  A text the loop declines goes to _term_fault, which
+    words its first fault and builds nothing.
+    """
     bad = _BAD_CHAR_RE.search(text)  # reported before any grammar error
     if bad:
         raise ParseError(f"unexpected character {bad[0]!r}", line=1, column=bad.start() + 1)
+    # The labels at the even places, the punctuation between them, and a
+    # last pair of empty strings for the end of text.
+    pieces = iter([*_PUNCT_RE.split(text.strip()), "", ""])
+    known: dict[str, tuple[int, Tree]] = {}  # each label read: its arity (-1 if none), its leaf
+    misranked = False
+    label = next(pieces)  # a label read whose node is not built yet, None after a ')'
+    kids: list[Tree] = []  # the children of the innermost open node, the root at the top
+    open_nodes: list[tuple[str, int, list[Tree]]] = []  # the nodes outside: label, arity, kids
+    for punct, piece in zip(pieces, pieces):  # the loop breaks on a fault
+        if label:
+            got = known.get(label)
+            if got is None:
+                if label not in arities and label != HOLE and not _IDENT_RE.fullmatch(label):
+                    break
+                got = known[label] = (arities.get(label, -1), Tree(label))
+            want, leaf = got
+            if punct == "(":
+                if label == HOLE:
+                    break
+                open_nodes.append((label, want, kids))
+                kids, label = [], piece
+                continue
+            kids.append(leaf)
+            misranked |= want != 0
+        elif punct == "(" or label is not None and (punct != ")" or kids):
+            break  # no label where one goes, but inside a leaf's "()"
+        if not open_nodes:  # the root is built: only the end of text may follow
+            if punct:
+                break
+            return kids[0], text.count(HOLE), misranked
+        if punct == ",":
+            label = piece
+            continue
+        if punct != ")" or piece:
+            break
+        name, want, outer = open_nodes.pop()
+        outer.append(Tree(name, kids))
+        misranked |= want != len(kids)
+        kids, label = outer, None
+    raise _term_fault(text)
+
+
+def _term_fault(text: str) -> ParseError:
+    """The first fault of a text that _parse_term declines, worded as a
+    scan of its tokens from the left finds it.
+
+    The text holds only token characters and whitespace.  The scan keeps
+    the count of open '(' and builds nothing.
+    """
     tokens = _TOKEN_RE.finditer(text)  # what lies between them is whitespace
     tok = next(tokens, None)  # the next token, None at the end of text
-    holes = 0
-    open_terms: list[tuple[str, list[Tree]]] = []  # each '(' still open: symbol, children
+    depth = 0  # the '(' still open
     while True:
         if tok is None or tok[0] in "(),":
             msg = "unexpected end of term" if tok is None else f"expected a symbol, got {tok[0]!r}"
-            raise ParseError(msg, line=1, column=(tok.start() if tok else len(text)) + 1)
+            return ParseError(msg, line=1, column=(tok.start() if tok else len(text)) + 1)
         label = tok[0]
         tok = next(tokens, None)
-        if label == HOLE:
-            holes += 1
-        elif tok is not None and tok[0] == "(":
+        if label != HOLE and tok is not None and tok[0] == "(":
             tok = next(tokens, None)
             if tok is None or tok[0] != ")":
-                open_terms.append((label, []))
+                depth += 1
                 continue
             tok = next(tokens, None)
-        done = Tree(label)
-        while open_terms:  # hand the finished term to its parent, closing it on ')'
-            open_terms[-1][1].append(done)
+        while depth:  # the term just read ends a child, and on ')' its parent
             if tok is None or tok[0] not in ",)":
                 msg = "unclosed '('" if tok is None else f"expected ',' or ')', got {tok[0]!r}"
-                raise ParseError(msg, line=1, column=(tok.start() if tok else len(text)) + 1)
+                return ParseError(msg, line=1, column=(tok.start() if tok else len(text)) + 1)
             closing = tok[0] == ")"
             tok = next(tokens, None)
             if not closing:
                 break
-            label, children = open_terms.pop()
-            done = Tree(label, children)
+            depth -= 1
         else:
-            if tok is not None:
-                raise ParseError("trailing input after term", line=1, column=tok.start() + 1)
-            return done, holes
+            # _parse_term reads every text with no fault, so a token follows.
+            return ParseError("trailing input after term", line=1, column=tok.start() + 1)
 
 
 def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     """Parse the term syntax ``sym`` or ``sym(t,...)``; whitespace is free.
 
     Holes are rejected; use parse_context for contexts.  When an alphabet is
-    given the result is checked to be well ranked.
+    given, each node's child count is compared with its arity as the reader
+    closes the node; only on a mismatch does check_well_ranked walk the tree,
+    to report the first faulty node in preorder.
     """
-    t, holes = _parse_term(text)
+    t, holes, misranked = _parse_term(text, {} if alphabet is None else alphabet._entries)
     if holes:
         raise ParseError("holes are not allowed in a plain term", line=1, column=1)
-    if alphabet is not None:
+    if alphabet is not None and misranked:
         check_well_ranked(t, alphabet)
     return t
 
 
 def parse_context(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
-    """Parse a context: the term syntax plus exactly one ``<>`` leaf."""
-    t, holes = _parse_term(text)
+    """Parse a context: the term syntax plus exactly one ``<>`` leaf.
+
+    The rank check is parse_term's, with the hole as one more nullary symbol.
+    """
+    t, holes, misranked = _parse_term(
+        text, {} if alphabet is None else {**alphabet._entries, HOLE: 0}
+    )
     if holes != 1:
         raise ParseError(f"a context needs exactly one hole, found {holes}", line=1, column=1)
-    if alphabet is not None:
+    if alphabet is not None and misranked:
         check_well_ranked(t, alphabet, allow_hole=True)
     return t

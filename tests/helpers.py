@@ -208,6 +208,34 @@ def random_context(rng: random.Random, alphabet: RankedAlphabet, max_height: int
     return puncture(t, addr)
 
 
+def random_sized_tree(rng: random.Random, alphabet: RankedAlphabet, size: int) -> Tree:
+    """A random well-ranked tree of about size nodes, built without recursion.
+
+    Each inner node splits the rest of its share among its children at
+    random cuts, and a branching symbol is drawn while a share exceeds 2, so
+    over a branching alphabet the depth grows with the log of size.  The
+    labels are drawn in preorder and the tree is built from the last one.
+    """
+    inner = [s for s in alphabet.symbols if alphabet.arity(s)]
+    branching = [s for s in inner if alphabet.arity(s) > 1] or inner
+    labels: list[str] = []
+    shares = [size]
+    while shares:
+        share = shares.pop()
+        if share <= 1:
+            labels.append(rng.choice(alphabet.nullary))
+            continue
+        sym = rng.choice(branching if share > 2 else inner)
+        k, rest = alphabet.arity(sym), share - 1
+        cuts = sorted(rng.randint(0, rest) for _ in range(k - 1))
+        shares += reversed([max(b - a, 1) for a, b in zip([0, *cuts], [*cuts, rest])])
+        labels.append(sym)
+    built: list[Tree] = []  # the subtrees after the current label, the next one last
+    for sym in reversed(labels):
+        built.append(Tree(sym, [built.pop() for _ in range(alphabet.arity(sym))]))
+    return built[0]
+
+
 # === Hand-built automata and variations used by several suites ===================
 
 def split_state_bta() -> Bta:
@@ -960,8 +988,10 @@ def gen_det_u_witness_by_names(
 
 # === The term reader on a token list =============================================
 # A reader over a list of tagged tokens with an end sentinel, written apart
-# from trees._parse_term, which reads its tokens straight off a regex: the
-# reference for that reader and the parse_term and parse_context wrappers.
+# from trees._parse_term, which splits the text at its punctuation and scans
+# tokens only to word a fault: the reference for that reader and the
+# parse_term and parse_context wrappers, whose rank check it makes by a
+# separate check_well_ranked walk.
 
 _TOKEN_RE = re.compile(
     rf"(?P<hole>{re.escape(HOLE)})|(?P<punct>[(),])|(?P<ident>[A-Za-z0-9_]+)"
@@ -1019,9 +1049,9 @@ def read_term_from_token_list(text: str) -> tuple[Tree, int]:
 
 
 def read_every_way_from_token_list(text: str, alphabet: RankedAlphabet) -> tuple:
-    """The outcomes of _parse_term(text), parse_term(text), parse_term(text,
-    alphabet), parse_context(text) and parse_context(text, alphabet), from
-    one read of the token list."""
+    """The outcomes of _parse_term(text, {}) (its term and hole count),
+    parse_term(text), parse_term(text, alphabet), parse_context(text) and
+    parse_context(text, alphabet), from one read of the token list."""
     read = outcome(read_term_from_token_list, text)
     if isinstance(read, Raised):
         return (read,) * 5
