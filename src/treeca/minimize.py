@@ -15,17 +15,18 @@ separating tree of minimal height.  The walk takes one argument prefix of
 pairs at a time, and each side maps its residual for that prefix over a
 line of last arguments in its own subset construction (transforms._Subsets),
 so a walk that finds a tree early builds only what it reached.  Pairs are
-held as subset ids with a back-pointer each, and only the pair that
+held as subset ids with a back-pointer each; a side accepts where its
+subset's member bitmask meets its final states' mask, and only the pair that
 disagrees is turned into a tree.  Path-closedness is the same walk between
 an automaton and its co-determinization; the co-deterministic and
 double-reversal minimizers close those subset constructions into the full
 determinizations.  The minimality checks read the same pieces: direct
 determinization is minimal iff refining its subset construction merges
-nothing, and co-determinization iff no two of its states lie in exactly the
-same subsets the path-closedness walk met.  Isomorphism is one search that
-maps states pair by pair, adding every pair the rules force before it branches.
-Only the functions that build subsets or a completion import transforms, so
-renaming and comparing load no construction module.
+nothing, and co-determinization iff no two of its states have the same bit
+in every subset mask the path-closedness walk met.  Isomorphism is one
+search that maps states pair by pair, adding every pair the rules force
+before it branches.  Only the functions that build subsets or a completion
+import transforms, so renaming and comparing load no construction module.
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ def gen_det_u_witness(
     by_name = {subset_name(map(names.__getitem__, block)): block for block in merged}
     m = min(by_name)
     i, j = sorted(by_name[m], key=names.__getitem__)[:2]
-    s1, s2 = subsets.pool.order[i], subsets.pool.order[j]
+    s1, s2 = subsets.subset(i), subsets.subset(j)
     return (min(s1 ^ s2), m, s1, s2)
 
 
@@ -254,8 +255,7 @@ def check_gen_det_d(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
 def _check_gen_det_d(a: Bta, budget: int) -> tuple[bool, bool]:
     """The verdict of check_gen_det_d, and whether its trim removed states of a."""
     c, sa, sc = _require_path_closed(a, budget, "the downward determinization check")
-    subsets = sc.pool.order
-    vectors = {frozenset(i for i, s in enumerate(subsets) if q in s) for q in c.states}
+    vectors = {tuple(s >> q & 1 for s in sc.pool.order) for q in range(len(sc.states))}
     return len(vectors) == len(c.states), sa.a is not a
 
 
@@ -520,7 +520,7 @@ def _product_walk(sa: _Subsets, sb: _Subsets) -> Tree | None:
     Only the pair that disagrees on acceptance gets a tree (_witness).
     """
     alphabet = sa.a.alphabet
-    fa, fb = sa.finality, sb.finality
+    oa, ob, fa, fb = sa.pool.order, sb.pool.order, sa.final_mask, sb.final_mask
     xs: list[int] = []  # side a's subset id by pair index
     ys: list[int] = []  # side b's
     back: list[tuple[str, tuple[int, ...]]] = []
@@ -536,7 +536,7 @@ def _product_walk(sa: _Subsets, sb: _Subsets) -> Tree | None:
     while lo < len(xs):
         hi = len(xs)
         for i in range(lo, hi):
-            if fa[xs[i]] != fb[ys[i]]:
+            if bool(oa[xs[i]] & fa) != bool(ob[ys[i]] & fb):
                 return _witness(back, i)
         fresh, every = (lo, xs[lo:hi], ys[lo:hi]), (0, xs[:hi], ys[:hi])
         for sym in alphabet.symbols:

@@ -1,16 +1,16 @@
 """Determinization, co-determinization, and completion.
 
-Synthesized states are named after the subset of original states they stand
-for, "{q0,q1}" with members sorted (automata.subset_name), so the
-constructions are reproducible and their outputs readable.  All constructions
-are capped by a state budget and raise BudgetError when the cap is hit.
+Both are subset constructions over the input's states numbered in sorted-name
+order.  A subset is the bitmask of its members' numbers, interned once per
+construction in a pool capped by a state budget (_SubsetPool, BudgetError),
+and named after its members, "{q0,q1}" (automata.subset_name), only where an
+automaton is returned, so outputs are reproducible and readable.
 
-The subset construction (_Subsets) reads residual rows over numbered
-subsets, so a transition costs what its subsets hold, not what its symbol's
-rules number.  It is advanced one line at a time: the residual of one
-argument prefix mapped over a sequence of last arguments.  Product walks
-take the lines of the prefixes they reach, and determinization closes it
-into a numbered table.
+Determinization (_Subsets) reads residual rows over numbered subsets, so a
+transition costs what its subsets hold, not what its symbol's rules number.
+It is advanced one line at a time: the residual of one argument prefix
+mapped over a sequence of last arguments.  Product walks take the lines of
+the prefixes they reach, and determinization closes it into a numbered table.
 """
 
 from __future__ import annotations
@@ -37,47 +37,55 @@ _SINK = "__dead"  # the state complete adds, renamed on a clash
 
 
 class _SubsetPool:
-    """Interned subsets in discovery order, guarded by a budget."""
+    """The member bitmasks of one construction's subsets in discovery order
+    (order), each mask's id (index) and each subset's member numbers in
+    increasing order (members), guarded by a budget."""
 
     def __init__(self, budget: int):
         if budget < 1:
             raise BudgetError("budget must be positive")
-        self.order: list[frozenset[str]] = []
-        self.index: dict[frozenset[str], int] = {}
+        self.order: list[int] = []
+        self.index: dict[int, int] = {}
+        self.members: list[list[int]] = []
         self.budget = budget
 
-    def intern(self, members: frozenset[str]) -> int:
-        got = self.index.get(members)
+    def intern(self, mask: int) -> int:
+        got = self.index.get(mask)
         if got is not None:
             return got
         if len(self.order) >= self.budget:
             raise BudgetError(
                 f"subset construction exceeded the budget of {self.budget} states"
             )
-        self.index[members] = len(self.order)
-        self.order.append(members)
-        return self.index[members]
+        members = []
+        bits = mask
+        while bits:
+            low = bits & -bits
+            members.append(low.bit_length() - 1)
+            bits ^= low
+        got = self.index[mask] = len(self.order)
+        self.order.append(mask)
+        self.members.append(members)
+        return got
 
 
 class _Subsets:
     """The subset construction of a, computed on demand, over residual rows.
 
-    The states of a are numbered in sorted-name order and a subset is the
-    bitmask of its members' numbers, interned once in a budgeted pool,
-    starting with the nullary images; the empty subset is a state whenever
-    some tree has no run.  Each subset's finality, whether its mask meets
-    the final states', is recorded when it is interned.  The rules of each
-    symbol of arity k >= 1 are indexed by their first k-1 argument numbers:
-    each entry is a row mapping a last-argument number to the bitmask of
-    the targets.  The residual of a prefix of k-1 subsets is the OR of the
-    rows over the product of their members, computed once per prefix; line
-    maps it over a sequence of last subsets, ORing its entries over each
-    one's members, so a transition costs what its subsets hold, not the
-    number of rules.  A product walk calls line for the prefixes it
+    Subsets are interned in the pool by member bitmask, starting with the
+    nullary images; the empty subset is a state whenever some tree has no
+    run, and a subset is final when its mask meets final_mask.  The rules of
+    each symbol of arity k >= 1 are indexed by their first k-1 argument
+    numbers: each entry is a row mapping a last-argument number to the
+    bitmask of the targets.  The residual of a prefix of k-1 subsets is the
+    OR of the rows over the product of their members, computed once per
+    prefix; line maps it over a sequence of last subsets, ORing its entries
+    over each one's members, so a transition costs what its subsets hold,
+    not the number of rules.  A product walk calls line for the prefixes it
     reaches, so it builds only the subsets it reaches; close runs the
     discovery loop to the full determinization over the same lines and
-    returns it as a numbered view over subset ids, which refinement reads
-    as it is and Numbered.named names for determinize.
+    returns it as a numbered view over subset ids, the only place subsets
+    are named; subset gives one's states.
     """
 
     def __init__(self, a: Bta, budget: int):
@@ -86,10 +94,7 @@ class _Subsets:
         self.states = sorted(a.states)
         bit = {q: 1 << i for i, q in enumerate(self.states)}
         num = {q: i for i, q in enumerate(self.states)}
-        self.final_mask = sum(1 << num[q] for q in a.final)
-        self.ids: dict[int, int] = {}  # subset id by member bitmask
-        self.members: list[list[int]] = []  # member numbers by subset id
-        self.finality: list[bool] = []  # by subset id
+        self.final_mask = sum(map(bit.__getitem__, a.final))
         # The rows of each non-nullary symbol by the names of their argument
         # prefix; each distinct target set is turned into a bitmask once.
         named: dict[str, dict[tuple[str, ...], dict[int, int]]] = {
@@ -109,26 +114,13 @@ class _Subsets:
             for sym, rows in named.items()
         }
         self.leaves = {
-            sym: self._intern(sum(map(bit.__getitem__, a.delta.get((sym, ()), EMPTY))))
+            sym: self.pool.intern(sum(map(bit.__getitem__, a.delta.get((sym, ()), EMPTY))))
             for sym in a.alphabet.nullary
         }
 
-    def _intern(self, mask: int) -> int:
-        """The number of the subset with the given member bitmask."""
-        got = self.ids.get(mask)
-        if got is not None:
-            return got
-        members = []
-        bits = mask
-        while bits:
-            low = bits & -bits
-            members.append(low.bit_length() - 1)
-            bits ^= low
-        got = self.pool.intern(frozenset(map(self.states.__getitem__, members)))
-        self.ids[mask] = got
-        self.members.append(members)
-        self.finality.append(bool(mask & self.final_mask))
-        return got
+    def subset(self, i: int) -> frozenset[str]:
+        """The states of a in subset i."""
+        return frozenset(map(self.states.__getitem__, self.pool.members[i]))
 
     def _residual(self, rows: dict[tuple[int, ...], dict[int, int]],
                   prefix: tuple[int, ...]) -> dict[int, int]:
@@ -136,7 +128,7 @@ class _Subsets:
         a single row is shared, not copied."""
         found = [
             row
-            for args in itertools.product(*map(self.members.__getitem__, prefix))
+            for args in itertools.product(*map(self.pool.members.__getitem__, prefix))
             if (row := rows.get(args)) is not None
         ]
         if len(found) == 1:
@@ -154,14 +146,14 @@ class _Subsets:
         res = cache.get(prefix)
         if res is None:
             res = cache[prefix] = self._residual(rows, prefix)
-        members, ids = self.members, self.ids
+        pool, members, ids = self.pool, self.pool.members, self.pool.index
         got = []
         for last in lasts:
             mask = 0
             for q in members[last]:
                 mask |= res.get(q, 0)
             target = ids.get(mask)
-            got.append(self._intern(mask) if target is None else target)
+            got.append(pool.intern(mask) if target is None else target)
         return got
 
     def close(self) -> Numbered:
@@ -192,8 +184,8 @@ class _Subsets:
         for sym, got in lines.items():
             prefixes = itertools.product(range(n), repeat=self.a.alphabet.arity(sym) - 1)
             tables[sym] = list(itertools.chain.from_iterable(map(got.__getitem__, prefixes)))
-        names = [subset_name(s) for s in order]
-        final = frozenset(i for i, f in enumerate(self.finality) if f)
+        names = [subset_name(map(self.states.__getitem__, ms)) for ms in self.pool.members]
+        final = frozenset(i for i, mask in enumerate(order) if mask & self.final_mask)
         return Numbered(self.a.alphabet, names, tables, final, True)
 
 
@@ -207,7 +199,7 @@ def subset_construction(
     """
     subsets = _Subsets(a, budget)
     view = subsets.close()
-    return view.named(), dict(zip(view.names, subsets.pool.order))
+    return view.named(), {name: subsets.subset(i) for i, name in enumerate(view.names)}
 
 
 def determinize(a: Bta, *, budget: int = DEFAULT_STATE_BUDGET) -> Bta:
@@ -234,36 +226,43 @@ def codeterminize(
 def _codeterminize(a0: Bta, budget: int) -> Bta:
     """The co-determinization of a0, untrimmed.
 
-    Subsets are discovered downward from the final set.  For a discovered
-    subset R and symbol f, the argument tuple collects, position by position,
-    the argument states of all f-rules that target a member of R; no f-rule is
-    emitted for R when no such rule exists, and a nullary f-rule targets R
-    when it targets a member.  When every state of a0 is reachable, so is
-    every subset but an empty final one (by induction on height, a tree that
-    reaches a member reaches the subset), and each was found from the final
-    subset: nothing is left for trim_empty to remove.
+    Each state of a0 holds, per symbol, the OR position by position of the
+    argument bits of the rules that target it.  Subsets are member bitmasks
+    discovered downward from the final set: for a discovered subset R and
+    symbol f, the argument tuple ORs those of R's members, and its subsets
+    are interned in position order; no f-rule is emitted for R when no
+    member has one, and a nullary f-rule targets R when it targets a member.
+    When every state of a0 is reachable, so is every subset but an empty
+    final one (by induction on height, a tree that reaches a member reaches
+    the subset), and each was found from the final subset: nothing is left
+    for trim_empty to remove.  Subsets are named only in the result.
     """
-    down = reverse_bta(a0).delta
+    states = sorted(a0.states)
+    bit = {q: 1 << i for i, q in enumerate(states)}
+    prods: dict[str, dict[str, list[tuple[str, ...]]]] = {q: {} for q in states}
+    for (sym, args), targets in a0.delta.items():
+        for t in targets:
+            prods[t].setdefault(sym, []).append(args)
+    down = [
+        {sym: tuple(sum(map(bit.__getitem__, set(col))) for col in zip(*tuples))
+         for sym, tuples in prods[q].items()}
+        for q in states
+    ]
     pool = _SubsetPool(budget)
-    pool.intern(a0.final)
+    pool.intern(sum(map(bit.__getitem__, a0.final)))
     rules: list[tuple[str, tuple[int, ...], int]] = []
     i = 0
     while i < len(pool.order):
-        by_sym: dict[str, set[tuple[str, ...]]] = {}
-        for q in pool.order[i]:
-            for sym, args in down.get(q, EMPTY):
-                by_sym.setdefault(sym, set()).add(args)
+        by_sym: dict[str, tuple[int, ...]] = {}
+        for q in pool.members[i]:
+            for sym, bits in down[q].items():
+                masks = by_sym.get(sym)
+                by_sym[sym] = bits if masks is None else tuple(map(int.__or__, masks, bits))
         for sym in a0.alphabet.symbols:
-            tuples = by_sym.get(sym)
-            if tuples is None:
-                continue
-            combo = tuple(
-                pool.intern(frozenset(t[j] for t in tuples))
-                for j in range(a0.alphabet.arity(sym))
-            )
-            rules.append((sym, combo, i))
+            if sym in by_sym:
+                rules.append((sym, tuple(map(pool.intern, by_sym[sym])), i))
         i += 1
-    names = [subset_name(s) for s in pool.order]
+    names = [subset_name(map(states.__getitem__, ms)) for ms in pool.members]
     delta: dict[tuple[str, tuple[str, ...]], set[str]] = {}
     for sym, combo, target in rules:
         key = (sym, tuple(names[j] for j in combo))

@@ -53,7 +53,7 @@ from treeca import (
     trim_unreachable,
 )
 from treeca.automata import EMPTY
-from treeca.transforms import _SubsetPool, _Subsets
+from treeca.transforms import _Subsets
 from treeca.trees import fresh_tuples
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -597,9 +597,9 @@ def _step_by_members(s: _Subsets, sym: str, combo: tuple[int, ...]) -> int:
     the targets of sym's named rules over every tuple of their members,
     interned into s."""
     targets: set[str] = set()
-    for args in itertools.product(*(sorted(s.pool.order[i]) for i in combo)):
+    for args in itertools.product(*(sorted(s.subset(i)) for i in combo)):
         targets |= s.a.delta.get((sym, args), EMPTY)
-    return s._intern(sum(1 << s.states.index(q) for q in targets))
+    return s.pool.intern(sum(1 << s.states.index(q) for q in targets))
 
 
 def product_walk_by_steps(sa: _Subsets, sb: _Subsets) -> Tree | None:
@@ -620,7 +620,7 @@ def product_walk_by_steps(sa: _Subsets, sb: _Subsets) -> Tree | None:
             fresh.append((pa, pb, Tree(sym)))
     while fresh:
         for pa, pb, wit in fresh:
-            if sa.pool.order[pa].isdisjoint(sa.a.final) != sb.pool.order[pb].isdisjoint(sb.a.final):
+            if sa.subset(pa).isdisjoint(sa.a.final) != sb.subset(pb).isdisjoint(sb.a.final):
                 return wit
         lo = len(explored)
         explored.extend(fresh)
@@ -712,6 +712,28 @@ def isomorphic_by_search(a: Bta, b: Bta) -> bool:
     return extend(0)
 
 
+class NamedSubsetPool:
+    """Subsets of state names in discovery order, keyed by their frozensets
+    and capped by a budget, with the library pool's two BudgetError
+    messages: the reference interner for the subset constructions here."""
+
+    def __init__(self, budget: int):
+        if budget < 1:
+            raise BudgetError("budget must be positive")
+        self.order: list[frozenset[str]] = []
+        self.index: dict[frozenset[str], int] = {}
+        self.budget = budget
+
+    def intern(self, members: frozenset[str]) -> int:
+        if members not in self.index:
+            if len(self.order) >= self.budget:
+                raise BudgetError(
+                    f"subset construction exceeded the budget of {self.budget} states")
+            self.index[members] = len(self.order)
+            self.order.append(members)
+        return self.index[members]
+
+
 def subset_construction_by_product(
     a: Bta, budget: int
 ) -> tuple[Bta, dict[str, frozenset[str]]]:
@@ -720,16 +742,8 @@ def subset_construction_by_product(
     are numbered in discovery order (nullary images, then each new subset's
     tuples with the older ones in lexicographic order) and the budget caps
     how many may be numbered."""
-    order: list[frozenset[str]] = []
-    index: dict[frozenset[str], int] = {}
-
-    def intern(members: frozenset[str]) -> int:
-        if members not in index:
-            if len(order) >= budget:
-                raise BudgetError(f"subset construction exceeded the budget of {budget} states")
-            index[members] = len(order)
-            order.append(members)
-        return index[members]
+    pool = NamedSubsetPool(budget)
+    order, intern = pool.order, pool.intern
 
     raw: dict[tuple[str, tuple[int, ...]], int] = {}
     for sym in a.alphabet.nullary:
@@ -794,7 +808,7 @@ def tta_determinize_direct(t: Tta, *, budget: int = DEFAULT_STATE_BUDGET) -> Tta
     the cleanup done by the reversal route.
     """
     t0 = reverse_bta(trim_unreachable(reverse_tta(t)))
-    pool = _SubsetPool(budget)
+    pool = NamedSubsetPool(budget)
     pool.intern(t0.initial)
     prods_out: list[tuple[int, str, tuple[int, ...]]] = []
     i = 0

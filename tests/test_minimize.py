@@ -665,8 +665,9 @@ def test_a_walk_that_finds_no_tree_meets_every_reachable_subset():
     for _ in range(100):
         a = random_path_closed_bta(rng, rng.choice([AB, ABG, BOOL, MONO, TERN]))
         c, sa, sc = _require_path_closed(a, DEFAULT_STATE_BUDGET, "a test")
-        assert set(sc.pool.order) == set(subset_construction(c)[1].values())
-        assert set(sa.pool.order) == set(subset_construction(trim_unreachable(a))[1].values())
+        for s, b in ((sc, c), (sa, trim_unreachable(a))):
+            met = set(map(s.subset, range(len(s.pool.order))))
+            assert met == set(subset_construction(b)[1].values())
 
 
 def test_the_path_closedness_verdict_lets_a_budget_error_through(bool2, and1):

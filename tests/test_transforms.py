@@ -16,9 +16,11 @@ from treeca import (
     RankedAlphabet,
     accepts,
     codeterminize,
+    check_gen_det_d,
     complete,
     determinize,
     enumerate_trees,
+    equivalent,
     is_codeterministic,
     is_deterministic,
     is_path_closed,
@@ -38,16 +40,19 @@ from treeca import (
 
 from treeca.transforms import _codeterminize
 
+import helpers
 from helpers import (
     AB,
     ABG,
     BOOL,
     MONO,
+    Raised,
     assert_routes_agree,
     complete_by_name,
     drop_every_fifth_rule,
     is_total_by_product,
     load_fixture,
+    outcome,
     productions_by_copy,
     random_bta,
     random_dtta,
@@ -142,7 +147,29 @@ def test_rule_index_matches_the_member_product(subset_pools):
             assert str(caught.value) == "budget must be positive"
             assert not subset_pools
         else:
-            assert subset_pools[0].order == list(ref_members.values())[: n - 1]
+            states = sorted(a.states)
+            built = [frozenset(map(states.__getitem__, m)) for m in subset_pools[0].members]
+            assert built == list(ref_members.values())[: n - 1]
+
+
+def test_every_subset_construction_keys_its_subsets_by_member_bitmask(subset_pools):
+    """Upward and downward, a pool holds each subset once, as the bitmask of
+    its members' numbers, with its id and its members in increasing order;
+    no pool holds a set of state names."""
+    routes = [determinize, codeterminize, lambda a: equivalent(a, codeterminize(a)),
+              is_path_closed, check_gen_det_d]
+    for name in ("abc.bta", "abc_codet.bta", "and1.bta", "bool2.bta", "star.bta"):
+        a = load_fixture(name)
+        for route in routes:
+            subset_pools.clear()
+            outcome(route, a)
+            assert subset_pools
+            for pool in subset_pools:
+                assert all(type(mask) is int for mask in [*pool.order, *pool.index])
+                assert len(pool.index) == len(pool.order) == len(pool.members)
+                assert [pool.index[mask] for mask in pool.order] == list(range(len(pool.order)))
+                assert [sum(1 << q for q in m) for m in pool.members] == pool.order
+                assert all(m == sorted(m) for m in pool.members)
 
 
 def test_determinizing_a_deterministic_counter_costs_what_its_subsets_hold():
@@ -366,6 +393,37 @@ def test_both_topdown_determinizations_agree_structurally():
     ttas = all_tta_fixtures() + [random_dtta(rng) for _ in range(40)]
     ttas += [reverse_bta(random_bta(rng)) for _ in range(25)]
     assert_routes_agree(tta_determinize, tta_determinize_direct, [(t,) for t in ttas])
+
+
+def test_both_topdown_determinizations_agree_under_every_budget(subset_pools, monkeypatch):
+    """The same result, or the same BudgetError with the same message, for
+    every budget from 0 to one past the result's state count, on the
+    reversed seeded draws; and the same subsets interned in the same order
+    up to the one that overflows, the co-determinization's masks read as
+    the trimmed states' names."""
+    direct_pools = []
+
+    class RecordingPool(helpers.NamedSubsetPool):
+        def __init__(self, budget: int):
+            super().__init__(budget)
+            direct_pools.append(self)
+
+    monkeypatch.setattr(helpers, "NamedSubsetPool", RecordingPool)
+    raised = []
+    for t in map(reverse_bta, seeded_draws(250)):
+        states = sorted(trim_unreachable(reverse_tta(t)).states)
+        for budget in range(len(tta_determinize(t).states) + 2):
+            subset_pools.clear()
+            direct_pools.clear()
+            got = outcome(tta_determinize, t, budget=budget)
+            assert got == outcome(tta_determinize_direct, t, budget=budget)
+            built = [frozenset(map(states.__getitem__, m)) for p in subset_pools for m in p.members]
+            assert built == [s for p in direct_pools for s in p.order]
+            if isinstance(got, Raised):
+                raised.append(got.message)
+    assert len(raised) > 400
+    assert {m.split(" of ")[0] for m in raised} == {
+        "budget must be positive", "subset construction exceeded the budget"}
 
 
 def test_topdown_determinization_output_is_deterministic():
