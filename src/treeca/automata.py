@@ -342,11 +342,16 @@ def _run(
     Leaves take their states from the table (a seeded run adds the hole).  Nodes
     are listed breadth-first, each node's children together after it; the list
     is overwritten with state sets from the back.  Memo hits are listed as sets.
+    An inner node's set is the subset step delta(f, S1 x ... x Sk) of its label
+    and its children's sets.  A step table local to the call computes each
+    distinct step once, since a term of thousands of nodes meets only a few;
+    it stores only ranked steps, so every misranked node is checked and raises.
     """
     known = None if memo is None else memo.get(t)
     if known is not None:
         return known
     delta = a.delta
+    steps: dict[tuple, frozenset[str]] = {}
     nodes: list = [t]
     if memo is None:
         for u in nodes:
@@ -366,12 +371,18 @@ def _run(
         label, k = u.label, len(u.children)
         if k:
             end -= k
-            acc: set[str] = set()
-            for combo in itertools.product(*nodes[end : end + k]):
-                acc |= delta.get((label, combo), EMPTY)
-            out = frozenset(acc)
-            # A rule that fires proves the arity; check it only when none does.
-            ranked = bool(acc) or (label in a.alphabet and a.alphabet.arity(label) == k)
+            key = (label, *nodes[end : end + k])
+            out = steps.get(key)
+            ranked = out is not None
+            if not ranked:
+                acc: set[str] = set()
+                for combo in itertools.product(*key[1:]):
+                    acc |= delta.get((label, combo), EMPTY)
+                out = frozenset(acc)
+                # A rule that fires proves the arity; check it only when none does.
+                ranked = bool(acc) or (label in a.alphabet and a.alphabet.arity(label) == k)
+                if ranked:
+                    steps[key] = out
         else:
             out = leaves.get(label)
             ranked = out is not None

@@ -264,13 +264,29 @@ def puncture(t: Tree, addr: Address) -> Tree:
 
 
 def _holes(t: Tree) -> tuple[int, Tree | None, Address]:
-    """How many hole nodes t has, and one of them with its address (None
-    and () when there is none)."""
-    count, hole, link = 0, None, ()
-    for node, at in _preorder(t):
-        if node.label == HOLE:
-            count, hole, link = count + 1, node, at
-    return count, hole, _address(link)
+    """How many hole nodes t has, and the last of them in preorder with its
+    address (None and () when there is none).
+
+    The walk keeps a stack of child iterators, one per node on the current
+    path, and path[d] is the 1-based index of the child taken at depth d+1,
+    so a node costs one step of an iterator and no address is built but the
+    holes'.
+    """
+    count, hole, addr = (1, t, ()) if t.label == HOLE else (0, None, ())
+    stack, path = [iter(t.children)], [0]
+    while stack:
+        for node in stack[-1]:
+            path[-1] += 1
+            if node.label == HOLE:
+                count, hole, addr = count + 1, node, tuple(path)
+            if node.children:
+                stack.append(iter(node.children))
+                path.append(0)
+                break
+        else:
+            stack.pop()
+            path.pop()
+    return count, hole, addr
 
 
 def is_context(t: Tree) -> bool:

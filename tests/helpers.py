@@ -24,6 +24,7 @@ from treeca import (
     BudgetError,
     NotDeterministicError,
     NotPathClosedError,
+    NotWellRankedError,
     ParseError,
     RankedAlphabet,
     Tree,
@@ -382,6 +383,59 @@ def swap_two_targets(a: Bta) -> Bta:
 
 
 # === Independent oracles ==========================================================
+
+def post_by_products(
+    a: Bta, t: Tree, s: frozenset[str] | None = None, hole: str | None = None
+) -> frozenset[str]:
+    """The states a run of a reaches at the root of t, every node evaluated
+    by the full product of its children's sets: no step table, no memo.
+
+    Leaves take their nullary targets inside s (all states if None); the hole
+    is pinned to {hole} when hole is given.  The nodes are evaluated in
+    postorder off an explicit stack.  A misranked input raises the library's
+    NotWellRankedError for the first misranked node in reverse breadth-first
+    order, the order the library's run reaches them.
+    """
+    keep = a.states if s is None else s
+    leaves = {sym: a.delta.get((sym, ()), EMPTY) & keep for sym in a.alphabet.nullary}
+    if hole is not None:
+        leaves[HOLE] = frozenset({hole})
+    arities = a.alphabet.entries
+    level = [t]
+    for u in level:
+        level += u.children
+    for u in reversed(level):
+        k = len(u.children)
+        if (arities.get(u.label) != k) if k else (u.label not in leaves):
+            what = "context" if hole is not None else "tree"
+            raise NotWellRankedError(f"{what} is not well ranked at symbol {u.label!r}")
+    done: list[frozenset[str]] = []  # the sets of finished subtrees, the latest last
+    stack: list[tuple[Tree, bool]] = [(t, False)]
+    while stack:
+        u, expanded = stack.pop()
+        k = len(u.children)
+        if not k:
+            done.append(leaves[u.label])
+        elif not expanded:
+            stack.append((u, True))
+            stack += ((c, False) for c in reversed(u.children))
+        else:
+            args = done[-k:]
+            del done[-k:]
+            acc: set[str] = set()
+            for combo in itertools.product(*args):
+                acc |= a.delta.get((u.label, combo), EMPTY)
+            done.append(frozenset(acc))
+    return done[0]
+
+
+def holes_by_preorder(t: Tree) -> tuple[int, Tree | None, tuple[int, ...]]:
+    """How many hole nodes iter_nodes meets in t, and the last of them with
+    its address (None and () when there is none)."""
+    holes = [(addr, node) for addr, node in iter_nodes(t) if node.label == HOLE]
+    addr, node = holes[-1] if holes else ((), None)
+    return len(holes), node, addr
+
 
 def run_tta_directly(t: Tta, tree: Tree) -> bool:
     """Top-down acceptance decided by the textbook run, without reversing:

@@ -4,37 +4,47 @@ weak pre, trims, and the determinism predicates."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 
 from treeca import (
+    HOLE,
     Bta,
     NotWellRankedError,
+    RankedAlphabet,
+    Tree,
     TreecaError,
     Tta,
     accepts,
+    bta_congruence_up,
     determinize,
     enumerate_contexts,
     enumerate_trees,
     is_codeterministic,
     is_deterministic,
+    iter_nodes,
     language_upto,
     minimize_bta,
     parse_context,
     parse_term,
     plug,
     post_tree,
+    puncture,
     reachable_states,
     reverse_bta,
     reverse_tta,
     seeded_post,
+    substitute,
+    subtree,
     trim_empty,
     trim_unreachable,
     tta_accepts,
     useful_states,
     wpre,
 )
+from treeca.trees import _group
 
 from helpers import (
     AB,
@@ -42,8 +52,13 @@ from helpers import (
     BOOL,
     MONO,
     TERN,
+    Raised,
+    assert_routes_agree,
+    post_by_products,
     random_bta,
+    random_context,
     random_dtta_parts,
+    random_sized_tree,
     reachable_by_fixpoint,
     restrict_by_rebuild,
     rules_by_copy,
@@ -149,6 +164,90 @@ def test_post_recursion_over_every_seed_set(and1):
                 for combo in itertools.product(*kid_posts):
                     expected |= and1.delta.get((t.label, combo), frozenset())
                 assert post_tree(and1, t, s) == frozenset(expected)
+
+
+def with_faults(rng: random.Random, t: Tree, alphabet: RankedAlphabet) -> Tree:
+    """t with two of its nodes other than the hole made misranked, one
+    relabeled with an unknown symbol and one given an extra child, so the
+    fault a run reports tells which one it reached first."""
+    spots = [addr for addr, node in iter_nodes(t) if node.label != HOLE]
+    unknown, extra = rng.sample(spots, 2)
+    node = subtree(t, unknown)
+    t = substitute(t, unknown, Tree("zz", node.children))
+    node = subtree(t, extra)
+    return substitute(t, extra, Tree(node.label, (*node.children, Tree(alphabet.nullary[0]))))
+
+
+def test_runs_agree_with_the_full_product_at_every_node():
+    """post_tree, accepts, seeded_post and bta_congruence_up's memo route give
+    what evaluating every node by the full product of its children's sets
+    gives, on terms and contexts of the bounded workload's sizes, and
+    misranked inputs raise the same error, for the same node."""
+    rng = random.Random(29)
+    accepted = lambda a, t: bool(post_by_products(a, t) & a.final)  # noqa: E731
+    seeded = lambda a, x, q: post_by_products(a, x, hole=q)  # noqa: E731
+    for a in seeded_draws(15):
+        t = random_sized_tree(rng, a.alphabet, 2000)
+        base = random_sized_tree(rng, a.alphabet, 1000)
+        leaf = rng.choice([addr for addr, node in iter_nodes(base) if not node.children])
+        x = puncture(base, leaf)
+        s = frozenset(q for q in sorted(a.states) if rng.random() < 0.6)
+        terms = [t, with_faults(rng, t, a.alphabet), x]
+        contexts = [x, with_faults(rng, x, a.alphabet), random_context(rng, a.alphabet, 6)]
+        got = assert_routes_agree(post_tree, post_by_products, [(a, u, s) for u in terms])
+        assert isinstance(got[1], Raised)
+        assert_routes_agree(accepts, accepted, [(a, u) for u in terms])
+        inputs = [(a, u, q) for u in contexts for q in sorted(a.states)]
+        assert_routes_agree(seeded_post, seeded, inputs)
+        trees = enumerate_trees(a.alphabet, 3)
+        assert list(bta_congruence_up(a, 3).items()) == list(
+            _group(trees, lambda u: post_by_products(a, u)).items()
+        )
+
+
+class CountingRules(dict):
+    """A rule map that counts its get calls."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def test_a_run_evaluates_each_distinct_step_once():
+    """A run looks each leaf symbol up once, and each argument tuple of each
+    distinct (symbol, child state sets) step once: a 3000-node term over a
+    draw of at most four states meets far fewer steps than nodes, and an
+    empty step is a hit like any other."""
+    rng = random.Random(5)
+    empty_steps = per_steps = per_nodes = 0
+    for a in [a for a in seeded_draws(20) if len(a.states) <= 4]:
+        rules = CountingRules(a.delta)
+        b = Bta._of(a.alphabet, a.states, rules, a.final)
+        t = random_sized_tree(rng, a.alphabet, 3000)
+        sets: dict[int, frozenset[str]] = {}  # by node id, read off an independent pass
+        steps: dict[tuple, frozenset[str]] = {}
+        per_node = 0
+        nodes = [t]
+        for u in nodes:
+            nodes += u.children
+        for u in reversed(nodes):
+            if not u.children:
+                sets[id(u)] = a.delta.get((u.label, ()), frozenset())
+                continue
+            key = (u.label, *(sets[id(c)] for c in u.children))
+            acc = set()
+            for combo in itertools.product(*key[1:]):
+                acc |= a.delta.get((u.label, combo), frozenset())
+            sets[id(u)] = steps[key] = frozenset(acc)
+            per_node += math.prod(map(len, key[1:]))
+        assert accepts(b, t) == bool(sets[id(t)] & a.final)
+        per_step = sum(math.prod(map(len, key[1:])) for key in steps)
+        assert rules.gets == len(a.alphabet.nullary) + per_step
+        per_steps, per_nodes = per_steps + per_step, per_nodes + per_node
+        empty_steps += sum(not out for out in steps.values())
+    assert empty_steps and per_steps * 10 < per_nodes
 
 
 # === Seeded runs and wpre =========================================================

@@ -30,6 +30,9 @@ from treeca import (
     puncture,
 )
 from treeca.cli import main
+from treeca.trees import _holes
+
+from helpers import holes_by_preorder
 
 DEPTH = 5000
 
@@ -187,6 +190,17 @@ def test_walks_address_only_what_they_report():
     assert pivot(x) == (1,) * DEPTH
     assert is_context(x)
     assert not is_context(Tree("f", [x, x]))
+
+
+def test_the_hole_search_finds_the_bottom_of_a_chain():
+    """_holes walks a chain deeper than the recursion limit and returns what
+    the addressed preorder finds, also under a hole that has children."""
+    for t in (chain(Tree(HOLE)), Tree(HOLE, [chain(Tree(HOLE))])):
+        count, hole, addr = _holes(t)
+        want = holes_by_preorder(t)
+        assert (count, addr) == (want[0], want[2]) and hole is want[1]
+    assert _holes(chain(Tree(HOLE)))[2] == (1,) * DEPTH
+    assert _holes(chain(Tree("a"))) == (0, None, ())
 
 
 def test_path_language_of_a_chain_is_its_one_path():

@@ -40,7 +40,7 @@ from treeca import (
     subtree,
     substitute,
 )
-from treeca.trees import _enumerate_raw, _memo, _parse_term, fresh_tuples
+from treeca.trees import _enumerate_raw, _holes, _memo, _parse_term, fresh_tuples
 
 from helpers import (
     AB,
@@ -49,6 +49,7 @@ from helpers import (
     TERN,
     Raised,
     assert_routes_agree,
+    holes_by_preorder,
     outcome,
     random_context,
     random_sized_tree,
@@ -157,6 +158,36 @@ def test_malformed_contexts_are_rejected():
         parse_context("and(<>,<>)")
     with pytest.raises(ParseError):
         parse_context("and(T,T)")
+
+
+def with_holes(rng: random.Random, t: Tree, count: int) -> Tree:
+    """t with count distinct random nodes relabeled as holes, each keeping
+    its children."""
+    for addr, _ in rng.sample(list(iter_nodes(t)), count):
+        t = substitute(t, addr, Tree(HOLE, subtree(t, addr).children))
+    return t
+
+
+def test_the_hole_search_finds_what_the_addressed_preorder_finds():
+    """_holes counts the holes and returns the last in preorder, with its
+    address, as iter_nodes finds them, on random trees with 0 to 3 holes,
+    holes with children among them; is_context and pivot read it."""
+    rng = random.Random(11)
+    inputs = [Tree(HOLE), Tree(HOLE, [Tree(HOLE)]), Tree("g", [Tree(HOLE, [Tree("a")])])]
+    for alphabet in (ABG, BOOL, TERN) * 10:
+        t = random_sized_tree(rng, alphabet, rng.randint(3, 300))
+        inputs += [with_holes(rng, t, count) for count in range(4)]
+    for t in inputs:
+        count, hole, addr = _holes(t)
+        want = holes_by_preorder(t)
+        assert (count, addr) == (want[0], want[2]) and hole is want[1]
+        assert is_context(t) == (count == 1 and not hole.children)
+        if count == 1:
+            assert pivot(t) == addr
+        else:
+            with pytest.raises(MalformedContextError, match=f"found {count}$"):
+                pivot(t)
+    assert any(count == 1 and hole.children for count, hole, _ in map(_holes, inputs))
 
 
 def test_well_rankedness():
