@@ -81,9 +81,9 @@ def bta_congruence_up(
     a: Bta, max_height: int, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> dict[frozenset[str], tuple[Tree, ...]]:
     """Group every tree up to max_height by the set of states it evaluates to."""
-    leaves, memo = _leaves(a), {}
+    leaves, memo, steps = _leaves(a), {}, {}
     trees = enumerate_trees(a.alphabet, max_height, budget)
-    return _group(trees, lambda t: _run(a, t, leaves, memo))
+    return _group(trees, lambda t: _run(a, t, leaves, memo, steps))
 
 
 def bta_congruence_down(
@@ -92,8 +92,10 @@ def bta_congruence_down(
     """Group every context up to max_height by its pre of the final states.
 
     Unreachable states are removed up front, once, since the spine fold is
-    only exact for pre on trimmed automata.
+    only exact for pre on trimmed automata.  The folds share one memo for
+    their sibling runs: a sibling holds no hole, so its set is the same in
+    every context.
     """
-    a1 = trim_unreachable(a)
+    a1, memo, steps = trim_unreachable(a), {}, {}
     contexts = enumerate_contexts(a.alphabet, max_height, budget)
-    return _group(contexts, lambda x: _spine_fold(a1, x, a1.final, pivot(x))[1])
+    return _group(contexts, lambda x: _spine_fold(a1, x, a1.final, pivot(x), memo, steps)[1])

@@ -335,23 +335,33 @@ def _leaves(a: Bta, s: frozenset[str] | None = None) -> dict[str, frozenset[str]
 
 
 def _run(
-    a: Bta, t: Tree, leaves: Mapping[str, frozenset[str]], memo: dict | None = None
+    a: Bta, t: Tree, leaves: Mapping[str, frozenset[str]], memo: dict | None = None,
+    steps: dict | None = None,
 ) -> frozenset[str]:
     """The states a bottom-up run of a reaches at the root of t.
 
     Leaves take their states from the table (a seeded run adds the hole).  Nodes
     are listed breadth-first, each node's children together after it; the list
-    is overwritten with state sets from the back.  Memo hits are listed as sets.
-    An inner node's set is the subset step delta(f, S1 x ... x Sk) of its label
-    and its children's sets.  A step table local to the call computes each
-    distinct step once, since a term of thousands of nodes meets only a few;
-    it stores only ranked steps, so every misranked node is checked and raises.
+    is overwritten with state sets from the back.  An inner node's set is the
+    subset step delta(f, S1 x ... x Sk) of its label and its children's sets,
+    which the step table steps holds once computed (_step), since a term of
+    thousands of nodes meets only a few.  A sweep passes a memo of subtree
+    sets and its one step table; a run without them gets a step table of
+    its own.  A node whose children are all in the memo is one step.
     """
-    known = None if memo is None else memo.get(t)
-    if known is not None:
-        return known
-    delta = a.delta
-    steps: dict[tuple, frozenset[str]] = {}
+    if steps is None:
+        steps = {}
+    if memo is not None:
+        known = memo.get(t)
+        if known is not None:
+            return known
+        key = (t.label, *map(memo.get, t.children))
+        if len(key) > 1 and None not in key:
+            out = steps.get(key)
+            if out is None:
+                out = _step(a, steps, key, leaves)
+            memo[t] = out
+            return out
     nodes: list = [t]
     if memo is None:
         for u in nodes:
@@ -373,26 +383,35 @@ def _run(
             end -= k
             key = (label, *nodes[end : end + k])
             out = steps.get(key)
-            ranked = out is not None
-            if not ranked:
-                acc: set[str] = set()
-                for combo in itertools.product(*key[1:]):
-                    acc |= delta.get((label, combo), EMPTY)
-                out = frozenset(acc)
-                # A rule that fires proves the arity; check it only when none does.
-                ranked = bool(acc) or (label in a.alphabet and a.alphabet.arity(label) == k)
-                if ranked:
-                    steps[key] = out
+            if out is None:
+                out = _step(a, steps, key, leaves)
         else:
             out = leaves.get(label)
-            ranked = out is not None
-        if not ranked:
-            what = "context" if HOLE in leaves else "tree"
-            raise NotWellRankedError(f"{what} is not well ranked at symbol {label!r}")
+            if out is None:
+                raise _misranked(leaves, label)
         if memo is not None:
             memo[u] = out
         nodes[i] = out
     return nodes[0]
+
+
+def _step(a: Bta, steps: dict, key: tuple, leaves: Mapping) -> frozenset[str]:
+    """The subset step of key = (f, S1, ..., Sk), stored in steps.  Only
+    ranked steps are stored, so every misranked node is checked and raises."""
+    label, delta = key[0], a.delta
+    acc: set[str] = set()
+    for combo in itertools.product(*key[1:]):
+        acc |= delta.get((label, combo), EMPTY)
+    # A rule that fires proves the arity; check it only when none does.
+    if not acc and not (label in a.alphabet and a.alphabet.arity(label) == len(key) - 1):
+        raise _misranked(leaves, label)
+    out = steps[key] = frozenset(acc)
+    return out
+
+
+def _misranked(leaves: Mapping, label: str) -> NotWellRankedError:
+    what = "context" if HOLE in leaves else "tree"
+    return NotWellRankedError(f"{what} is not well ranked at symbol {label!r}")
 
 
 def post_tree(a: Bta, t: Tree, s: Iterable[str]) -> frozenset[str]:
@@ -420,13 +439,18 @@ def seeded_post(a: Bta, x: Tree, q: str) -> frozenset[str]:
     return _run(a, x, {**_leaves(a), HOLE: frozenset({q})})
 
 
-def _spine_fold(a: Bta, x: Tree, s: frozenset[str], at: Address) -> tuple[frozenset, frozenset]:
+def _spine_fold(
+    a: Bta, x: Tree, s: frozenset[str], at: Address, memo: dict | None = None,
+    steps: dict | None = None,
+) -> tuple[frozenset, frozenset]:
     """Fold the spine of context x down to its hole at address at from the root set s.
 
     Each step (f, i) keeps argument i of every f-production of a state in the
     running set.  Requiring the other arguments to lie in the states of the
     actual siblings gives wpre(a, x, s), the first result.  Dropping that
     check gives pre, exact on a trimmed a, the second (empty if the first is).
+    The siblings hold no hole, so a sweep of folds may share one memo and
+    step table for their runs (_run).
     """
     leaves = _leaves(a)
     down = reverse_bta(a).delta
@@ -436,7 +460,10 @@ def _spine_fold(a: Bta, x: Tree, s: frozenset[str], at: Address) -> tuple[frozen
         kids = node.children
         if node.label not in a.alphabet or a.alphabet.arity(node.label) != len(kids):
             raise NotWellRankedError(f"context is not well ranked at symbol {node.label!r}")
-        sibs = [a.states if j == i else _run(a, c, leaves) for j, c in enumerate(kids, 1)]
+        sibs = [
+            a.states if j == i else _run(a, c, leaves, memo, steps)
+            for j, c in enumerate(kids, 1)
+        ]
         label = node.label
         weak = frozenset(
             args[i - 1]

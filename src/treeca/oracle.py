@@ -9,7 +9,8 @@ reaches at the hole exactly the set S that t reaches, and above the hole it
 is the run on x with its hole seeded to S.  So each enumerated tree runs
 once, and each context once per distinct reached set.  Every run is the
 package's one bottom-up run, with one memo per sweep and one per seed,
-since enumerated trees and contexts share subtrees.
+since enumerated trees and contexts share subtrees, and one step table
+per sweep, since a step does not depend on the seed.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ def _classes(items: Iterable[Tree], key: Callable[[Tree], Hashable]) -> tuple[tu
     return tuple(sorted(_group(items, key).values(), key=lambda c: c[0]))
 
 
-def _acceptor(a: Bta, hole: frozenset[str] | None = None) -> Callable[[Tree], bool]:
-    """Acceptance by a, with one memo shared by every tree it is asked about.
+def _acceptor(a: Bta, steps: dict, hole: frozenset[str] | None = None) -> Callable[[Tree], bool]:
+    """Acceptance by a, with one memo shared by every tree it is asked about
+    and the sweep's step table steps.
 
     Given hole, it is asked about contexts, and their hole reaches exactly
     those states.  The memo then serves that seed alone: subtrees holding the
@@ -43,20 +45,20 @@ def _acceptor(a: Bta, hole: frozenset[str] | None = None) -> Callable[[Tree], bo
     leaves, memo = _leaves(a), {}
     if hole is not None:
         leaves[HOLE] = hole
-    return lambda t: bool(_run(a, t, leaves, memo) & a.final)
+    return lambda t: bool(_run(a, t, leaves, memo, steps) & a.final)
 
 
-def _reached(a: Bta, trees: Iterable[Tree]) -> dict[Tree, frozenset[str]]:
+def _reached(a: Bta, trees: Iterable[Tree], steps: dict) -> dict[Tree, frozenset[str]]:
     """The state set each tree reaches, with one memo shared by every tree."""
     leaves, memo = _leaves(a), {}
-    return {t: _run(a, t, leaves, memo) for t in trees}
+    return {t: _run(a, t, leaves, memo, steps) for t in trees}
 
 
 def language_upto(
     a: Bta, max_height: int, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> frozenset[Tree]:
     """All accepted trees of height up to max_height."""
-    return frozenset(filter(_acceptor(a), enumerate_trees(a.alphabet, max_height, budget)))
+    return frozenset(filter(_acceptor(a, {}), enumerate_trees(a.alphabet, max_height, budget)))
 
 
 def nerode_classes_up(
@@ -77,9 +79,10 @@ def nerode_classes_up(
     """
     trees = enumerate_trees(a.alphabet, tree_height, budget)
     contexts = enumerate_contexts(a.alphabet, context_height, budget)
-    reached = _reached(a, trees)
+    steps: dict = {}
+    reached = _reached(a, trees, steps)
     vectors = {
-        s: tuple(map(_acceptor(a, s), contexts)) for s in dict.fromkeys(reached.values())
+        s: tuple(map(_acceptor(a, steps, s), contexts)) for s in dict.fromkeys(reached.values())
     }
     return _classes(trees, lambda t: vectors[reached[t]])
 
@@ -100,7 +103,8 @@ def nerode_classes_down(
     """
     contexts = enumerate_contexts(a.alphabet, context_height, budget)
     trees = enumerate_trees(a.alphabet, tree_height, budget)
-    seeded = [_acceptor(a, s) for s in dict.fromkeys(_reached(a, trees).values())]
+    steps: dict = {}
+    seeded = [_acceptor(a, steps, s) for s in dict.fromkeys(_reached(a, trees, steps).values())]
     return _classes(contexts, lambda x: tuple(accepted(x) for accepted in seeded))
 
 

@@ -170,7 +170,7 @@ def _preorder(t: Tree) -> Iterator[tuple[Tree, tuple]]:
 
     The root's link is (); a child's is (its 1-based index, its parent's
     link).  Links share their tails, so each step of the walk costs O(1);
-    _address spells a link out.
+    _address spells a link out, for check_well_ranked's report.
     """
     stack: list[tuple[Tree, tuple]] = [(t, ())]
     while stack:
@@ -190,9 +190,17 @@ def _address(link: tuple) -> Address:
 
 
 def iter_nodes(t: Tree) -> Iterator[tuple[Address, Tree]]:
-    """Yield (address, subtree) pairs in preorder; addresses are 1-based."""
-    for node, link in _preorder(t):
-        yield _address(link), node
+    """Yield (address, subtree) pairs in preorder; addresses are 1-based.
+
+    A child's address is its parent's plus one step, one tuple copy per
+    node, so the addresses themselves total O(n * depth) for n nodes."""
+    stack: list[tuple[Address, Tree]] = [((), t)]
+    while stack:
+        addr, node = stack.pop()
+        yield addr, node
+        kids = node.children
+        for i in range(len(kids), 0, -1):
+            stack.append((addr + (i,), kids[i - 1]))
 
 
 def format_address(addr: Address) -> str:
@@ -431,16 +439,29 @@ def _group(items: Iterable[Tree], key: Callable[[Tree], Hashable]) -> dict:
     return {k: tuple(members) for k, members in groups.items()}
 
 
+_FLAT_HEIGHT = 32  # format_term writes a subtree this high or lower by recursion
+
+
+def _flat_term(t: Tree) -> str:
+    if t.children:
+        return f"{t.label}({','.join(map(_flat_term, t.children))})"
+    return t.label
+
+
 def format_term(t: Tree) -> str:
-    """Render a tree in the term syntax; nullary symbols omit parentheses."""
+    """Render a tree in the term syntax; nullary symbols omit parentheses.
+
+    A subtree of height at most _FLAT_HEIGHT is written by recursion, one
+    join per node; an explicit stack walks the nodes above, so a chain of
+    any depth never recurses deeply."""
     parts: list[str] = []
     todo: list[Tree | str] = [t]  # trees and punctuation still to write, next one last
     while todo:
         u = todo.pop()
         if u.__class__ is str:
             parts.append(u)
-        elif not u.children:
-            parts.append(u.label)
+        elif u.height <= _FLAT_HEIGHT:
+            parts.append(_flat_term(u))
         else:
             parts.append(u.label + "(")
             todo.append(")")

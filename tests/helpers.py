@@ -1140,3 +1140,24 @@ def read_every_way_from_token_list(text: str, alphabet: RankedAlphabet) -> tuple
         return t
 
     return read, *(outcome(f, ranked) for f in (term, context) for ranked in (False, True))
+
+
+def write_term_by_tokens(t: Tree) -> str:
+    """The term syntax of t, written one token at a time: a label, and after
+    an inner node's label '(', its children separated by ',' and ')'.  An
+    explicit stack holds (node, children written so far) pairs, so a chain
+    of any depth is written.  The reference for format_term."""
+    tokens = [t.label]
+    stack = [(t, 0)]
+    while stack:
+        node, done = stack.pop()
+        kids = node.children
+        if done == len(kids):
+            if kids:
+                tokens.append(")")
+            continue
+        tokens.append("," if done else "(")
+        stack.append((node, done + 1))
+        tokens.append(kids[done].label)
+        stack.append((kids[done], 0))
+    return "".join(tokens)

@@ -28,10 +28,12 @@ from treeca import (
     is_path_closed,
     language_upto,
     minimize_bta,
+    nerode_classes_down,
     nerode_classes_up,
     parse_context,
     parse_term,
     path_language,
+    pivot,
     pre_context,
     root_to_pivot_equiv,
     seeded_post,
@@ -40,6 +42,8 @@ from treeca import (
     wpre,
 )
 from treeca import trees
+from treeca.automata import _spine_fold
+from treeca.trees import _group
 
 from helpers import (
     AB,
@@ -51,7 +55,10 @@ from helpers import (
     assert_routes_agree,
     gen_det_d_by_isomorphism,
     gen_det_u_by_isomorphism,
+    nerode_classes_down_by_plugging,
+    nerode_classes_up_by_plugging,
     path_language_upto,
+    post_by_products,
     random_bta,
     random_context,
     random_codbta,
@@ -382,6 +389,26 @@ def test_congruence_down_and1_classes(and1):
         parse_context("and(<>,F)"),
         parse_context("and(F,<>)"),
     )
+
+
+def test_sweeps_agree_with_runs_and_folds_of_their_own():
+    """bta_congruence_up groups trees as the full-product run of each does,
+    and bta_congruence_down groups contexts as a spine fold of each with no
+    shared memo does: the same keys and members in the same order.  The
+    draws run back to back, with both oracle sweeps against plugging, so a
+    memo or step table leaking across automata or across the seeds of one
+    sweep would show."""
+    for a in [a for a in seeded_draws(100) if a.alphabet in (AB, ABG, BOOL)]:
+        a1 = trim_unreachable(a)
+        for h in (2, 3):
+            trees = enumerate_trees(a.alphabet, h)
+            want = _group(trees, lambda t: post_by_products(a, t))
+            assert list(bta_congruence_up(a, h).items()) == list(want.items())
+            contexts = enumerate_contexts(a.alphabet, h)
+            want = _group(contexts, lambda x: _spine_fold(a1, x, a1.final, pivot(x))[1])
+            assert list(bta_congruence_down(a, h).items()) == list(want.items())
+        assert nerode_classes_up(a, 2, 2) == nerode_classes_up_by_plugging(a, 2, 2)
+        assert nerode_classes_down(a, 2, 2) == nerode_classes_down_by_plugging(a, 2, 2)
 
 
 def test_congruence_up_refines_the_language_classes(bool2):

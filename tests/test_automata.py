@@ -250,6 +250,25 @@ def test_a_run_evaluates_each_distinct_step_once():
     assert empty_steps and per_steps * 10 < per_nodes
 
 
+def test_a_congruence_sweep_evaluates_each_distinct_step_once():
+    """One bta_congruence_up sweep over ABG at height 3 looks each leaf
+    symbol up once, and each argument tuple of each distinct (symbol, child
+    state sets) step once over all the trees it enumerates, not once per
+    tree."""
+    trees = enumerate_trees(ABG, 3)
+    per_steps = per_trees = 0
+    for a in [a for a in seeded_draws(50) if a.alphabet is ABG]:
+        rules = CountingRules(a.delta)
+        got = bta_congruence_up(Bta._of(a.alphabet, a.states, rules, a.final), 3)
+        keys = [(t.label, *(post_by_products(a, c) for c in t.children)) for t in trees]
+        per_step = sum(math.prod(map(len, key[1:])) for key in set(keys) if len(key) > 1)
+        assert rules.gets == len(ABG.nullary) + per_step
+        assert list(got) == list(_group(trees, lambda t: post_by_products(a, t)))
+        per_steps += per_step
+        per_trees += sum(math.prod(map(len, key[1:])) for key in keys if len(key) > 1)
+    assert per_steps * 3 < per_trees
+
+
 # === Seeded runs and wpre =========================================================
 
 def test_seeded_post_pins_only_the_hole(bool2):

@@ -32,7 +32,7 @@ from treeca import (
 from treeca.cli import main
 from treeca.trees import _holes
 
-from helpers import holes_by_preorder
+from helpers import holes_by_preorder, write_term_by_tokens
 
 DEPTH = 5000
 
@@ -170,6 +170,19 @@ def test_format_and_parse_round_trip():
     assert parse_term(text) == c
     x = parse_context(chain_text(HOLE))
     assert format_term(x) == chain_text(HOLE)
+
+
+def test_format_term_writes_deep_chains_as_the_token_writer_does():
+    """Chains 5000 and 100,000 deep, under a unary and under a binary spine,
+    are written without deep recursion."""
+    assert sys.getrecursionlimit() < DEPTH
+    for depth in (DEPTH, 100_000):
+        t = chain(Tree("a"), depth)
+        assert format_term(t) == write_term_by_tokens(t)
+        for _ in range(depth):
+            t = Tree("f", [Tree("b"), t])
+        x = Tree("f", [t, chain(Tree(HOLE), 40)])
+        assert format_term(x) == write_term_by_tokens(x)
 
 
 def test_plug_and_puncture_undo_each_other():

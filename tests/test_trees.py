@@ -55,6 +55,8 @@ from helpers import (
     random_sized_tree,
     read_every_way_from_token_list,
     read_term_from_token_list,
+    random_tree,
+    write_term_by_tokens,
 )
 
 
@@ -367,6 +369,32 @@ def test_parse_format_examples():
     assert format_term(parse_term("and(  or(T, F),T )")) == "and(or(T,F),T)"
     assert format_term(parse_term("T")) == "T"
     assert format_term(parse_context("and(<>,T)")) == "and(<>,T)"
+
+
+def _tall_tree(rng: random.Random, alphabet: RankedAlphabet, height: int) -> Tree:
+    """A random tree of exactly the given height: a spine of random inner
+    symbols, each beside random trees no higher than the spine below it."""
+    inner = [s for s in alphabet.symbols if alphabet.arity(s)]
+    t = random_tree(rng, alphabet, 1)
+    for _ in range(height - 1):
+        sym = rng.choice(inner)
+        kids = [random_tree(rng, alphabet, min(t.height, 3)) for _ in range(alphabet.arity(sym))]
+        kids[rng.randrange(len(kids))] = t
+        t = Tree(sym, kids)
+    return t
+
+
+def test_format_term_writes_what_the_token_writer_writes():
+    """Random trees and contexts of heights 1 to 40, on both sides of the
+    height up to which format_term writes a subtree by recursion."""
+    rng = random.Random(30)
+    for height in range(1, 41):
+        for alphabet in (AB, ABG, BOOL, TERN):
+            t = _tall_tree(rng, alphabet, height)
+            assert t.height == height
+            x = puncture(t, rng.choice([addr for addr, _ in iter_nodes(t)]))
+            for u in (t, x, *t.children):
+                assert format_term(u) == write_term_by_tokens(u)
 
 
 def test_parse_errors_carry_positions():
