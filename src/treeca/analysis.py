@@ -61,7 +61,7 @@ def pre_context(a: Bta, x: Tree, s: Iterable[str] | None = None) -> frozenset[st
         )
         a = _restrict(a, reach)
         seed &= reach
-    return _spine_fold(a, x, seed, pivot(x))[1]
+    return _spine_fold(a, x, seed, pivot(x), _leaves(a))[1]
 
 
 def root_to_pivot_equiv(
@@ -73,8 +73,10 @@ def root_to_pivot_equiv(
     spine = spine_of(x)
     if spine != spine_of(y):
         return False
-    at = tuple(i for _, i in spine)
-    return bool(_spine_fold(a, x, seed, at)[0]) == bool(_spine_fold(a, y, seed, at)[0])
+    at, leaves = tuple(i for _, i in spine), _leaves(a)
+    return bool(_spine_fold(a, x, seed, at, leaves)[0]) == bool(
+        _spine_fold(a, y, seed, at, leaves)[0]
+    )
 
 
 def bta_congruence_up(
@@ -92,10 +94,13 @@ def bta_congruence_down(
     """Group every context up to max_height by its pre of the final states.
 
     Unreachable states are removed up front, once, since the spine fold is
-    only exact for pre on trimmed automata.  The folds share one memo for
-    their sibling runs: a sibling holds no hole, so its set is the same in
-    every context.
+    only exact for pre on trimmed automata.  The folds share one leaf table,
+    step table and memo for their sibling runs: a sibling holds no hole, so
+    its set is the same in every context.
     """
-    a1, memo, steps = trim_unreachable(a), {}, {}
+    a1 = trim_unreachable(a)
+    leaves, memo, steps = _leaves(a1), {}, {}
     contexts = enumerate_contexts(a.alphabet, max_height, budget)
-    return _group(contexts, lambda x: _spine_fold(a1, x, a1.final, pivot(x), memo, steps)[1])
+    return _group(
+        contexts, lambda x: _spine_fold(a1, x, a1.final, pivot(x), leaves, memo, steps)[1]
+    )

@@ -440,8 +440,8 @@ def seeded_post(a: Bta, x: Tree, q: str) -> frozenset[str]:
 
 
 def _spine_fold(
-    a: Bta, x: Tree, s: frozenset[str], at: Address, memo: dict | None = None,
-    steps: dict | None = None,
+    a: Bta, x: Tree, s: frozenset[str], at: Address, leaves: Mapping[str, frozenset[str]],
+    memo: dict | None = None, steps: dict | None = None,
 ) -> tuple[frozenset, frozenset]:
     """Fold the spine of context x down to its hole at address at from the root set s.
 
@@ -449,10 +449,10 @@ def _spine_fold(
     running set.  Requiring the other arguments to lie in the states of the
     actual siblings gives wpre(a, x, s), the first result.  Dropping that
     check gives pre, exact on a trimmed a, the second (empty if the first is).
-    The siblings hold no hole, so a sweep of folds may share one memo and
-    step table for their runs (_run).
+    The siblings run with the leaf table leaves (_leaves(a)).  They hold no
+    hole, so a sweep of folds may share one leaf table, memo and step table
+    for their runs (_run).
     """
-    leaves = _leaves(a)
     down = reverse_bta(a).delta
     weak = strong = s
     node = x
@@ -480,7 +480,7 @@ def _spine_fold(
 
 def wpre(a: Bta, x: Tree, s: Iterable[str]) -> frozenset[str]:
     """States q whose seeded run on x can reach a root state inside s."""
-    return _spine_fold(a, x, _check_states(a, s), pivot(x))[0]
+    return _spine_fold(a, x, _check_states(a, s), pivot(x), _leaves(a))[0]
 
 
 def reachable_states(a: Bta) -> frozenset[str]:

@@ -4,7 +4,9 @@ Transformations read an automaton file and write the result to stdout or to
 the file named by -o.  Predicates print a one-line verdict and exit with 0
 when the answer is yes, 1 when it is no; any error, running out of memory
 or the recursion limit included, exits with 2 and one 'error:' line on
-stderr.  State set queries print one sorted, space-separated line.
+stderr, and an interrupt (SIGINT) exits with 130 and the one line
+'error: interrupted'.  State set queries print one sorted, space-separated
+line.
 """
 
 from __future__ import annotations
@@ -413,6 +415,7 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    code = 2
     try:
         args = _build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
@@ -422,9 +425,11 @@ def main(argv: list[str] | None = None) -> int:
         message = "out of memory"
     except RecursionError:
         message = "input nested too deeply for the recursion limit"
+    except KeyboardInterrupt:
+        message, code = "interrupted", 130
     # Printed after the handler, once the failed call's frames are freed.
     print(f"error: {message}", file=sys.stderr)
-    return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -2,9 +2,13 @@
 
 Trees are immutable values with structural equality and a total canonical
 order: first by height, then by root symbol name, then by the child tuple
-compared elementwise in the same order.  A context is an ordinary tree over
-the alphabet extended with the reserved nullary hole symbol ``<>``, holding
-exactly one hole; its address is the pivot.
+compared elementwise in the same order.  An inner node is built with its
+label and children only; its height and hash are measured together the
+first time anything asks for either (hashing, comparing, ordering, the
+height, the printer), so a term that is read and run once pays for its
+nodes alone.  A context is an ordinary tree over the alphabet extended with
+the reserved nullary hole symbol ``<>``, holding exactly one hole; its
+address is the pivot.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ _PUNCT_RE = re.compile(r"\s*([(),])\s*")
 # A character that is neither whitespace nor in a token: none of the token
 # characters, or a '<' or '>' that is not half of a hole.
 _BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_(),<>\s]|<(?!>)|(?<!<)>")
-_HEIGHT, _HASH = attrgetter("height"), attrgetter("_hash")
+_HEIGHT, _HASH = attrgetter("_height"), attrgetter("_hash")
 
 
 class RankedAlphabet:
@@ -108,31 +112,44 @@ class RankedAlphabet:
 class Tree:
     """An ordered, labeled finite tree.  Treat instances as immutable.
 
-    A node stores its height and a hash of its label with its children's
-    stored hashes, so building one costs constant work per child.  Equal
-    trees hash equal; the values differ from run to run, as str hashes do.
+    Building an inner node stores its label and children and nothing else;
+    its hash stays None until the first hash, comparison, order or height
+    asks for it, when _measure sets the height and the hash of the node and
+    of every unmeasured node below it.  A leaf is measured as it is built.
+    Equal trees hash equal, whichever was measured first; the values differ
+    from run to run, as str hashes do.
     """
 
-    __slots__ = ("label", "children", "height", "_hash")
+    __slots__ = ("label", "children", "_height", "_hash")
 
     def __init__(self, label: str, children: Sequence["Tree"] = ()):
         self.label = label
         self.children = children = tuple(children)
         if children:
-            self.height = 1 + max(map(_HEIGHT, children))
-            self._hash = hash((label, *map(_HASH, children)))
+            self._hash = None
         else:
-            self.height = 1
+            self._height = 1
             self._hash = hash(label)
+
+    @property
+    def height(self) -> int:
+        if self._hash is None:
+            _measure(self)
+        return self._height
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if not isinstance(other, Tree):
             return NotImplemented
-        if self._hash != other._hash:  # settles almost every unequal pair at once
+        h, g = self._hash, other._hash
+        if h is None:
+            h = _measure(self)
+        if g is None:
+            g = _measure(other)
+        if h != g:  # settles almost every unequal pair at once
             return False
-        pairs = [(self, other)]
+        pairs = [(self, other)]  # measured, with every node below
         for u, v in pairs:
             if u is not v:
                 if u._hash != v._hash or u.label != v.label or len(u.children) != len(v.children):
@@ -141,16 +158,21 @@ class Tree:
         return True
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        return _measure(self) if h is None else h
 
     def __lt__(self, other: "Tree") -> bool:
         # Canonical order: height, then root symbol name, then children,
         # decided by the first differing child pair.
         if not isinstance(other, Tree):
             return NotImplemented
+        if self._hash is None:
+            _measure(self)
+        if other._hash is None:
+            _measure(other)
         u, v = self, other
         while u is not v:
-            ku, kv = (u.height, u.label, len(u.children)), (v.height, v.label, len(v.children))
+            ku, kv = (u._height, u.label, len(u.children)), (v._height, v.label, len(v.children))
             if ku != kv:
                 return ku < kv
             for a, b in zip(u.children, v.children):
@@ -163,6 +185,33 @@ class Tree:
 
     def __repr__(self) -> str:
         return format_term(self)
+
+
+def _measure(t: Tree) -> int:
+    """Set the height and hash of t and of every unmeasured node below it;
+    return t's hash.
+
+    A measured node has only measured nodes below it, so the walk never
+    enters a measured subtree.  The stack holds unmeasured nodes; a node
+    with unmeasured children goes back under them, and is measured at its
+    next turn on top.  A node that two parents pushed is measured at its
+    first turn and passed over at the other, so each node is measured once.
+    """
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if u._hash is not None:
+            continue
+        kids = u.children
+        for c in kids:
+            if c._hash is None:
+                todo.append(u)
+                todo += [c for c in kids if c._hash is None]
+                break
+        else:
+            u._height = 1 + max(map(_HEIGHT, kids))
+            u._hash = hash((u.label, *map(_HASH, kids)))
+    return t._hash
 
 
 def _preorder(t: Tree) -> Iterator[tuple[Tree, tuple]]:
@@ -453,14 +502,17 @@ def format_term(t: Tree) -> str:
 
     A subtree of height at most _FLAT_HEIGHT is written by recursion, one
     join per node; an explicit stack walks the nodes above, so a chain of
-    any depth never recurses deeply."""
+    any depth never recurses deeply.  The heights come from measuring t
+    first (_measure)."""
+    if t._hash is None:
+        _measure(t)
     parts: list[str] = []
     todo: list[Tree | str] = [t]  # trees and punctuation still to write, next one last
     while todo:
         u = todo.pop()
         if u.__class__ is str:
             parts.append(u)
-        elif u.height <= _FLAT_HEIGHT:
+        elif u._height <= _FLAT_HEIGHT:
             parts.append(_flat_term(u))
         else:
             parts.append(u.label + "(")

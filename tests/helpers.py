@@ -1161,3 +1161,12 @@ def write_term_by_tokens(t: Tree) -> str:
         tokens.append(kids[done].label)
         stack.append((kids[done], 0))
     return "".join(tokens)
+
+
+def height_by_levels(t: Tree) -> int:
+    """The number of levels of t, one breadth-first level at a time.  The
+    reference for Tree.height."""
+    level, height = [t], 0
+    while level:
+        level, height = [c for u in level for c in u.children], height + 1
+    return height

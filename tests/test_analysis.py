@@ -24,8 +24,10 @@ from treeca import (
     codeterminize,
     enumerate_contexts,
     enumerate_trees,
+    format_term,
     gen_det_u_witness,
     is_path_closed,
+    iter_nodes,
     language_upto,
     minimize_bta,
     nerode_classes_down,
@@ -34,7 +36,9 @@ from treeca import (
     parse_term,
     path_language,
     pivot,
+    post_tree,
     pre_context,
+    puncture,
     root_to_pivot_equiv,
     seeded_post,
     spine_of,
@@ -42,7 +46,7 @@ from treeca import (
     wpre,
 )
 from treeca import trees
-from treeca.automata import _spine_fold
+from treeca.automata import _leaves, _spine_fold
 from treeca.trees import _group
 
 from helpers import (
@@ -64,6 +68,7 @@ from helpers import (
     random_codbta,
     random_monadic_bta,
     random_path_closed_bta,
+    random_sized_tree,
     seeded_draws,
     split_state_bta,
 )
@@ -81,6 +86,31 @@ def test_spine_examples():
 
 def test_spine_ignores_sibling_subtrees():
     assert spine_of(parse_context("or(or(T,F),<>)")) == spine_of(parse_context("or(and(F,F),<>)"))
+
+
+# === Runs of read terms ===========================================================
+
+def test_reading_and_running_a_term_measures_no_node(bool2):
+    """The reader and the runs ask no node for its height or hash, so a term
+    read and run once leaves every inner node unmeasured; the first hash
+    measures them all."""
+    rng = random.Random(31)
+    t = parse_term(format_term(random_sized_tree(rng, BOOL, 2000)), BOOL)
+    host = random_sized_tree(rng, BOOL, 1000)
+    leaf = rng.choice([addr for addr, node in iter_nodes(host) if not node.children])
+    x = parse_context(format_term(puncture(host, leaf)), BOOL)
+    y = parse_context(format_term(puncture(host, leaf)), BOOL)
+    accepts(bool2, t)
+    post_tree(bool2, t, bool2.states)
+    pre_context(bool2, x)
+    wpre(bool2, x, bool2.final)
+    assert root_to_pivot_equiv(bool2, x, y)
+    for u in (t, x, y):
+        inner = [node for _, node in iter_nodes(u) if node.children]
+        assert len(inner) > 300
+        assert all(node._hash is None for node in inner)
+    hash(t)
+    assert all(node._hash is not None for _, node in iter_nodes(t))
 
 
 # === Root-to-pivot equivalence ====================================================
@@ -396,8 +426,8 @@ def test_sweeps_agree_with_runs_and_folds_of_their_own():
     and bta_congruence_down groups contexts as a spine fold of each with no
     shared memo does: the same keys and members in the same order.  The
     draws run back to back, with both oracle sweeps against plugging, so a
-    memo or step table leaking across automata or across the seeds of one
-    sweep would show."""
+    leaf table, memo or step table leaking across automata or across the
+    seeds of one sweep would show."""
     for a in [a for a in seeded_draws(100) if a.alphabet in (AB, ABG, BOOL)]:
         a1 = trim_unreachable(a)
         for h in (2, 3):
@@ -405,7 +435,9 @@ def test_sweeps_agree_with_runs_and_folds_of_their_own():
             want = _group(trees, lambda t: post_by_products(a, t))
             assert list(bta_congruence_up(a, h).items()) == list(want.items())
             contexts = enumerate_contexts(a.alphabet, h)
-            want = _group(contexts, lambda x: _spine_fold(a1, x, a1.final, pivot(x))[1])
+            want = _group(
+                contexts, lambda x: _spine_fold(a1, x, a1.final, pivot(x), _leaves(a1))[1]
+            )
             assert list(bta_congruence_down(a, h).items()) == list(want.items())
         assert nerode_classes_up(a, 2, 2) == nerode_classes_up_by_plugging(a, 2, 2)
         assert nerode_classes_down(a, 2, 2) == nerode_classes_down_by_plugging(a, 2, 2)

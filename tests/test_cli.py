@@ -504,6 +504,12 @@ def test_memory_and_recursion_errors_exit_with_2_and_one_error_line(capsys, erro
     assert err.strip() != "error:"
 
 
+def test_an_interrupt_exits_with_130_and_one_error_line(capsys):
+    with mock.patch.object(cli, "accepts", side_effect=KeyboardInterrupt):
+        code, out, err = run(capsys, "member", fx("bool2.bta"), "-t", "and(T,T)")
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+
+
 @pytest.mark.parametrize("name", ["x,y", "x->y"])
 def test_state_names_a_file_cannot_hold_exit_with_2(capsys, tmp_path, name):
     """complete would write g(x,y) -> __dead for a state x,y, which reads back

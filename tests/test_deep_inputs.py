@@ -156,6 +156,36 @@ def test_chains_differing_at_the_bottom_order_by_their_leaf():
     assert sorted([cb, ca]) == [ca, cb]
 
 
+# Each first use of a chain, and what it gives for a chain of g's over a.
+FIRST_USES: dict[str, tuple[Callable[[Tree], object], object]] = {
+    "hash": (lambda t: hash(t) == hash(chain(Tree("a"))), True),
+    "==": (lambda t: (t == chain(Tree("a")), t == chain(Tree("b"))), (True, False)),
+    "<": (lambda t: (t < chain(Tree("b")), chain(Tree("b")) < t), (True, False)),
+    ".height": (lambda t: t.height, DEPTH + 1),
+    "format_term": (format_term, chain_text("a")),
+    "sorted": (lambda t: [u is t for u in sorted([chain(Tree("b")), t, Tree("a")])],
+               [False, True, False]),
+    "dict key": (lambda t: {t: "found"}.get(chain(Tree("a"))), "found"),
+}
+
+
+@pytest.mark.parametrize("use", FIRST_USES)
+def test_a_read_chain_is_measured_by_its_first_use(use):
+    """A chain read by parse_term is unmeasured; each kind of first use
+    measures it without deep recursion, and gives what it gives for a chain
+    built with Tree and measured through another first use."""
+    assert sys.getrecursionlimit() < DEPTH
+    uses = list(FIRST_USES)
+    first, want = FIRST_USES[use]
+    other, _ = FIRST_USES[uses[(uses.index(use) + 1) % len(uses)]]
+    read, built = parse_term(chain_text("a")), chain(Tree("a"))
+    assert read._hash is None and built._hash is None
+    other(built)
+    assert built._hash is not None
+    assert first(read) == first(built) == want
+    assert read._hash is not None
+
+
 def test_accepts_runs_two_deep_chains_under_one_root():
     a = parse_automaton(PARITY)
     c = chain(Tree("a"))

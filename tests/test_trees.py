@@ -49,6 +49,7 @@ from helpers import (
     TERN,
     Raised,
     assert_routes_agree,
+    height_by_levels,
     holes_by_preorder,
     outcome,
     random_context,
@@ -100,12 +101,36 @@ def test_alphabet_is_sorted_and_validates():
 
 # === Basic tree structure =========================================================
 
+def _seeded_trees_and_enumerations() -> list[Tree]:
+    rng = random.Random(31)
+    seeded = [random_tree(rng, alphabet, 6) for alphabet in (BOOL, ABG) for _ in range(200)]
+    seeded += [random_sized_tree(rng, alphabet, 500) for alphabet in (BOOL, ABG)]
+    return seeded + [
+        u for alphabet in (BOOL, ABG) for enum in (enumerate_trees, enumerate_contexts)
+        for u in enum(alphabet, 3)
+    ]
+
+
+def _built_again(t: Tree) -> Tree:
+    """A tree equal to t sharing no inner node with it, built by the
+    reference reader and not measured."""
+    return read_term_from_token_list(write_term_by_tokens(t))[0]
+
+
 def test_height_and_equality():
     t = parse_term("and(or(T,F),T)")
     assert t.height == 3
     assert t == parse_term("and(or(T,F),T)")
     assert t != parse_term("and(or(T,T),T)")
     assert len({t, parse_term("and(or(T,F),T)")}) == 1
+    # Every node's height is the reference's, and equal trees built apart
+    # hash and compare equal whichever of them is measured first.
+    for t in _seeded_trees_and_enumerations():
+        for _, node in iter_nodes(t):
+            assert node.height == height_by_levels(node)
+        u, v = _built_again(t), _built_again(t)
+        assert hash(u) == hash(t) and u == t
+        assert v == u and hash(v) == hash(u) and not v < u and not u < v
 
 
 def test_canonical_order_is_height_then_symbol_then_children():
@@ -114,6 +139,49 @@ def test_canonical_order_is_height_then_symbol_then_children():
     assert parse_term("F") < parse_term("T")  # then symbol
     assert parse_term("and(F,T)") < parse_term("and(T,F)")  # then children
     assert parse_term("and(T,T)") < parse_term("or(F,F)")
+    # Sorting an enumeration shuffled, measured or built again unmeasured,
+    # gives back the enumeration order.
+    rng = random.Random(32)
+    for alphabet in (BOOL, ABG):
+        for enum in (enumerate_trees, enumerate_contexts):
+            items = list(enum(alphabet, 3))
+            shuffled = rng.sample(items, len(items))
+            assert sorted(shuffled) == items
+            assert sorted(map(_built_again, shuffled)) == items
+
+
+class _WatchedTree(Tree):
+    """A Tree that counts the reads of its children."""
+
+    __slots__ = ()
+    reads = 0
+
+    @property
+    def children(self) -> tuple[Tree, ...]:
+        _WatchedTree.reads += 1
+        return Tree.children.__get__(self)
+
+    @children.setter
+    def children(self, kids: tuple[Tree, ...]) -> None:
+        Tree.children.__set__(self, kids)
+
+
+def test_measuring_reads_each_node_a_bounded_number_of_times():
+    """Each unmeasured node is measured once, though two parents share it,
+    and a measured subtree is never walked again: the first use of a tree
+    of 16 nodes, each of which holds the one below twice (2**16 leaves),
+    reads the children of each node at most twice, and the first hash of a
+    node put over it reads its own children alone."""
+    t = Tree("a")
+    for _ in range(16):
+        t = _WatchedTree("f", [t, t])
+    _WatchedTree.reads = 0
+    assert t.height == 17
+    assert _WatchedTree.reads <= 2 * 16
+    top = _WatchedTree("f", [t, Tree("b")])
+    _WatchedTree.reads = 0
+    hash(top)
+    assert _WatchedTree.reads == 1
 
 
 def test_iter_nodes_preorder_one_based():
