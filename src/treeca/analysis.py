@@ -1,8 +1,11 @@
 """Context preimages, root-to-pivot equivalence, and congruence classes.
 
-pre and wpre are one fold down a context's spine (automata._spine_fold); pre
-drops its sibling check, which is exact once unreachable states are removed:
-every sibling position of a surviving rule is then realizable by an actual tree.
+pre and wpre are one fold down a context's spine (automata._spine_fold)
+over the downward rule index, its siblings run through the same lazy subset
+construction as every run; pre drops its sibling check, which is exact once
+unreachable states are removed: every sibling position of a surviving rule
+is then realizable by an actual tree.  The sweeps group by subset id and
+name each distinct subset once.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from typing import Iterable
 from .automata import (
     Bta,
     _check_states,
-    _leaves,
     _restrict,
     _run,
+    _run_subsets,
     _spine_fold,
     reachable_states,
     trim_unreachable,
@@ -23,8 +26,8 @@ from .automata import (
 from .trees import (
     DEFAULT_ENUM_BUDGET,
     Tree,
+    _enumeration,
     _group,
-    enumerate_contexts,
     enumerate_trees,
     pivot,
 )
@@ -61,7 +64,8 @@ def pre_context(a: Bta, x: Tree, s: Iterable[str] | None = None) -> frozenset[st
         )
         a = _restrict(a, reach)
         seed &= reach
-    return _spine_fold(a, x, seed, pivot(x), _leaves(a))[1]
+    sub = _run_subsets(a)
+    return sub.subset(_spine_fold(sub, x, a.rule_index.mask(seed), pivot(x))[1])
 
 
 def root_to_pivot_equiv(
@@ -73,19 +77,19 @@ def root_to_pivot_equiv(
     spine = spine_of(x)
     if spine != spine_of(y):
         return False
-    at, leaves = tuple(i for _, i in spine), _leaves(a)
-    return bool(_spine_fold(a, x, seed, at, leaves)[0]) == bool(
-        _spine_fold(a, y, seed, at, leaves)[0]
-    )
+    sub, at, mask = _run_subsets(a), tuple(i for _, i in spine), a.rule_index.mask(seed)
+    weak = [sub.pool.order[_spine_fold(sub, z, mask, at)[0]] for z in (x, y)]
+    return bool(weak[0]) == bool(weak[1])
 
 
 def bta_congruence_up(
     a: Bta, max_height: int, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> dict[frozenset[str], tuple[Tree, ...]]:
     """Group every tree up to max_height by the set of states it evaluates to."""
-    leaves, memo, steps = _leaves(a), {}, {}
+    sub, memo = _run_subsets(a), {}
     trees = enumerate_trees(a.alphabet, max_height, budget)
-    return _group(trees, lambda t: _run(a, t, leaves, memo, steps))
+    groups = _group(trees, lambda t: _run(sub, t, sub.leaves, memo))
+    return {sub.subset(i): members for i, members in groups.items()}
 
 
 def bta_congruence_down(
@@ -94,13 +98,14 @@ def bta_congruence_down(
     """Group every context up to max_height by its pre of the final states.
 
     Unreachable states are removed up front, once, since the spine fold is
-    only exact for pre on trimmed automata.  The folds share one leaf table,
-    step table and memo for their sibling runs: a sibling holds no hole, so
-    its set is the same in every context.
+    only exact for pre on trimmed automata.  The folds share one subset
+    construction and memo for their sibling runs: a sibling holds no hole,
+    so its subset is the same in every context.  The pivots come with the
+    enumeration.
     """
     a1 = trim_unreachable(a)
-    leaves, memo, steps = _leaves(a1), {}, {}
-    contexts = enumerate_contexts(a.alphabet, max_height, budget)
-    return _group(
-        contexts, lambda x: _spine_fold(a1, x, a1.final, pivot(x), leaves, memo, steps)[1]
-    )
+    sub, memo = _run_subsets(a1), {}
+    groups: dict[int, list[Tree]] = {}
+    for x, at in zip(*_enumeration(a.alphabet, True, max_height, budget)):
+        groups.setdefault(_spine_fold(sub, x, sub.final_mask, at, memo)[1], []).append(x)
+    return {sub.subset(i): tuple(members) for i, members in groups.items()}

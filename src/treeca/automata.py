@@ -17,19 +17,27 @@ file reader when the file holds the rule table the writer gives a total
 view, or else from numbering the named rules (_number).  An automaton made
 from a view (Numbered.named) names its rules only when its delta is first
 read.
-Every run is one iterative bottom-up evaluator (_run); wpre folds the spine.
+Every Bta also has a rule index over its state numbers (RuleIndex), built at
+most once and each direction when first read.  The subset constructions
+(_Subsets) read its upward rows.  A run is a lazy determinization: one
+iterative bottom-up evaluator (_run) steps through a subset construction,
+one subset id per node, and wpre and pre fold the downward index along the
+spine (_spine_fold).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
+from operator import contains
 from typing import Iterable, Iterator, Mapping
 
-from .errors import NotWellRankedError, TreecaError
+from .errors import BudgetError, NotWellRankedError, TreecaError
 from .trees import HOLE, Address, RankedAlphabet, Tree, pivot
 
 EMPTY: frozenset[str] = frozenset()
+_bit = (1).__lshift__  # a state number's bit in the masks of sets of states
 
 BtaKey = tuple[str, tuple[str, ...]]
 
@@ -56,7 +64,7 @@ def subset_name(members: Iterable[str]) -> str:
 class Bta:
     """A bottom-up tree automaton (alphabet, states, delta, final states)."""
 
-    __slots__ = ("alphabet", "states", "_delta", "final", "_down", "_view")
+    __slots__ = ("alphabet", "states", "_delta", "final", "_down", "_view", "_index")
 
     def __init__(
         self,
@@ -91,7 +99,7 @@ class Bta:
                 raise TreecaError(f"transition mentions undeclared states {sorted(bad)}")
             norm[(sym, args)] = targets
         self.alphabet, self.states, self._delta, self.final = alphabet, states, norm, final
-        self._down = self._view = None
+        self._down = self._view = self._index = None
 
     @classmethod
     def _of(cls, alphabet: RankedAlphabet, states: frozenset[str],
@@ -102,7 +110,7 @@ class Bta:
         Numbered.named backs with a view."""
         a = object.__new__(cls)
         a.alphabet, a.states, a._delta, a.final = alphabet, states, delta, final
-        a._down = a._view = None
+        a._down = a._view = a._index = None
         return a
 
     @property
@@ -123,6 +131,13 @@ class Bta:
         if self._view is None:
             self._view = _number(self) or False
         return self._view or None
+
+    @property
+    def rule_index(self) -> RuleIndex:
+        """The rules over state numbers, built at most once (RuleIndex)."""
+        if self._index is None:
+            self._index = RuleIndex(self)
+        return self._index
 
     @property
     def initial_states(self) -> frozenset[str]:
@@ -242,6 +257,213 @@ def _number(a: Bta) -> Numbered | None:
     return Numbered(a.alphabet, names, tables, frozenset(map(index.__getitem__, a.final)), total)
 
 
+class RuleIndex:
+    """The rules of an automaton over its states numbered in sorted-name order.
+
+    A set of states is the bitmask of its members' numbers (mask): final of
+    the final states, leaves of each nullary symbol's targets.  up holds
+    per symbol of arity k >= 1 a row per argument prefix of k-1 numbers,
+    from the last argument's number to the targets' mask; the subset
+    constructions read it (_Subsets).  down holds per state number and
+    symbol the argument tuples of the rules that target the state and the
+    masks of their arguments position by position; co-determinization and
+    the spine fold read it.  Built once per automaton (Bta.rule_index),
+    each direction from the named rules when it is first read.
+    """
+
+    __slots__ = ("alphabet", "delta", "states", "number", "final", "leaves", "_up", "_down")
+
+    def __init__(self, a: Bta):
+        # The rules, not a itself: a holds the index, and a cycle would
+        # keep both alive until the collector runs.
+        self.alphabet, self.delta, self.states = a.alphabet, a.delta, sorted(a.states)
+        self.number = {q: i for i, q in enumerate(self.states)}
+        self.final = self.mask(a.final)
+        self.leaves = {sym: self.mask(a.delta.get((sym, ()), EMPTY)) for sym in a.alphabet.nullary}
+        self._up = self._down = None
+
+    def mask(self, names: Iterable[str]) -> int:
+        return sum(map(_bit, map(self.number.__getitem__, names)))
+
+    @property
+    def up(self) -> dict[str, dict[tuple[int, ...], dict[int, int]]]:
+        if self._up is None:
+            # The rows are gathered by the names of their argument prefix,
+            # which are numbered once per prefix, and each distinct target
+            # set is turned into a mask once.
+            alphabet, num = self.alphabet, self.number
+            named: dict[str, dict[tuple[str, ...], dict[int, int]]] = {
+                sym: {} for sym in alphabet.symbols if alphabet.arity(sym)
+            }
+            masks: dict[frozenset[str], int] = {}
+            for (sym, args), targets in self.delta.items():
+                if args:
+                    mask = masks.get(targets)
+                    if mask is None:
+                        mask = masks[targets] = self.mask(targets)
+                    named[sym].setdefault(args[:-1], {})[num[args[-1]]] = mask
+            self._up = {
+                sym: {tuple(map(num.__getitem__, p)): row for p, row in rows.items()}
+                for sym, rows in named.items()
+            }
+        return self._up
+
+    @property
+    def down(self) -> list[dict[str, tuple[list[tuple[str, ...]], tuple[int, ...]]]]:
+        if self._down is None:
+            # The argument tuples stay the rules' own: numbering each would
+            # make a container per rule, and the collector's passes over
+            # them cost more than the fold saves.
+            prods: dict[str, dict[str, list[tuple[str, ...]]]] = {q: {} for q in self.states}
+            for (sym, args), targets in self.delta.items():
+                for t in targets:
+                    prods[t].setdefault(sym, []).append(args)
+            self._down = [
+                {sym: (tuples, tuple(map(self.mask, map(set, zip(*tuples)))))
+                 for sym, tuples in prods[q].items()}
+                for q in self.states
+            ]
+        return self._down
+
+
+class _SubsetPool:
+    """The member bitmasks of one construction's subsets in discovery order
+    (order), each mask's id (index) and each subset's member numbers in
+    increasing order (members), guarded by a budget."""
+
+    def __init__(self, budget: int):
+        if budget < 1:
+            raise BudgetError("budget must be positive")
+        self.order: list[int] = []
+        self.index: dict[int, int] = {}
+        self.members: list[list[int]] = []
+        self.budget = budget
+
+    def intern(self, mask: int) -> int:
+        got = self.index.get(mask)
+        if got is not None:
+            return got
+        if len(self.order) >= self.budget:
+            raise BudgetError(
+                f"subset construction exceeded the budget of {self.budget} states"
+            )
+        members = []
+        bits = mask
+        while bits:
+            low = bits & -bits
+            members.append(low.bit_length() - 1)
+            bits ^= low
+        got = self.index[mask] = len(self.order)
+        self.order.append(mask)
+        self.members.append(members)
+        return got
+
+
+class _Subsets:
+    """The subset construction of a, computed on demand, over residual rows.
+
+    Subsets are interned in the pool by member bitmask, starting with the
+    nullary images; the empty subset is a state whenever some tree has no
+    run, and a subset is final when its mask meets final_mask.  The rows
+    are a's upward rule index (RuleIndex.up).  The residual of a prefix of
+    k-1 subsets is the OR of the rows over the product of their members,
+    computed once per prefix; line maps it over a sequence of last subsets,
+    ORing its entries over each one's members, so a transition costs what
+    its subsets hold, not the number of rules.  A run steps one node at a
+    time, one line of one last subset, and keeps each step in steps; a
+    product walk calls line for the prefixes it reaches, so either builds
+    only the subsets it reaches; close runs the discovery loop to the full
+    determinization over the same lines and returns it as a numbered view
+    over subset ids, the only place subsets are named; subset gives one's
+    states.
+    """
+
+    def __init__(self, a: Bta, budget: int):
+        ix = a.rule_index
+        self.a, self.states, self.final_mask = a, ix.states, ix.final
+        self.arity = a.alphabet.entries
+        self.pool = _SubsetPool(budget)
+        # Per non-nullary symbol: its rows, and the residuals by prefix of subset ids.
+        self.index = {sym: (rows, {}) for sym, rows in ix.up.items()}
+        self.leaves = {sym: self.pool.intern(mask) for sym, mask in ix.leaves.items()}
+        self.steps: dict[tuple, int] = {}
+        self.named: dict[int, frozenset[str]] = {}
+
+    def subset(self, i: int) -> frozenset[str]:
+        """The states of a in subset i, named once per subset: a fold asks
+        for its siblings' subsets at every step."""
+        got = self.named.get(i)
+        if got is None:
+            got = self.named[i] = frozenset(map(self.states.__getitem__, self.pool.members[i]))
+        return got
+
+    def _residual(self, rows: dict[tuple[int, ...], dict[int, int]],
+                  prefix: tuple[int, ...]) -> dict[int, int]:
+        """The OR of rows over every tuple of members of the prefix's subsets;
+        a single row is shared, not copied."""
+        found = [
+            row
+            for args in itertools.product(*map(self.pool.members.__getitem__, prefix))
+            if (row := rows.get(args)) is not None
+        ]
+        if len(found) == 1:
+            return found[0]
+        res: dict[int, int] = {}
+        for row in found:
+            for q, mask in row.items():
+                res[q] = res.get(q, 0) | mask
+        return res
+
+    def line(self, sym: str, prefix: tuple[int, ...], lasts: Iterable[int]) -> list[int]:
+        """The subsets a non-nullary sym reaches from the subsets of prefix
+        followed by each subset of lasts in turn, interned in that order."""
+        rows, cache = self.index[sym]
+        res = cache.get(prefix)
+        if res is None:
+            res = cache[prefix] = self._residual(rows, prefix)
+        pool, members, ids = self.pool, self.pool.members, self.pool.index
+        got = []
+        for last in lasts:
+            mask = 0
+            for q in members[last]:
+                mask |= res.get(q, 0)
+            target = ids.get(mask)
+            got.append(pool.intern(mask) if target is None else target)
+        return got
+
+    def close(self) -> Numbered:
+        """The determinization as a numbered view, states in discovery order
+        and named after their subsets.  Each subset m in turn is combined
+        with the ones before, in the order trees.fresh_tuples lists: each prefix
+        over 0..m in lexicographic order, where an old prefix appends its
+        target at m to its line and a new one gets a full line over 0..m.
+        A symbol's table is its lines joined in the product order of the
+        prefixes."""
+        order = self.pool.order
+        lines: dict[str, dict[tuple[int, ...], list[int]]] = {sym: {} for sym in self.index}
+        m = 0
+        while m < len(order):
+            for sym, got in lines.items():
+                k = self.a.alphabet.arity(sym)
+                for prefix in itertools.product(range(m + 1), repeat=k - 1):
+                    line = got.get(prefix)
+                    if line is None:
+                        got[prefix] = self.line(sym, prefix, range(m + 1))
+                    else:
+                        line += self.line(sym, prefix, (m,))
+            m += 1
+        n = len(order)
+        tables: dict[str, list[int] | dict[int, int]] = {
+            sym: [target] for sym, target in self.leaves.items()
+        }
+        for sym, got in lines.items():
+            prefixes = itertools.product(range(n), repeat=self.a.alphabet.arity(sym) - 1)
+            tables[sym] = list(itertools.chain.from_iterable(map(got.__getitem__, prefixes)))
+        names = [subset_name(map(self.states.__getitem__, ms)) for ms in self.pool.members]
+        final = frozenset(i for i, mask in enumerate(order) if mask & self.final_mask)
+        return Numbered(self.a.alphabet, names, tables, final, True)
+
+
 class Tta:
     """A top-down tree automaton (alphabet, states, productions, initial states).
 
@@ -328,29 +550,26 @@ def _check_states(a: Bta, s: Iterable[str]) -> frozenset[str]:
     return s
 
 
-def _leaves(a: Bta, s: frozenset[str] | None = None) -> dict[str, frozenset[str]]:
-    """A run's leaf table: each nullary symbol's targets, inside s if given."""
-    keep = a.states if s is None else s
-    return {sym: a.delta.get((sym, ()), EMPTY) & keep for sym in a.alphabet.nullary}
+def _run_subsets(a: Bta) -> _Subsets:
+    """The subset construction that runs of a step through, built lazily;
+    its pool is bounded only by the 2^n subsets of a's n states, so no run
+    exceeds a budget."""
+    return _Subsets(a, 1 << len(a.states))
 
 
-def _run(
-    a: Bta, t: Tree, leaves: Mapping[str, frozenset[str]], memo: dict | None = None,
-    steps: dict | None = None,
-) -> frozenset[str]:
-    """The states a bottom-up run of a reaches at the root of t.
+def _run(s: _Subsets, t: Tree, leaves: Mapping[str, int], memo: dict | None = None) -> int:
+    """The id in s of the subset of states a bottom-up run reaches at the root of t.
 
-    Leaves take their states from the table (a seeded run adds the hole).  Nodes
-    are listed breadth-first, each node's children together after it; the list
-    is overwritten with state sets from the back.  An inner node's set is the
-    subset step delta(f, S1 x ... x Sk) of its label and its children's sets,
-    which the step table steps holds once computed (_step), since a term of
-    thousands of nodes meets only a few.  A sweep passes a memo of subtree
-    sets and its one step table; a run without them gets a step table of
-    its own.  A node whose children are all in the memo is one step.
+    Leaves take their subset ids from the table (a seeded run adds the hole).
+    Nodes are listed breadth-first, each node's children together after it;
+    the list is overwritten with subset ids from the back.  An inner node's
+    id is the subset step of its label over its children's ids, one line of
+    one last argument (_Subsets.line), which s's step table holds once
+    computed (_add_step), since a term of thousands of nodes meets only a
+    few.  A sweep runs every tree through one s and passes a memo of subtree
+    ids; a node whose children are all in the memo is one step.
     """
-    if steps is None:
-        steps = {}
+    steps = s.steps
     if memo is not None:
         known = memo.get(t)
         if known is not None:
@@ -359,7 +578,7 @@ def _run(
         if len(key) > 1 and None not in key:
             out = steps.get(key)
             if out is None:
-                out = _step(a, steps, key, leaves)
+                out = _add_step(s, key, leaves)
             memo[t] = out
             return out
     nodes: list = [t]
@@ -373,10 +592,10 @@ def _run(
                 nodes += u.children
             else:
                 nodes[i] = known
-    end = len(nodes)  # nodes[end:] hold state sets already used by a parent
+    end = len(nodes)  # nodes[end:] hold subset ids already used by a parent
     for i in range(end - 1, -1, -1):
         u = nodes[i]
-        if u.__class__ is frozenset:
+        if u.__class__ is int:
             continue
         label, k = u.label, len(u.children)
         if k:
@@ -384,7 +603,7 @@ def _run(
             key = (label, *nodes[end : end + k])
             out = steps.get(key)
             if out is None:
-                out = _step(a, steps, key, leaves)
+                out = _add_step(s, key, leaves)
         else:
             out = leaves.get(label)
             if out is None:
@@ -395,17 +614,13 @@ def _run(
     return nodes[0]
 
 
-def _step(a: Bta, steps: dict, key: tuple, leaves: Mapping) -> frozenset[str]:
-    """The subset step of key = (f, S1, ..., Sk), stored in steps.  Only
-    ranked steps are stored, so every misranked node is checked and raises."""
-    label, delta = key[0], a.delta
-    acc: set[str] = set()
-    for combo in itertools.product(*key[1:]):
-        acc |= delta.get((label, combo), EMPTY)
-    # A rule that fires proves the arity; check it only when none does.
-    if not acc and not (label in a.alphabet and a.alphabet.arity(label) == len(key) - 1):
+def _add_step(s: _Subsets, key: tuple, leaves: Mapping) -> int:
+    """The step of key = (f, id1, ..., idk), stored in s's step table once f
+    is checked to take k arguments: a misranked node has no row to read."""
+    label = key[0]
+    if s.arity.get(label) != len(key) - 1:
         raise _misranked(leaves, label)
-    out = steps[key] = frozenset(acc)
+    out = s.steps[key] = s.line(label, key[1:-1], key[-1:])[0]
     return out
 
 
@@ -420,12 +635,16 @@ def post_tree(a: Bta, t: Tree, s: Iterable[str]) -> frozenset[str]:
     The recursion is post(f[t1..tn], S) = delta(f[post(t1,S) x ... x post(tn,S)])
     with post(a[], S) = delta(a[]) intersect S.
     """
-    return _run(a, t, _leaves(a, _check_states(a, s)))
+    keep = a.rule_index.mask(_check_states(a, s))
+    sub = _run_subsets(a)
+    leaves = {sym: sub.pool.intern(mask & keep) for sym, mask in a.rule_index.leaves.items()}
+    return sub.subset(_run(sub, t, leaves))
 
 
 def accepts(a: Bta, t: Tree) -> bool:
     """True iff some run of a on t ends in a final state."""
-    return bool(_run(a, t, _leaves(a)) & a.final)
+    sub = _run_subsets(a)
+    return bool(sub.pool.order[_run(sub, t, sub.leaves)] & sub.final_mask)
 
 
 def seeded_post(a: Bta, x: Tree, q: str) -> frozenset[str]:
@@ -434,53 +653,54 @@ def seeded_post(a: Bta, x: Tree, q: str) -> frozenset[str]:
     Ordinary leaves evaluate freely through the nullary rules; only the hole
     is pinned to q.
     """
-    _check_states(a, [q])
+    hole = a.rule_index.mask(_check_states(a, [q]))
     pivot(x)  # validates there is exactly one hole
-    return _run(a, x, {**_leaves(a), HOLE: frozenset({q})})
+    sub = _run_subsets(a)
+    return sub.subset(_run(sub, x, {**sub.leaves, HOLE: sub.pool.intern(hole)}))
 
 
 def _spine_fold(
-    a: Bta, x: Tree, s: frozenset[str], at: Address, leaves: Mapping[str, frozenset[str]],
-    memo: dict | None = None, steps: dict | None = None,
-) -> tuple[frozenset, frozenset]:
-    """Fold the spine of context x down to its hole at address at from the root set s.
+    s: _Subsets, x: Tree, seed: int, at: Address, memo: dict | None = None
+) -> tuple[int, int]:
+    """Fold the spine of context x down to its hole at address at from the
+    root subset mask seed, giving two subset ids in s.
 
-    Each step (f, i) keeps argument i of every f-production of a state in the
-    running set.  Requiring the other arguments to lie in the states of the
-    actual siblings gives wpre(a, x, s), the first result.  Dropping that
-    check gives pre, exact on a trimmed a, the second (empty if the first is).
-    The siblings run with the leaf table leaves (_leaves(a)).  They hold no
-    hole, so a sweep of folds may share one leaf table, memo and step table
-    for their runs (_run).
+    Each step (f, i) reads the f-rules that target the running set's members
+    downward (RuleIndex.down); the members are read off the pool by
+    interning the running mask.  The strong set ORs their argument masks at
+    position i: pre, exact on a trimmed automaton, the second result (empty
+    if the first is).  The weak set keeps argument i of the argument tuples
+    whose other arguments are states of the actual siblings' subsets: wpre,
+    the first result.  The siblings run through s with its leaf table;
+    they hold no hole, so a sweep of folds may share one s and memo for
+    their runs (_run).
     """
-    down = reverse_bta(a).delta
-    weak = strong = s
+    ix, pool = s.a.rule_index, s.pool
+    down = ix.down
+    weak = strong = seed
     node = x
     for i in at:
-        kids = node.children
-        if node.label not in a.alphabet or a.alphabet.arity(node.label) != len(kids):
-            raise NotWellRankedError(f"context is not well ranked at symbol {node.label!r}")
+        label, kids = node.label, node.children
+        if s.arity.get(label) != len(kids):
+            raise NotWellRankedError(f"context is not well ranked at symbol {label!r}")
         sibs = [
-            a.states if j == i else _run(a, c, leaves, memo, steps)
+            s.a.states if j == i else s.subset(_run(s, c, s.leaves, memo))
             for j, c in enumerate(kids, 1)
         ]
-        label = node.label
-        weak = frozenset(
-            args[i - 1]
-            for q in weak
-            for f, args in down.get(q, EMPTY)
-            if f == label and all(map(frozenset.__contains__, sibs, args))
-        )
-        strong = frozenset(
-            args[i - 1] for q in strong for f, args in down.get(q, EMPTY) if f == label
-        )
+        rules = [down[q][label] for q in pool.members[pool.intern(weak)] if label in down[q]]
+        weak = ix.mask({
+            args[i - 1] for tuples, _ in rules for args in tuples if all(map(contains, sibs, args))
+        })
+        rules = [down[q][label] for q in pool.members[pool.intern(strong)] if label in down[q]]
+        strong = functools.reduce(int.__or__, (masks[i - 1] for _, masks in rules), 0)
         node = kids[i - 1]
-    return weak, strong if weak else EMPTY
+    return pool.intern(weak), pool.intern(strong if weak else 0)
 
 
 def wpre(a: Bta, x: Tree, s: Iterable[str]) -> frozenset[str]:
     """States q whose seeded run on x can reach a root state inside s."""
-    return _spine_fold(a, x, _check_states(a, s), pivot(x), _leaves(a))[0]
+    sub = _run_subsets(a)
+    return sub.subset(_spine_fold(sub, x, a.rule_index.mask(_check_states(a, s)), pivot(x))[0])
 
 
 def reachable_states(a: Bta) -> frozenset[str]:

@@ -13,7 +13,7 @@ Language equivalence is one breadth-first product walk over the pairs of
 state subsets that trees reach in the two automata, which also finds a
 separating tree of minimal height.  The walk takes one argument prefix of
 pairs at a time, and each side maps its residual for that prefix over a
-line of last arguments in its own subset construction (transforms._Subsets),
+line of last arguments in its own subset construction (automata._Subsets),
 so a walk that finds a tree early builds only what it reached.  Pairs are
 held as subset ids with a back-pointer each; a side accepts where its
 subset's member bitmask meets its final states' mask, and only the pair that

@@ -8,16 +8,17 @@ tree.  This is exact because the run is compositional: on x[t] the run
 reaches at the hole exactly the set S that t reaches, and above the hole it
 is the run on x with its hole seeded to S.  So each enumerated tree runs
 once, and each context once per distinct reached set.  Every run is the
-package's one bottom-up run, with one memo per sweep and one per seed,
-since enumerated trees and contexts share subtrees, and one step table
-per sweep, since a step does not depend on the seed.
+package's one bottom-up run, through one lazy subset construction per sweep,
+whose step table serves every seed since a step does not depend on it, and
+a reached set is its subset id, seeded as it is and never named; there is
+one memo per sweep and one per seed, since trees and contexts share subtrees.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable
 
-from .automata import Bta, _leaves, _run, accepts
+from .automata import Bta, _Subsets, _run, _run_subsets, accepts
 from .trees import (
     DEFAULT_ENUM_BUDGET,
     HOLE,
@@ -34,31 +35,31 @@ def _classes(items: Iterable[Tree], key: Callable[[Tree], Hashable]) -> tuple[tu
     return tuple(sorted(_group(items, key).values(), key=lambda c: c[0]))
 
 
-def _acceptor(a: Bta, steps: dict, hole: frozenset[str] | None = None) -> Callable[[Tree], bool]:
-    """Acceptance by a, with one memo shared by every tree it is asked about
-    and the sweep's step table steps.
+def _acceptor(s: _Subsets, hole: int | None = None) -> Callable[[Tree], bool]:
+    """Acceptance by the automaton s steps through, with one memo shared by
+    every tree it is asked about.
 
-    Given hole, it is asked about contexts, and their hole reaches exactly
-    those states.  The memo then serves that seed alone: subtrees holding the
-    hole reach other sets under other seeds.
+    Given hole, a subset id of s, it is asked about contexts, and their hole
+    reaches exactly that subset.  The memo then serves that seed alone:
+    subtrees holding the hole reach other subsets under other seeds.
     """
-    leaves, memo = _leaves(a), {}
-    if hole is not None:
-        leaves[HOLE] = hole
-    return lambda t: bool(_run(a, t, leaves, memo, steps) & a.final)
+    leaves, memo = s.leaves if hole is None else {**s.leaves, HOLE: hole}, {}
+    order, final = s.pool.order, s.final_mask
+    return lambda t: bool(order[_run(s, t, leaves, memo)] & final)
 
 
-def _reached(a: Bta, trees: Iterable[Tree], steps: dict) -> dict[Tree, frozenset[str]]:
-    """The state set each tree reaches, with one memo shared by every tree."""
-    leaves, memo = _leaves(a), {}
-    return {t: _run(a, t, leaves, memo, steps) for t in trees}
+def _reached(s: _Subsets, trees: Iterable[Tree]) -> dict[Tree, int]:
+    """The subset id each tree reaches in s, with one memo shared by every tree."""
+    memo: dict = {}
+    return {t: _run(s, t, s.leaves, memo) for t in trees}
 
 
 def language_upto(
     a: Bta, max_height: int, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> frozenset[Tree]:
     """All accepted trees of height up to max_height."""
-    return frozenset(filter(_acceptor(a, {}), enumerate_trees(a.alphabet, max_height, budget)))
+    trees = enumerate_trees(a.alphabet, max_height, budget)
+    return frozenset(filter(_acceptor(_run_subsets(a)), trees))
 
 
 def nerode_classes_up(
@@ -79,10 +80,10 @@ def nerode_classes_up(
     """
     trees = enumerate_trees(a.alphabet, tree_height, budget)
     contexts = enumerate_contexts(a.alphabet, context_height, budget)
-    steps: dict = {}
-    reached = _reached(a, trees, steps)
+    sub = _run_subsets(a)
+    reached = _reached(sub, trees)
     vectors = {
-        s: tuple(map(_acceptor(a, steps, s), contexts)) for s in dict.fromkeys(reached.values())
+        s: tuple(map(_acceptor(sub, s), contexts)) for s in dict.fromkeys(reached.values())
     }
     return _classes(trees, lambda t: vectors[reached[t]])
 
@@ -103,8 +104,8 @@ def nerode_classes_down(
     """
     contexts = enumerate_contexts(a.alphabet, context_height, budget)
     trees = enumerate_trees(a.alphabet, tree_height, budget)
-    steps: dict = {}
-    seeded = [_acceptor(a, steps, s) for s in dict.fromkeys(_reached(a, trees, steps).values())]
+    sub = _run_subsets(a)
+    seeded = [_acceptor(sub, s) for s in dict.fromkeys(_reached(sub, trees).values())]
     return _classes(contexts, lambda x: tuple(accepted(x) for accepted in seeded))
 
 

@@ -430,18 +430,23 @@ def _enumerate_raw(entries: Mapping[str, int], max_height: int, budget: int) -> 
     return tuple(out)
 
 
-# (alphabet, contexts or trees, height) -> (items, size of the raw enumeration)
-_memo: dict[tuple[RankedAlphabet, bool, int], tuple[tuple[Tree, ...], int]] = {}
+# (alphabet, contexts or trees, height) -> (items, the contexts' pivots in
+# their order or None for trees, size of the raw enumeration)
+_memo: dict[tuple[RankedAlphabet, bool, int],
+            tuple[tuple[Tree, ...], tuple[Address, ...] | None, int]] = {}
 
 
 def _enumeration(
     alphabet: RankedAlphabet, contexts: bool, max_height: int, budget: int
-) -> tuple[Tree, ...]:
-    """The trees, or the contexts, of height <= max_height, enumerated once
-    per height.  The budget caps the raw enumeration, every tree over the
-    alphabet (with the hole, for contexts), on a hit as on a miss: a miss
-    stops early over budget and stores nothing, and a hit compares the
-    stored size with its own budget and returns the stored tuple itself."""
+) -> tuple[tuple[Tree, ...], tuple[Address, ...] | None]:
+    """The trees, or the contexts and their pivots, of height <= max_height,
+    enumerated once per height.  The budget caps the raw enumeration, every
+    tree over the alphabet (with the hole, for contexts), on a hit as on a
+    miss: a miss stops early over budget and stores nothing, and a hit
+    compares the stored size with its own budget and returns the stored
+    tuples themselves.  The one-hole trees of a raw enumeration are its
+    contexts, and the walk that counts a tree's holes (_holes) also gives
+    its pivot, so a sweep over contexts walks none of them again."""
     if max_height < 1:
         raise BudgetError("max_height must be at least 1")
     if budget < 1:
@@ -452,20 +457,23 @@ def _enumeration(
         entries = alphabet.entries
         if contexts:
             entries[HOLE] = 0
-        raw = _enumerate_raw(entries, max_height, budget)
-        items = tuple(t for t in raw if _holes(t)[0] == 1) if contexts else raw
-        got = _memo[key] = (items, len(raw))
-    items, raw_size = got
-    if raw_size > budget:
+        items = raw = _enumerate_raw(entries, max_height, budget)
+        pivots = None
+        if contexts:
+            holes = list(map(_holes, raw))
+            items = tuple(t for t, (count, _, _) in zip(raw, holes) if count == 1)
+            pivots = tuple(at for count, _, at in holes if count == 1)
+        got = _memo[key] = (items, pivots, len(raw))
+    if got[2] > budget:
         raise BudgetError(f"tree enumeration exceeded the budget of {budget} items")
-    return items
+    return got[:2]
 
 
 def enumerate_trees(
     alphabet: RankedAlphabet, max_height: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> tuple[Tree, ...]:
     """All well-ranked trees of height <= max_height in canonical order."""
-    return _enumeration(alphabet, False, max_height, budget)
+    return _enumeration(alphabet, False, max_height, budget)[0]
 
 
 def enumerate_contexts(
@@ -477,7 +485,7 @@ def enumerate_contexts(
     one-hole ones, so the order is inherited from enumerate_trees.  The budget
     applies to the raw enumeration (see _enumeration).
     """
-    return _enumeration(alphabet, True, max_height, budget)
+    return _enumeration(alphabet, True, max_height, budget)[0]
 
 
 def _group(items: Iterable[Tree], key: Callable[[Tree], Hashable]) -> dict:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import load_fixture
-from treeca import transforms
+from treeca import automata, transforms
 
 
 @pytest.fixture(scope="session")
@@ -44,10 +44,13 @@ def subset_pools(monkeypatch):
     """Every subset construction started while the test runs, in order."""
     made = []
 
-    class CountingPool(transforms._SubsetPool):
+    class CountingPool(automata._SubsetPool):
         def __init__(self, budget: int):
             super().__init__(budget)
             made.append(self)
 
-    monkeypatch.setattr(transforms, "_SubsetPool", CountingPool)
+    # The subset constructions of automata and the co-determinization of
+    # transforms each name the pool in their own module.
+    for module in (automata, transforms):
+        monkeypatch.setattr(module, "_SubsetPool", CountingPool)
     return made

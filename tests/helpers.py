@@ -47,14 +47,14 @@ from treeca import (
     puncture,
     reverse_bta,
     reverse_tta,
+    spine_of,
     subset_construction,
     subset_name,
     substitute,
     trim_empty,
     trim_unreachable,
 )
-from treeca.automata import EMPTY
-from treeca.transforms import _Subsets
+from treeca.automata import EMPTY, _Subsets
 from treeca.trees import fresh_tuples
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -427,6 +427,23 @@ def post_by_products(
                 acc |= a.delta.get((u.label, combo), EMPTY)
             done.append(frozenset(acc))
     return done[0]
+
+
+def pre_by_definition(a: Bta, x: Tree, s: frozenset[str]) -> frozenset[str]:
+    """pre written out from its definition over the named rules: trim, give
+    up when no run of x with its hole seeded to one state reaches s
+    (post_by_products), else fold the spine keeping the argument at the
+    spine position of every rule whose targets meet the running set."""
+    a = trim_unreachable(a)
+    s &= a.states
+    if not any(post_by_products(a, x, hole=q) & s for q in a.states):
+        return frozenset()
+    r = s
+    for sym, i in spine_of(x):
+        r = frozenset(
+            args[i - 1] for (f, args), targets in a.delta.items() if f == sym and targets & r
+        )
+    return r
 
 
 def holes_by_preorder(t: Tree) -> tuple[int, Tree | None, tuple[int, ...]]:

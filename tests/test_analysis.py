@@ -12,6 +12,7 @@ import pytest
 
 from treeca import (
     Bta,
+    BudgetError,
     NotPathClosedError,
     NotWellRankedError,
     RankedAlphabet,
@@ -35,18 +36,15 @@ from treeca import (
     parse_context,
     parse_term,
     path_language,
-    pivot,
     post_tree,
     pre_context,
     puncture,
     root_to_pivot_equiv,
-    seeded_post,
     spine_of,
     trim_unreachable,
     wpre,
 )
 from treeca import trees
-from treeca.automata import _leaves, _spine_fold
 from treeca.trees import _group
 
 from helpers import (
@@ -63,6 +61,7 @@ from helpers import (
     nerode_classes_up_by_plugging,
     path_language_upto,
     post_by_products,
+    pre_by_definition,
     random_bta,
     random_context,
     random_codbta,
@@ -195,36 +194,21 @@ def test_wpre_is_contained_in_pre(bool2, abc, and1):
             assert wpre(a, x, a.final) <= pre_context(a, x)
 
 
-def _pre_by_definition(a: Bta, x, s: frozenset[str]) -> frozenset[str]:
-    """pre written out from the seeded runs: trim, give up when no seeded
-    run reaches s, else fold the spine keeping every rule whose targets meet
-    the running set."""
-    a = trim_unreachable(a)
-    s &= a.states
-    if not any(seeded_post(a, x, q) & s for q in a.states):
-        return frozenset()
-    r = s
-    for sym, i in spine_of(x):
-        r = frozenset(
-            args[i - 1] for (f, args), targets in a.delta.items() if f == sym and targets & r
-        )
-    return r
-
-
 def test_wpre_and_pre_match_their_seeded_definitions():
-    """The shared spine fold against the definitions: wpre keeps the states
-    whose seeded run meets s, and pre is unchanged from its seeded form."""
+    """The shared spine fold against the definitions, over the full-product
+    run and the named rules: wpre keeps the states whose seeded run meets s,
+    and pre is its definition (pre_by_definition)."""
     rng = random.Random(705)
     for alphabet in (AB, ABG, BOOL, MONO):
         for _ in range(60):
             a = random_bta(rng, alphabet)
             x = random_context(rng, alphabet, rng.randint(1, 5))
             s = frozenset(q for q in a.states if rng.random() < 0.5)
-            assert wpre(a, x, s) == {q for q in a.states if seeded_post(a, x, q) & s}
+            assert wpre(a, x, s) == {q for q in a.states if post_by_products(a, x, hole=q) & s}
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 got = pre_context(a, x, s)
-            assert got == _pre_by_definition(a, x, s)
+            assert got == pre_by_definition(a, x, s)
 
 
 def test_pre_warns_and_trims_on_unreachable_states(star):
@@ -421,13 +405,28 @@ def test_congruence_down_and1_classes(and1):
     )
 
 
+def test_a_warm_congruence_down_sweep_walks_no_context_to_its_hole(bool2):
+    """The enumeration finds each context's pivot once per process, so a
+    sweep over contexts already enumerated walks none of them to its hole,
+    gives the classes of pre by definition, and still checks its budget."""
+    contexts = enumerate_contexts(BOOL, 3)
+    want = _group(contexts, lambda x: pre_by_definition(bool2, x, bool2.final))
+    with mock.patch.object(trees, "_holes", wraps=trees._holes) as holes:
+        got = bta_congruence_down(bool2, 3)
+        with pytest.raises(BudgetError):
+            bta_congruence_down(bool2, 3, budget=len(contexts))
+    assert holes.call_count == 0
+    assert list(got.items()) == list(want.items())
+
+
 def test_sweeps_agree_with_runs_and_folds_of_their_own():
     """bta_congruence_up groups trees as the full-product run of each does,
-    and bta_congruence_down groups contexts as a spine fold of each with no
-    shared memo does: the same keys and members in the same order.  The
-    draws run back to back, with both oracle sweeps against plugging, so a
-    leaf table, memo or step table leaking across automata or across the
-    seeds of one sweep would show."""
+    and bta_congruence_down groups contexts as pre written out from its
+    definition does (pre_by_definition), neither sharing code with the
+    library's run or fold: the same keys and members in the same order.
+    The draws run back to back, with both oracle sweeps against plugging,
+    so a leaf table, memo or step table leaking across automata or across
+    the seeds of one sweep would show."""
     for a in [a for a in seeded_draws(100) if a.alphabet in (AB, ABG, BOOL)]:
         a1 = trim_unreachable(a)
         for h in (2, 3):
@@ -435,9 +434,7 @@ def test_sweeps_agree_with_runs_and_folds_of_their_own():
             want = _group(trees, lambda t: post_by_products(a, t))
             assert list(bta_congruence_up(a, h).items()) == list(want.items())
             contexts = enumerate_contexts(a.alphabet, h)
-            want = _group(
-                contexts, lambda x: _spine_fold(a1, x, a1.final, pivot(x), _leaves(a1))[1]
-            )
+            want = _group(contexts, lambda x: pre_by_definition(a1, x, a1.final))
             assert list(bta_congruence_down(a, h).items()) == list(want.items())
         assert nerode_classes_up(a, 2, 2) == nerode_classes_up_by_plugging(a, 2, 2)
         assert nerode_classes_down(a, 2, 2) == nerode_classes_down_by_plugging(a, 2, 2)

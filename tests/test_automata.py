@@ -4,7 +4,6 @@ weak pre, trims, and the determinism predicates."""
 from __future__ import annotations
 
 import itertools
-import math
 import random
 
 import pytest
@@ -24,6 +23,7 @@ from treeca import (
     enumerate_trees,
     is_codeterministic,
     is_deterministic,
+    is_path_closed,
     iter_nodes,
     language_upto,
     minimize_bta,
@@ -31,6 +31,7 @@ from treeca import (
     parse_term,
     plug,
     post_tree,
+    pre_context,
     puncture,
     reachable_states,
     reverse_bta,
@@ -44,6 +45,8 @@ from treeca import (
     useful_states,
     wpre,
 )
+from treeca import analysis, automata
+from treeca.automata import RuleIndex
 from treeca.trees import _group
 
 from helpers import (
@@ -205,30 +208,101 @@ def test_runs_agree_with_the_full_product_at_every_node():
         )
 
 
-class CountingRules(dict):
-    """A rule map that counts its get calls."""
+def test_misranked_inputs_raise_the_same_error_on_every_route(bool2, monkeypatch):
+    """A nullary symbol given a child, an unknown symbol with and without
+    children, and an inner symbol with one child too many raise
+    NotWellRankedError naming the symbol, never a KeyError or an empty set:
+    in runs over trees and seeded contexts, in the sibling runs and the
+    spine of the folds, and in the memo route of a congruence sweep, where
+    the children are known and the node is one step."""
+    T, F, hole = Tree("T"), Tree("F"), Tree(HOLE)
+    shapes = [Tree("T", (F,)), Tree("zz"), Tree("zz", (T, F)), Tree("and", (T, F, T))]
 
-    gets = 0
+    def raises(what: str, label: str, route, *args) -> None:
+        with pytest.raises(NotWellRankedError) as caught:
+            route(*args)
+        assert type(caught.value) is NotWellRankedError
+        assert str(caught.value) == f"{what} is not well ranked at symbol {label!r}"
 
-    def get(self, key, default=None):
-        self.gets += 1
-        return super().get(key, default)
+    for bad in shapes:
+        label = bad.label
+        raises("tree", label, accepts, bool2, bad)
+        raises("tree", label, post_tree, bool2, bad, bool2.states)
+        beside = Tree("or", (hole, bad))
+        raises("context", label, seeded_post, bool2, beside, "q0")
+        raises("tree", label, wpre, bool2, beside, bool2.final)
+        raises("tree", label, pre_context, bool2, beside)
+        if bad.children:
+            above = Tree(label, (hole, *bad.children[1:]))
+            raises("context", label, seeded_post, bool2, above, "q0")
+            raises("context", label, wpre, bool2, above, bool2.final)
+            raises("context", label, pre_context, bool2, above)
+        monkeypatch.setattr(analysis, "enumerate_trees", lambda *args, bad=bad: (T, F, bad))
+        raises("tree", label, bta_congruence_up, bool2, 2)
 
 
-def test_a_run_evaluates_each_distinct_step_once():
-    """A run looks each leaf symbol up once, and each argument tuple of each
-    distinct (symbol, child state sets) step once: a 3000-node term over a
-    draw of at most four states meets far fewer steps than nodes, and an
-    empty step is a hit like any other."""
+def test_the_rule_index_is_built_once_per_automaton_and_direction(bool2, and1, monkeypatch):
+    """Two runs read one upward index and two folds one downward index;
+    the path-closedness check co-determinizes a1 and starts a1's subset
+    construction from one index of a1."""
+    made: list[Bta] = []
+    builds: list[str] = []
+
+    class CountingIndex(RuleIndex):
+        def __init__(self, a: Bta):
+            super().__init__(a)
+            made.append(a)
+
+    for name in ("up", "down"):
+        def counted(ix, read=getattr(RuleIndex, name).fget, name=name):
+            if getattr(ix, "_" + name) is None:
+                builds.append(name)
+            return read(ix)
+        setattr(CountingIndex, name, property(counted))
+    monkeypatch.setattr(automata, "RuleIndex", CountingIndex)
+    a = Bta(bool2.alphabet, bool2.states, bool2.delta, bool2.final)
+    for _ in range(2):
+        assert accepts(a, parse_term("and(T,or(F,T))"))
+    assert (len(made), builds) == (1, ["up"])
+    for _ in range(2):
+        assert wpre(a, parse_context("or(<>,F)"), a.final) == {"q1"}
+    assert (len(made), builds) == (1, ["up", "down"])
+    a1 = Bta(and1.alphabet, and1.states, and1.delta, and1.final)
+    assert trim_unreachable(a1) is a1
+    made.clear()
+    builds.clear()
+    assert is_path_closed(a1)
+    assert made[0] is a1 and len(made) == 2  # a1's, then its co-determinization's
+    assert builds == ["down", "up", "up"]
+
+
+def counting_lines(monkeypatch) -> list[tuple]:
+    """Every call of the one subset step, _Subsets.line, while the test runs:
+    its symbol, prefix and last subsets."""
+    calls: list[tuple] = []
+    line = automata._Subsets.line
+
+    def spy(self, sym, prefix, lasts):
+        lasts = tuple(lasts)
+        calls.append((sym, prefix, lasts))
+        return line(self, sym, prefix, lasts)
+
+    monkeypatch.setattr(automata._Subsets, "line", spy)
+    return calls
+
+
+def test_a_run_evaluates_each_distinct_step_once(monkeypatch):
+    """A run steps each distinct (symbol, child state sets) key once, one
+    line of one last subset: a 3000-node term over a draw of at most four
+    states meets far fewer steps than inner nodes, and an empty step is a
+    hit like any other."""
     rng = random.Random(5)
-    empty_steps = per_steps = per_nodes = 0
+    lines = counting_lines(monkeypatch)
+    empty_steps = all_steps = inner_nodes = 0
     for a in [a for a in seeded_draws(20) if len(a.states) <= 4]:
-        rules = CountingRules(a.delta)
-        b = Bta._of(a.alphabet, a.states, rules, a.final)
         t = random_sized_tree(rng, a.alphabet, 3000)
         sets: dict[int, frozenset[str]] = {}  # by node id, read off an independent pass
         steps: dict[tuple, frozenset[str]] = {}
-        per_node = 0
         nodes = [t]
         for u in nodes:
             nodes += u.children
@@ -241,32 +315,33 @@ def test_a_run_evaluates_each_distinct_step_once():
             for combo in itertools.product(*key[1:]):
                 acc |= a.delta.get((u.label, combo), frozenset())
             sets[id(u)] = steps[key] = frozenset(acc)
-            per_node += math.prod(map(len, key[1:]))
-        assert accepts(b, t) == bool(sets[id(t)] & a.final)
-        per_step = sum(math.prod(map(len, key[1:])) for key in steps)
-        assert rules.gets == len(a.alphabet.nullary) + per_step
-        per_steps, per_nodes = per_steps + per_step, per_nodes + per_node
+            inner_nodes += 1
+        lines.clear()
+        assert accepts(a, t) == bool(sets[id(t)] & a.final)
+        assert len(lines) == len(steps)
+        assert all(len(lasts) == 1 for _, _, lasts in lines)
+        all_steps += len(steps)
         empty_steps += sum(not out for out in steps.values())
-    assert empty_steps and per_steps * 10 < per_nodes
+    assert empty_steps and all_steps * 10 < inner_nodes
 
 
-def test_a_congruence_sweep_evaluates_each_distinct_step_once():
-    """One bta_congruence_up sweep over ABG at height 3 looks each leaf
-    symbol up once, and each argument tuple of each distinct (symbol, child
-    state sets) step once over all the trees it enumerates, not once per
-    tree."""
+def test_a_congruence_sweep_evaluates_each_distinct_step_once(monkeypatch):
+    """One bta_congruence_up sweep over ABG at height 3 steps each distinct
+    (symbol, child state sets) key once over all the trees it enumerates,
+    not once per tree."""
     trees = enumerate_trees(ABG, 3)
-    per_steps = per_trees = 0
+    lines = counting_lines(monkeypatch)
+    all_steps = inner_trees = 0
     for a in [a for a in seeded_draws(50) if a.alphabet is ABG]:
-        rules = CountingRules(a.delta)
-        got = bta_congruence_up(Bta._of(a.alphabet, a.states, rules, a.final), 3)
+        lines.clear()
+        got = bta_congruence_up(a, 3)
         keys = [(t.label, *(post_by_products(a, c) for c in t.children)) for t in trees]
-        per_step = sum(math.prod(map(len, key[1:])) for key in set(keys) if len(key) > 1)
-        assert rules.gets == len(ABG.nullary) + per_step
+        steps = {key for key in keys if len(key) > 1}
+        assert len(lines) == len(steps)
         assert list(got) == list(_group(trees, lambda t: post_by_products(a, t)))
-        per_steps += per_step
-        per_trees += sum(math.prod(map(len, key[1:])) for key in keys if len(key) > 1)
-    assert per_steps * 3 < per_trees
+        all_steps += len(steps)
+        inner_trees += sum(len(key) > 1 for key in keys)
+    assert all_steps * 3 < inner_trees
 
 
 # === Seeded runs and wpre =========================================================

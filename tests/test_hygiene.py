@@ -265,7 +265,7 @@ def test_the_rule_mask_step_is_written_once():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if _is_low_bit(node)
     ]
-    assert steps == ["transforms.py"]
+    assert steps == ["automata.py"]
 
 
 def _added_modules(statement: str) -> tuple[set[str], str]:
