@@ -25,8 +25,9 @@ determinization is minimal iff refining its subset construction merges
 nothing, and co-determinization iff no two of its states have the same bit
 in every subset mask the path-closedness walk met.  Isomorphism is one
 search that maps states pair by pair, adding every pair the rules force
-before it branches.  Only the functions that build subsets or a completion
-import transforms, so renaming and comparing load no construction module.
+before it branches.  Only the functions that co-determinize or complete
+import transforms; the subset construction is automata's, so minimizing,
+comparing and renaming load no construction module.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .automata import (
     Bta,
     BtaKey,
     Numbered,
+    _Subsets,
     _climb,
     _restrict,
     reverse_bta,
@@ -144,7 +146,6 @@ def minimize_bta(
     of a determinization is reachable, so only the climb from the final
     states runs.  The subset construction hands its numbered table straight
     to the merge, so only the minimal automaton gets names."""
-    from .transforms import _Subsets
     m = _merge_classes(_Subsets(a, budget).close())
     return _restrict(m, _climb(m, m.states)) if strip_dead else m
 
@@ -160,7 +161,7 @@ def _require_path_closed(a: Bta, budget: int, task: str) -> tuple[Bta, _Subsets,
     finds no tree, every reachable subset of each side has appeared in some
     pair.
     """
-    from .transforms import _Subsets, _codeterminize
+    from .transforms import _codeterminize
     a1 = trim_unreachable(a)
     c = _codeterminize(a1, budget)
     sa, sc = _Subsets(a1, budget), _Subsets(c, budget)
@@ -224,7 +225,6 @@ def gen_det_u_witness(
     the subset construction's numbered tables, so no rule of the
     determinization is named.
     """
-    from .transforms import _Subsets
     subsets = _Subsets(a, budget)
     view = subsets.close()
     names = view.names
@@ -586,7 +586,6 @@ def separating_tree(
     """
     if a.alphabet != b.alphabet:
         raise TreecaError("separating_tree requires automata over the same alphabet")
-    from .transforms import _Subsets
     return _product_walk(_Subsets(a, budget), _Subsets(b, budget))
 
 

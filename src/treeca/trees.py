@@ -8,7 +8,10 @@ first time anything asks for either (hashing, comparing, ordering, the
 height, the printer), so a term that is read and run once pays for its
 nodes alone.  A context is an ordinary tree over the alphabet extended with
 the reserved nullary hole symbol ``<>``, holding exactly one hole; its
-address is the pivot.
+address is the pivot.  The term reader tokenizes a text with one split
+and reads the tokens in one loop; the printer keeps a printed tree's text
+on that tree and uses the kept texts of the trees below, so printing in
+canonical order costs one join per tree.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ Address = tuple[int, ...]
 
 _IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
 _TOKEN_RE = re.compile(rf"{re.escape(HOLE)}|[(),]|{_IDENT_RE.pattern}")
-# Punctuation with the whitespace around it: a split keeps the punctuation.
-_PUNCT_RE = re.compile(r"\s*([(),])\s*")
 # A character that is neither whitespace nor in a token: none of the token
 # characters, or a '<' or '>' that is not half of a hole.
 _BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_(),<>\s]|<(?!>)|(?<!<)>")
@@ -117,19 +118,21 @@ class Tree:
     asks for it, when _measure sets the height and the hash of the node and
     of every unmeasured node below it.  A leaf is measured as it is built.
     Equal trees hash equal, whichever was measured first; the values differ
-    from run to run, as str hashes do.
+    from run to run, as str hashes do.  _text is the term syntax of the
+    node once format_term has printed it, and a leaf's label from the start.
     """
 
-    __slots__ = ("label", "children", "_height", "_hash")
+    __slots__ = ("label", "children", "_height", "_hash", "_text")
 
     def __init__(self, label: str, children: Sequence["Tree"] = ()):
         self.label = label
         self.children = children = tuple(children)
         if children:
-            self._hash = None
+            self._hash = self._text = None
         else:
             self._height = 1
             self._hash = hash(label)
+            self._text = label
 
     @property
     def height(self) -> int:
@@ -500,18 +503,26 @@ _FLAT_HEIGHT = 32  # format_term writes a subtree this high or lower by recursio
 
 
 def _flat_term(t: Tree) -> str:
-    if t.children:
-        return f"{t.label}({','.join(map(_flat_term, t.children))})"
-    return t.label
+    text = t._text
+    if text is None:
+        text = f"{t.label}({','.join(map(_flat_term, t.children))})"
+    return text
 
 
 def format_term(t: Tree) -> str:
     """Render a tree in the term syntax; nullary symbols omit parentheses.
 
-    A subtree of height at most _FLAT_HEIGHT is written by recursion, one
-    join per node; an explicit stack walks the nodes above, so a chain of
-    any depth never recurses deeply.  The heights come from measuring t
-    first (_measure)."""
+    The text is kept on t (a leaf's is its label), and any node's kept
+    text is used as it stands, so a tree printed again costs nothing, and
+    a tree whose children were printed first, as in canonical order, costs
+    one join.  A node without one is written by recursion, one join per
+    node, up to _FLAT_HEIGHT levels high; an explicit stack walks the nodes
+    above, so a chain of any depth never recurses deeply.  The heights come
+    from measuring t first (_measure).  Only t keeps its text, so memory
+    grows by the text returned."""
+    text = t._text
+    if text is not None:
+        return text
     if t._hash is None:
         _measure(t)
     parts: list[str] = []
@@ -520,7 +531,7 @@ def format_term(t: Tree) -> str:
         u = todo.pop()
         if u.__class__ is str:
             parts.append(u)
-        elif u._height <= _FLAT_HEIGHT:
+        elif u._height <= _FLAT_HEIGHT or u._text is not None:
             parts.append(_flat_term(u))
         else:
             parts.append(u.label + "(")
@@ -528,7 +539,8 @@ def format_term(t: Tree) -> str:
             for c in reversed(u.children):
                 todo.extend((c, ","))
             todo.pop()  # no comma before the first child
-    return "".join(parts)
+    t._text = text = "".join(parts)
+    return text
 
 
 def _parse_term(text: str, arities: Mapping[str, int]) -> tuple[Tree, int, bool]:
@@ -536,66 +548,66 @@ def _parse_term(text: str, arities: Mapping[str, int]) -> tuple[Tree, int, bool]
     whether some node's child count differs from its label's entry in
     arities (a label with no entry matches no count).
 
-    After the search for a character no token holds, one split at the
-    punctuation, with the whitespace around it, leaves the labels at the
-    even places and the punctuation between them.  One loop over those
-    builds each node as it closes and compares its child count with its
-    label's arity.  Each distinct label is checked once, and its leaves
-    share one Tree.  A text the loop declines goes to _term_fault, which
-    words its first fault and builds nothing.
+    Padding each '(', ')' and ',' with spaces and one whitespace split
+    give the tokens.  One loop reads them in turn, building each node as it
+    closes and comparing its child count with its label's arity.  Each
+    distinct label is checked once, and its leaves share one Tree.  A text
+    the loop declines goes to _term_fault, which words its first fault and
+    builds nothing.  The loop reads every token before it returns, and a
+    token holding a character no token may hold is neither a label nor
+    punctuation, so such a text is always declined and its character is
+    reported before any grammar fault.
     """
-    bad = _BAD_CHAR_RE.search(text)  # reported before any grammar error
-    if bad:
-        raise ParseError(f"unexpected character {bad[0]!r}", line=1, column=bad.start() + 1)
-    # The labels at the even places, the punctuation between them, and a
-    # last pair of empty strings for the end of text.
-    pieces = iter([*_PUNCT_RE.split(text.strip()), "", ""])
+    tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
+    tokens.append("")  # the end of text; no token is read after it
+    nxt = iter(tokens).__next__
     known: dict[str, tuple[int, Tree]] = {}  # each label read: its arity (-1 if none), its leaf
     misranked = False
-    label = next(pieces)  # a label read whose node is not built yet, None after a ')'
     kids: list[Tree] = []  # the children of the innermost open node, the root at the top
     open_nodes: list[tuple[str, int, list[Tree]]] = []  # the nodes outside: label, arity, kids
-    for punct, piece in zip(pieces, pieces):  # the loop breaks on a fault
-        if label:
-            got = known.get(label)
-            if got is None:
-                if label not in arities and label != HOLE and not _IDENT_RE.fullmatch(label):
-                    break
-                got = known[label] = (arities.get(label, -1), Tree(label))
-            want, leaf = got
-            if punct == "(":
-                if label == HOLE:
-                    break
+    label = nxt()
+    while True:  # each turn reads a term from its label; the loop breaks on a fault
+        got = known.get(label)
+        if got is None:
+            if label not in arities and label != HOLE and not _IDENT_RE.fullmatch(label):
+                break
+            got = known[label] = (arities.get(label, -1), Tree(label))
+        want, leaf = got
+        punct = nxt()
+        if punct == "(" and label != HOLE:
+            piece = nxt()
+            if piece != ")":
                 open_nodes.append((label, want, kids))
                 kids, label = [], piece
                 continue
-            kids.append(leaf)
-            misranked |= want != 0
-        elif punct == "(" or label is not None and (punct != ")" or kids):
-            break  # no label where one goes, but inside a leaf's "()"
-        if not open_nodes:  # the root is built: only the end of text may follow
-            if punct:
-                break
-            return kids[0], text.count(HOLE), misranked
-        if punct == ",":
-            label = piece
-            continue
-        if punct != ")" or piece:
+            punct = nxt()  # a leaf's "()"
+        kids.append(leaf)
+        misranked |= want != 0
+        while punct == ")" and open_nodes:
+            name, want, outer = open_nodes.pop()
+            outer.append(Tree(name, kids))
+            misranked |= want != len(kids)
+            kids = outer
+            punct = nxt()
+        if punct == "," and open_nodes:
+            label = nxt()
+        elif punct or open_nodes:
             break
-        name, want, outer = open_nodes.pop()
-        outer.append(Tree(name, kids))
-        misranked |= want != len(kids)
-        kids, label = outer, None
+        else:  # the root, and then the end of text
+            return kids[0], text.count(HOLE), misranked
     raise _term_fault(text)
 
 
 def _term_fault(text: str) -> ParseError:
-    """The first fault of a text that _parse_term declines, worded as a
-    scan of its tokens from the left finds it.
+    """The first fault of a text that _parse_term declines.
 
-    The text holds only token characters and whitespace.  The scan keeps
-    the count of open '(' and builds nothing.
+    A character no token holds is reported first, wherever it is.  Failing
+    that, the fault is worded as a scan of the tokens from the left finds
+    it; the scan keeps the count of open '(' and builds nothing.
     """
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        return ParseError(f"unexpected character {bad[0]!r}", line=1, column=bad.start() + 1)
     tokens = _TOKEN_RE.finditer(text)  # what lies between them is whitespace
     tok = next(tokens, None)  # the next token, None at the end of text
     depth = 0  # the '(' still open

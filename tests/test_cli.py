@@ -259,6 +259,20 @@ def test_member_verdicts_and_arity_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("verb, flag", [("member", "-t"), ("pre", "-c")])
+def test_term_faults_and_spaces_read_the_same_on_the_command_line(capsys, verb, flag):
+    """A character no token holds is reported before the empty argument
+    that comes first; a missing comma is reported at the label after it;
+    and every space between tokens is free."""
+    bad = run(capsys, verb, fx("bool2.bta"), flag, "and(T,,F$)")
+    assert bad == (2, "", "error: line 1, column 9: unexpected character '$'\n")
+    bad = run(capsys, verb, fx("bool2.bta"), flag, "and(T F)")
+    assert bad == (2, "", "error: line 1, column 7: expected ',' or ')', got 'F'\n")
+    text = " and ( T ,\tF ) " if verb == "member" else " and ( T ,\t<> ) "
+    assert run(capsys, verb, fx("bool2.bta"), flag, text)[:2] == (
+        (1, "not a member\n") if verb == "member" else (0, "q1\n"))
+
+
 def test_post_defaults_to_initial_states_and_honors_the_flag(capsys):
     code, out, _ = run(capsys, "post", fx("bool2.bta"), "-t", "and(or(T,F),and(T,T))")
     assert (code, out) == (0, "q1\n")

@@ -215,6 +215,19 @@ def test_format_term_writes_deep_chains_as_the_token_writer_does():
         assert format_term(x) == write_term_by_tokens(x)
 
 
+def test_a_deep_chain_prints_its_kept_text_again():
+    """A 100,000-deep chain prints as the token writer writes it on the
+    first call and on the second, and a chain put over it, whose kept text
+    stands for it in the stack walk, prints so too."""
+    t = chain(Tree("a"), 100_000)
+    want = write_term_by_tokens(t)
+    assert format_term(t) == want
+    assert format_term(t) == want
+    top = Tree("f", [chain(t, 50), chain(Tree("b"), 50)])
+    assert format_term(top) == write_term_by_tokens(top)
+    assert format_term(top) == "f(" + "g(" * 50 + want + ")" * 50 + "," + chain_text("b", 50) + ")"
+
+
 def test_plug_and_puncture_undo_each_other():
     c = chain(Tree("a"))
     x = chain(Tree(HOLE))

@@ -6,6 +6,7 @@ import gc
 import itertools
 import random
 import re
+import sys
 import time
 from pathlib import Path
 from unittest import mock
@@ -40,7 +41,7 @@ from treeca import (
     subtree,
     substitute,
 )
-from treeca.trees import _enumerate_raw, _holes, _memo, _parse_term, fresh_tuples
+from treeca.trees import _enumerate_raw, _flat_term, _holes, _memo, _parse_term, fresh_tuples
 
 from helpers import (
     AB,
@@ -465,6 +466,42 @@ def test_format_term_writes_what_the_token_writer_writes():
                 assert format_term(u) == write_term_by_tokens(u)
 
 
+def test_a_tree_keeps_its_text_and_prints_it_again_without_writing():
+    rng = random.Random(31)
+    for t in (_tall_tree(rng, ABG, 6), _tall_tree(rng, TERN, 40), parse_context("f(<>,a)")):
+        with mock.patch("treeca.trees._flat_term", wraps=_flat_term) as spy:
+            first = format_term(t)
+            assert spy.call_count > 0
+            spy.reset_mock()
+            assert format_term(t) == first == write_term_by_tokens(t)
+            assert spy.call_count == 0
+
+
+def test_printing_an_enumeration_in_order_writes_one_node_per_tree():
+    """Canonical order prints each tree's children before it, and their
+    kept texts stand for them, so a tree costs one _flat_term call for
+    itself and one per child (a leaf's text is its label: none)."""
+    _memo.pop((ABG, False, 4), None)  # fresh trees, none printed yet
+    items = enumerate_trees(ABG, 4)
+    with mock.patch("treeca.trees._flat_term", wraps=_flat_term) as spy:
+        for t in items:
+            before = spy.call_count
+            assert format_term(t) == write_term_by_tokens(t)
+            assert spy.call_count - before <= 1 + len(t.children)
+    assert spy.call_count == sum(1 + len(t.children) for t in items if t.children)
+
+
+def test_printing_a_read_term_keeps_one_text():
+    """Only the printed node keeps its text, so memory grows by the one
+    string returned: after printing a 2000-node term read back from its
+    text, its root is the one inner node with a text."""
+    text = format_term(random_sized_tree(random.Random(32), ABG, 2000))
+    t = parse_term(text, ABG)
+    assert format_term(t) == text
+    kept = [node for _, node in iter_nodes(t) if node.children and node._text is not None]
+    assert kept == [t]
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError):
         parse_term("and(T,")
@@ -481,6 +518,7 @@ def test_parse_errors_carry_positions():
     [
         # A character no token holds outranks the misplaced ',' before it.
         ("f(,x)$", 6, "unexpected character '$'"),
+        ("and(T,,F$)", 9, "unexpected character '$'"),
         ("f(a", 4, "unclosed '('"),
         ("", 1, "unexpected end of term"),
         # The reader's fault outranks the context's hole count.
@@ -489,10 +527,11 @@ def test_parse_errors_carry_positions():
 )
 def test_reader_faults_come_in_a_fixed_order(text, column, message):
     for parse in (parse_term, parse_context):
-        with pytest.raises(ParseError) as caught:
-            parse(text)
-        assert (caught.value.line, caught.value.column) == (1, column)
-        assert str(caught.value) == f"line 1, column {column}: {message}"
+        for alphabet in (None, BOOL):
+            with pytest.raises(ParseError) as caught:
+                parse(text, alphabet)
+            assert (caught.value.line, caught.value.column) == (1, column)
+            assert str(caught.value) == f"line 1, column {column}: {message}"
 
 
 def read_every_way(text: str, alphabet: RankedAlphabet) -> tuple:
@@ -509,10 +548,10 @@ def read_every_way(text: str, alphabet: RankedAlphabet) -> tuple:
 
 
 # Characters a mutation inserts: every token character, ASCII and Unicode
-# spaces (regex \s, which the reader strips around punctuation, and which
-# the token scan skips between tokens), characters no token holds ('$', 'é',
-# and the zero-width space, which is not whitespace), and symbols of the
-# alphabets.
+# spaces (str.isspace(), which the reader's split skips, and regex \s, the
+# same set, which the token scan skips between tokens), characters no token
+# holds ('$', 'é', and the zero-width space, which is not whitespace), and
+# symbols of the alphabets.
 MUTATION_CHARS = (
     "(),<>  \t\nabfghT_9$é\u00a0"
     "\x0b\x0c\r\x1c\x85\u2028\u3000\u200b"
@@ -608,6 +647,29 @@ def test_reader_agrees_with_the_token_list_reader():
         "unknown symbol _ _",
         "symbol _ _ has _ children, expected _",
     }
+
+
+SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
+def test_every_space_is_free_between_tokens_and_splits_a_label():
+    """Each character str.isspace() accepts (the whitespace the reader's
+    split and the reference tokenizer's regex \\s both skip) may stand
+    anywhere between tokens, and inside a label or a hole it is a fault;
+    every route agrees with the token-list reader on each text."""
+    assert {" ", "\t", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000"} <= set(SPACES)
+    assert "\u200b" not in SPACES
+    for c in SPACES:
+        free = [(f"{c}and{c}({c}T{c},{c}F{c}){c}", "and(T,F)"),
+                (f"or({c}<>{c},{c}T{c}(){c})", "or(<>,T)")]
+        split = [f"an{c}d(T,F)", f"or(<{c}>,T)", f"and(T,F{c}F)", f"and(T,F)(){c}x"]
+        for text, plain in free:
+            assert format_term(_parse_term(text, {})[0]) == plain
+        for text in split:
+            with pytest.raises(ParseError):
+                _parse_term(text, {})
+        assert_routes_agree(read_every_way, read_every_way_from_token_list,
+                            [(text, BOOL) for text in [t for t, _ in free] + split])
 
 
 @pytest.mark.parametrize(
