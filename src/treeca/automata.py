@@ -34,7 +34,7 @@ from operator import contains
 from typing import Iterable, Iterator, Mapping
 
 from .errors import BudgetError, NotWellRankedError, TreecaError
-from .trees import HOLE, Address, RankedAlphabet, Tree, pivot
+from .trees import HOLE, Address, RankedAlphabet, Tree, fresh_lines, pivot
 
 EMPTY: frozenset[str] = frozenset()
 _bit = (1).__lshift__  # a state number's bit in the masks of sets of states
@@ -433,31 +433,26 @@ class _Subsets:
 
     def close(self) -> Numbered:
         """The determinization as a numbered view, states in discovery order
-        and named after their subsets.  Each subset m in turn is combined
-        with the ones before, in the order trees.fresh_tuples lists: each prefix
-        over 0..m in lexicographic order, where an old prefix appends its
-        target at m to its line and a new one gets a full line over 0..m.
-        A symbol's table is its lines joined in the product order of the
-        prefixes."""
+        and named after their subsets.  Subsets are discovered one level at a
+        time, as the product walk discovers pairs: when subsets lo..hi-1 are
+        new, each line that trees.fresh_lines lists extends its prefix's line
+        over the last subsets first..hi-1, so every prefix's line ends up
+        over all subsets in order.  A symbol's table is its lines joined in
+        the product order of the prefixes."""
         order = self.pool.order
         lines: dict[str, dict[tuple[int, ...], list[int]]] = {sym: {} for sym in self.index}
-        m = 0
-        while m < len(order):
-            for sym, got in lines.items():
-                k = self.a.alphabet.arity(sym)
-                for prefix in itertools.product(range(m + 1), repeat=k - 1):
-                    line = got.get(prefix)
-                    if line is None:
-                        got[prefix] = self.line(sym, prefix, range(m + 1))
-                    else:
-                        line += self.line(sym, prefix, (m,))
-            m += 1
+        lo = 0
+        while lo < len(order):
+            hi = len(order)
+            for sym, prefix, first in fresh_lines(self.arity, lo, hi):
+                lines[sym].setdefault(prefix, []).extend(self.line(sym, prefix, range(first, hi)))
+            lo = hi
         n = len(order)
         tables: dict[str, list[int] | dict[int, int]] = {
             sym: [target] for sym, target in self.leaves.items()
         }
         for sym, got in lines.items():
-            prefixes = itertools.product(range(n), repeat=self.a.alphabet.arity(sym) - 1)
+            prefixes = itertools.product(range(n), repeat=self.arity[sym] - 1)
             tables[sym] = list(itertools.chain.from_iterable(map(got.__getitem__, prefixes)))
         names = [subset_name(map(self.states.__getitem__, ms)) for ms in self.pool.members]
         final = frozenset(i for i, mask in enumerate(order) if mask & self.final_mask)

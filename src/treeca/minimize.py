@@ -54,7 +54,7 @@ from .errors import (
     NotPathClosedError,
     TreecaError,
 )
-from .trees import Tree
+from .trees import Tree, fresh_lines
 
 
 def _refine(v: Numbered) -> list[int]:
@@ -129,13 +129,8 @@ def _merge_classes(v: Numbered) -> Bta:
     the least members of its argument blocks."""
     block = _refine(v)
     members = _blocks(block)
-    first = [m[0] for m in members]
-    tables: dict[str, list[int] | dict[int, int]] = {
-        sym: list(map(block.__getitem__, v.targets(sym, first))) for sym in v.tables
-    }
     names = [subset_name(map(v.names.__getitem__, m)) for m in members]
-    final = frozenset(block[q] for q in v.final)
-    return Numbered(v.alphabet, names, tables, final, True).named()
+    return _refill(v, block, [m[0] for m in members], names).named()
 
 
 def minimize_bta(
@@ -267,10 +262,12 @@ def _walk(v: Numbered) -> tuple[list[int], list[int], list[tuple[int, tuple[int,
 
     The walk takes nullary symbols in sorted order and then, layer by layer,
     every symbol in sorted order with argument tuples in lexicographic index
-    order; a repeat keeps its first number.  On a total view it looks the
-    fresh tuples up in the tables, their indices summed in bulk
-    (_fresh_indices).  On a partial one it lists the rules each state is an
-    argument of, so memory stays linear in the rules.
+    order; a repeat keeps its first number.  Unlike close and the product
+    walk, which step one level at a time, it combines one state at a time
+    with the ones before, since its numbering is the canonical form.  On a
+    total view it looks those fresh tuples up in the tables, their indices
+    summed in bulk (_fresh_indices).  On a partial one it lists the rules
+    each state is an argument of, so memory stays linear in the rules.
     """
     n, total = len(v.names), v.total
     symbols = v.alphabet.symbols
@@ -330,12 +327,13 @@ def _walk(v: Numbered) -> tuple[list[int], list[int], list[tuple[int, tuple[int,
 
 
 def _fresh_indices(m: int, offsets: list[list[int]]) -> list[int]:
-    """The table indices of the tuples fresh_tuples(m, m + 1, k) lists, in
-    its order, where offsets[i] holds the shares of states 0..m at argument
-    position i.  Built from the last position back, where m alone is fresh:
-    the fresh tuples from position i on are those whose entry at i is below
-    m, each before every fresh tuple from i + 1 on, then those with m at i
-    before every tuple of states 0..m from i + 1 on."""
+    """The table indices of the k-tuples on the lines of
+    trees.fresh_lines(..., m, m + 1), in their order, where offsets[i] holds
+    the shares of states 0..m at argument position i; the walk sums them in
+    bulk rather than line by line.  Built from the last position back, where
+    m alone is fresh: the fresh tuples from position i on are those whose
+    entry at i is below m, each before every fresh tuple from i + 1 on, then
+    those with m at i before every tuple of states 0..m from i + 1 on."""
     fresh, every = offsets[-1][m:], offsets[-1]
     for i in range(len(offsets) - 2, -1, -1):
         o = offsets[i]
@@ -373,10 +371,12 @@ def canonical_form(d: Bta) -> Bta:
 
 
 def _refill(v: Numbered, number: list[int], order: list[int], names: list[str]) -> Numbered:
-    """The total view v over the states _walk reached, numbered as it
-    numbered them and named by names.  The reached states are closed under
-    the rules: each new table reads the rules between the old numbers in
-    order."""
+    """The total view v over the states of order, renumbered by number and
+    named by names: the states _walk reached, numbered as it numbered them,
+    or the least member of each block of a congruence, numbered by block.
+    Each new table reads the rules between the states of order in turn and
+    renumbers their targets, so every target has a number (>= 0); a final
+    state numbered -1 is left out."""
     tables: dict[str, list[int] | dict[int, int]] = {
         sym: list(map(number.__getitem__, v.targets(sym, order))) for sym in v.tables
     }
@@ -510,22 +510,20 @@ def _product_walk(sa: _Subsets, sb: _Subsets) -> Tree | None:
 
     A pair is its two subset ids and a back-pointer: the symbol and the
     pair indices of the argument tuple that first reached it.  When pairs
-    lo..hi-1 are new, each symbol of arity k >= 1 takes every prefix of k-1
-    pair indices over 0..hi in lexicographic order, and each side maps its
-    residual for its own projection of the prefix over the last arguments'
-    subsets in one call (_Subsets.line): over lo..hi when the whole prefix
-    is old, else over 0..hi.  These are the argument tuples
-    trees.fresh_tuples(lo, hi, k) lists, in its order, so each side interns
-    its subsets in that order and builds only the subsets the walk reaches.
-    Only the pair that disagrees on acceptance gets a tree (_witness).
+    lo..hi-1 are new, the walk steps through the lines trees.fresh_lines
+    lists, and each side maps its residual for its own projection of the
+    line's prefix over the subsets of pairs first..hi-1 in one call
+    (_Subsets.line).  These are the argument tuples not combined before, in
+    lexicographic order, so each side interns its subsets in that order and
+    builds only the subsets the walk reaches.  Only the pair that disagrees
+    on acceptance gets a tree (_witness).
     """
-    alphabet = sa.a.alphabet
     oa, ob, fa, fb = sa.pool.order, sb.pool.order, sa.final_mask, sb.final_mask
     xs: list[int] = []  # side a's subset id by pair index
     ys: list[int] = []  # side b's
     back: list[tuple[str, tuple[int, ...]]] = []
     seen: set[tuple[int, int]] = set()
-    for sym in alphabet.nullary:
+    for sym in sa.a.alphabet.nullary:
         pair = (sa.leaves[sym], sb.leaves[sym])
         if pair not in seen:
             seen.add(pair)
@@ -538,21 +536,18 @@ def _product_walk(sa: _Subsets, sb: _Subsets) -> Tree | None:
         for i in range(lo, hi):
             if bool(oa[xs[i]] & fa) != bool(ob[ys[i]] & fb):
                 return _witness(back, i)
-        fresh, every = (lo, xs[lo:hi], ys[lo:hi]), (0, xs[:hi], ys[:hi])
-        for sym in alphabet.symbols:
-            k = alphabet.arity(sym)
-            if not k:
-                continue
-            for prefix in itertools.product(range(hi), repeat=k - 1):
-                first, lasts_a, lasts_b = every if prefix and max(prefix) >= lo else fresh
-                got_a = sa.line(sym, tuple(map(xs.__getitem__, prefix)), lasts_a)
-                got_b = sb.line(sym, tuple(map(ys.__getitem__, prefix)), lasts_b)
-                for j, pair in enumerate(zip(got_a, got_b), first):
-                    if pair not in seen:
-                        seen.add(pair)
-                        xs.append(pair[0])
-                        ys.append(pair[1])
-                        back.append((sym, (*prefix, j)))
+        # A line starts at lo or 0: slice each side's last subsets once per level.
+        lasts = {lo: (xs[lo:hi], ys[lo:hi]), 0: (xs[:hi], ys[:hi])}
+        for sym, prefix, first in fresh_lines(sa.arity, lo, hi):
+            lasts_a, lasts_b = lasts[first]
+            got_a = sa.line(sym, tuple(map(xs.__getitem__, prefix)), lasts_a)
+            got_b = sb.line(sym, tuple(map(ys.__getitem__, prefix)), lasts_b)
+            for j, pair in enumerate(zip(got_a, got_b), first):
+                if pair not in seen:
+                    seen.add(pair)
+                    xs.append(pair[0])
+                    ys.append(pair[1])
+                    back.append((sym, (*prefix, j)))
         lo = hi
     return None
 

@@ -396,40 +396,46 @@ def format_path(p: Path) -> str:
     return "".join(str(tok) for tok in p)
 
 
-def fresh_tuples(lo: int, hi: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The k-tuples over range(hi) with at least one entry >= lo, in
-    lexicographic order.
+def fresh_lines(
+    arities: Mapping[str, int], lo: int, hi: int
+) -> Iterator[tuple[str, tuple[int, ...], int]]:
+    """The argument tuples over range(hi) with an entry >= lo, as lines
+    (symbol, prefix, first): per symbol of arity k >= 1 in the order of
+    arities, per prefix of k-1 entries over range(hi) in lexicographic
+    order, first is lo when the whole prefix is below lo and 0 otherwise.
 
     Breadth-first constructions number their items in discovery order; when
-    items lo..hi-1 are the new ones, these are exactly the argument tuples
-    not combined before.  The tuples with an old first entry are that entry
-    before each fresh (k-1)-tuple; the rest are a product.
+    items lo..hi-1 are the new ones, prefix + (j,) for j in range(first, hi)
+    are exactly the symbol's argument tuples not combined before, in
+    lexicographic order.
     """
-    if k == 0:
-        return iter(())
-    new_first = itertools.product(range(lo, hi), *[range(hi)] * (k - 1))
-    if k == 1:
-        return new_first
-    old_first = (map((first,).__add__, fresh_tuples(lo, hi, k - 1)) for first in range(lo))
-    return itertools.chain(itertools.chain.from_iterable(old_first), new_first)
+    for sym, k in arities.items():
+        if k:
+            for prefix in itertools.product(range(hi), repeat=k - 1):
+                yield sym, prefix, lo if not prefix or max(prefix) < lo else 0
 
 
 def _enumerate_raw(entries: Mapping[str, int], max_height: int, budget: int) -> tuple[Tree, ...]:
-    """All trees over the given arity map with height <= max_height, in canonical order."""
-    names = sorted(entries)
-    out: list[Tree] = []
+    """All trees over the given arity map with height <= max_height, in
+    canonical order: the leaves by name, then per height the trees over the
+    lines of fresh_lines, whose new items are the trees of the height below.
+    The leaves and each line are checked against the budget before any of
+    their trees is built, so a miss builds no tree past the budget."""
+    arities = dict(sorted(entries.items()))
+    leaves = [n for n, k in arities.items() if not k]
+    over = f"tree enumeration exceeded the budget of {budget} items"
+    if len(leaves) > budget:
+        raise BudgetError(over)
+    out = list(map(Tree, leaves))
     lo = 0  # out[lo:] holds the trees of the greatest height so far
-    for h in range(1, max_height + 1):
-        level: list[Tree] = []
-        for n in names:
-            k = entries[n]
-            # A nullary symbol has one argument tuple, the empty one, at height 1.
-            for combo in fresh_tuples(lo, len(out), k) if k else [()] if h == 1 else ():
-                level.append(Tree(n, [out[i] for i in combo]))
-                if len(out) + len(level) > budget:
-                    raise BudgetError(f"tree enumeration exceeded the budget of {budget} items")
-        lo = len(out)
-        out.extend(level)
+    for _ in range(1, max_height):
+        hi = len(out)
+        for sym, prefix, first in fresh_lines(arities, lo, hi):
+            if len(out) + hi - first > budget:
+                raise BudgetError(over)
+            args = tuple(map(out.__getitem__, prefix))
+            out += [Tree(sym, (*args, last)) for last in out[first:hi]]
+        lo = hi
     return tuple(out)
 
 

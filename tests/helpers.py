@@ -9,6 +9,7 @@ pipelines it is meant to check.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 import re
@@ -55,7 +56,6 @@ from treeca import (
     trim_unreachable,
 )
 from treeca.automata import EMPTY, _Subsets
-from treeca.trees import fresh_tuples
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -191,6 +191,18 @@ def seeded_draws(count: int) -> list[Bta]:
         else:
             draws.append(random_bta(rng, alphabet, max_states))
     return draws
+
+
+def corpus_draw(alphabet: str, n: int, seed: int) -> Bta:
+    """The benchmark corpus's random_nbta draw with n states over its
+    alphabet of that name, from random.Random(seed).  perfbench/corpus.py
+    imports nothing of treeca, so it is loaded from its file."""
+    path = FIXTURES.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    draw = corpus.random_nbta(random.Random(seed), getattr(corpus, alphabet), n)
+    return parse_automaton(draw.text())
 
 
 def random_tree(rng: random.Random, alphabet: RankedAlphabet, max_height: int) -> Tree:
@@ -625,6 +637,14 @@ def gen_det_d_by_isomorphism(a: Bta) -> bool:
     return isomorphic(c, codeterminize(determinize(a1), pretrim=False))
 
 
+def fresh_tuples_by_filter(lo: int, hi: int, k: int) -> list[tuple[int, ...]]:
+    """The k-tuples over range(hi) with an entry >= lo, in lexicographic
+    order, by definition: the argument tuples a breadth-first construction
+    has not combined before when its items lo..hi-1 are the new ones.  Empty
+    for k = 0."""
+    return [c for c in itertools.product(range(hi), repeat=k) if k and max(c) >= lo]
+
+
 def separating_tree_by_determinization(
     a: Bta, b: Bta, budget: int = DEFAULT_STATE_BUDGET
 ) -> Tree | None:
@@ -652,7 +672,7 @@ def separating_tree_by_determinization(
         explored.extend(fresh)
         nxt: list[tuple[str, str, Tree]] = []
         for sym in da.alphabet.symbols:
-            for combo in fresh_tuples(lo, len(explored), da.alphabet.arity(sym)):
+            for combo in fresh_tuples_by_filter(lo, len(explored), da.alphabet.arity(sym)):
                 entries = [explored[i] for i in combo]
                 pa = target(da, sym, tuple(e[0] for e in entries))
                 pb = target(db, sym, tuple(e[1] for e in entries))
@@ -675,7 +695,7 @@ def _step_by_members(s: _Subsets, sym: str, combo: tuple[int, ...]) -> int:
 
 def product_walk_by_steps(sa: _Subsets, sb: _Subsets) -> Tree | None:
     """The product walk one transition at a time: the pairs of subsets that
-    trees reach in both sides, breadth-first over trees.fresh_tuples, each
+    trees reach in both sides, breadth-first over fresh_tuples_by_filter, each
     pair holding the tree that first reached it; the first pair whose
     subsets disagree on meeting the final states gives the tree.  Each
     argument tuple steps both sides once (_step_by_members), so each side
@@ -697,7 +717,7 @@ def product_walk_by_steps(sa: _Subsets, sb: _Subsets) -> Tree | None:
         explored.extend(fresh)
         nxt: list[tuple[int, int, Tree]] = []
         for sym in alphabet.symbols:
-            for combo in fresh_tuples(lo, len(explored), alphabet.arity(sym)):
+            for combo in fresh_tuples_by_filter(lo, len(explored), alphabet.arity(sym)):
                 entries = [explored[i] for i in combo]
                 pa = _step_by_members(sa, sym, tuple(e[0] for e in entries))
                 pb = _step_by_members(sb, sym, tuple(e[1] for e in entries))
@@ -810,27 +830,29 @@ def subset_construction_by_product(
 ) -> tuple[Bta, dict[str, frozenset[str]]]:
     """The subset construction as defined: the image of an argument tuple of
     subsets is the union of delta over every tuple of their members.  Subsets
-    are numbered in discovery order (nullary images, then each new subset's
-    tuples with the older ones in lexicographic order) and the budget caps
-    how many may be numbered."""
+    are numbered in discovery order (nullary images, then level by level:
+    per symbol, the argument tuples over the subsets so far that hold one
+    numbered on the level before, in lexicographic order) and the budget
+    caps how many may be numbered."""
     pool = NamedSubsetPool(budget)
     order, intern = pool.order, pool.intern
 
     raw: dict[tuple[str, tuple[int, ...]], int] = {}
     for sym in a.alphabet.nullary:
         raw[(sym, ())] = intern(frozenset(a.delta.get((sym, ()), ())))
-    m = 0
-    while m < len(order):
+    lo = 0
+    while lo < len(order):
+        hi = len(order)
         for sym in a.alphabet.symbols:
             k = a.alphabet.arity(sym)
-            for combo in itertools.product(range(m + 1), repeat=k):
-                if not k or max(combo) != m:
+            for combo in itertools.product(range(hi), repeat=k):
+                if not k or max(combo) < lo:
                     continue
                 acc: set[str] = set()
                 for members in itertools.product(*(sorted(order[i]) for i in combo)):
                     acc |= a.delta.get((sym, members), set())
                 raw[(sym, combo)] = intern(frozenset(acc))
-        m += 1
+        lo = hi
     names = [subset_name(s) for s in order]
     delta = {
         (sym, tuple(names[i] for i in combo)): {names[target]}
@@ -1013,7 +1035,7 @@ def canonical_form_by_names(d: Bta) -> Bta:
         found = [
             q
             for sym, k in arities
-            for combo in fresh_tuples(m, m + 1, k)
+            for combo in fresh_tuples_by_filter(m, m + 1, k)
             for q in delta.get((sym, tuple(map(order.__getitem__, combo))), ())
         ]
         m += 1

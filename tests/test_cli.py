@@ -6,6 +6,8 @@ the exact pinned lines, and transformation verbs emit canonical automaton
 text that parses back to the same machine the library produces.
 """
 
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -716,3 +718,35 @@ def test_module_entry_point_runs_in_a_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "member\n"
+
+
+# === The README ===
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    """The fenced blocks of one language in the README, in order."""
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"^```{lang}\n(.*?)^```", text, re.M | re.S)
+
+
+def test_the_readme_examples_print_what_the_readme_shows(capsys, monkeypatch, tmp_path):
+    """Each command of the README's console blocks, run through main from
+    the checkout with /tmp/grown.bta moved under tmp_path, prints the lines
+    shown under it and nothing on stderr; the Python quick start runs."""
+    monkeypatch.chdir(FIXTURES.parent)
+    runs: list[tuple[str, list[str]]] = []
+    for block in _readme_blocks("console"):
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                runs.append((line[2:], []))
+            else:
+                runs[-1][1].append(line)
+    assert len(runs) == 6
+    for command, shown in runs:
+        argv = shlex.split(command.replace("/tmp/grown.bta", str(tmp_path / "grown.bta")))
+        assert argv[0] == "treeca"
+        main(argv[1:])
+        out, err = capsys.readouterr()
+        assert (out, err) == ("".join(f"{line}\n" for line in shown), ""), command
+    (quick_start,) = _readme_blocks("python")
+    exec(compile(quick_start, "README.md", "exec"), {})

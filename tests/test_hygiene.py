@@ -171,14 +171,13 @@ def _self_calls(node: ast.AST, scope: tuple[str, ...] = ()):
 
 def test_no_function_calls_itself():
     # A recursion as deep as the input reaches the interpreter's limit on
-    # large automata and deep terms; fresh_tuples recurses once per argument
-    # position, so its depth is bounded by the arity.
+    # large automata and deep terms.
     recursive = {
         f"{path.stem}.{name}"
         for path in MODULES
         for name in _self_calls(ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert recursive == {"trees.fresh_tuples"}
+    assert not recursive
 
 
 # Inside the package, automata are built unchecked through Bta._of from fields

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import time
+from unittest import mock
 
 import pytest
 
@@ -38,6 +39,8 @@ from treeca import (
     tta_determinize,
 )
 
+from treeca import automata
+from treeca.automata import _Subsets
 from treeca.transforms import _codeterminize
 
 import helpers
@@ -49,6 +52,7 @@ from helpers import (
     Raised,
     assert_routes_agree,
     complete_by_name,
+    corpus_draw,
     drop_every_fifth_rule,
     is_total_by_product,
     load_fixture,
@@ -150,6 +154,38 @@ def test_rule_index_matches_the_member_product(subset_pools):
             states = sorted(a.states)
             built = [frozenset(map(states.__getitem__, m)) for m in subset_pools[0].members]
             assert built == list(ref_members.values())[: n - 1]
+
+
+def test_close_maps_each_line_of_each_level_once():
+    """close discovers its subsets one level at a time and maps each line
+    that trees.fresh_lines lists for a level in one _Subsets.line call: 1,810
+    calls on the ABG n=10 seed-10 draw (302 subsets), where combining one
+    subset at a time with the ones before took 46,055."""
+    levels: list[tuple[int, int]] = []
+    yielded = []
+    calls = []
+    fresh_lines, line = automata.fresh_lines, _Subsets.line
+
+    def counting_lines(arities, lo, hi):
+        levels.append((lo, hi))
+        for got in fresh_lines(arities, lo, hi):
+            yielded.append(got)
+            yield got
+
+    def counting_line(self, sym, prefix, lasts):
+        calls.append((sym, prefix))
+        return line(self, sym, prefix, lasts)
+
+    a = corpus_draw("ABG", 10, 10)
+    with mock.patch.object(automata, "fresh_lines", counting_lines), \
+            mock.patch.object(_Subsets, "line", counting_line):
+        view = _Subsets(a, DEFAULT_STATE_BUDGET).close()
+    n = len(view.names)
+    assert n == 302
+    assert [lo for lo, _ in levels] == [0] + [hi for _, hi in levels[:-1]]
+    assert levels[-1][1] == n
+    assert calls == [(sym, prefix) for sym, prefix, _ in yielded]
+    assert len(calls) == 1810
 
 
 def test_every_subset_construction_keys_its_subsets_by_member_bitmask(subset_pools):

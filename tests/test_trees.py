@@ -41,7 +41,7 @@ from treeca import (
     subtree,
     substitute,
 )
-from treeca.trees import _enumerate_raw, _flat_term, _holes, _memo, _parse_term, fresh_tuples
+from treeca.trees import _enumerate_raw, _flat_term, _holes, _memo, _parse_term, fresh_lines
 
 from helpers import (
     AB,
@@ -424,12 +424,54 @@ def test_enumeration_memo_keeps_one_entry_per_height():
             enumerate_contexts(alphabet, h)
 
 
+def test_raw_enumeration_builds_one_tree_per_item_within_its_budget():
+    """One Tree per item, built in order.  A budget equal to the count passes,
+    and one below raises the same error having built no tree past the
+    budget, since each line is checked before it is built; a miss stores
+    nothing in the memo."""
+    made = []
+
+    class CountingTree(Tree):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    three_leaves = RankedAlphabet({"a": 0, "b": 0, "c": 0, "g": 1})
+    with mock.patch("treeca.trees.Tree", CountingTree):
+        for alphabet in (ABG, TERN, three_leaves):
+            for h in (1, 2, 3):
+                made.clear()
+                items = _enumerate_raw(alphabet.entries, h, 10**6)
+                assert list(map(id, made)) == list(map(id, items))
+                n = len(items)
+                assert _enumerate_raw(alphabet.entries, h, n) == items
+                made.clear()
+                with pytest.raises(BudgetError) as caught:
+                    _enumerate_raw(alphabet.entries, h, n - 1)
+                assert str(caught.value) == f"tree enumeration exceeded the budget of {n - 1} items"
+                assert len(made) <= n - 1
+                _memo.pop((alphabet, False, h), None)
+                with pytest.raises(BudgetError):
+                    enumerate_trees(alphabet, h, budget=n - 1)
+                assert (alphabet, False, h) not in _memo
+
+
 @settings(deadline=None, max_examples=100)
 @given(data=st.data(), hi=st.integers(1, 6), k=st.integers(1, 3))
 def test_fresh_tuples_are_the_filtered_product_in_order(data, hi, k):
+    """The lines of fresh_lines, each prefix followed by every entry from its
+    first on, list per symbol the filtered product in order, symbols in the
+    order given and nullary ones skipped."""
     lo = data.draw(st.integers(0, hi - 1))
     filtered = [c for c in itertools.product(range(hi), repeat=k) if max(c) >= lo]
-    assert list(fresh_tuples(lo, hi, k)) == filtered
+    expanded = [
+        (sym, (*prefix, j))
+        for sym, prefix, first in fresh_lines({"h": k, "a": 0, "g": 1}, lo, hi)
+        for j in range(first, hi)
+    ]
+    assert expanded == [("h", c) for c in filtered] + [("g", (j,)) for j in range(lo, hi)]
 
 
 # === Term syntax ==================================================================
